@@ -59,7 +59,6 @@ from .verification import (
     NullityCatalog,
     TheoremReport,
     catalog_nullity_classes,
-    reduction_consistency_sweep,
     verify_theorem,
 )
 from . import documents
@@ -106,7 +105,6 @@ __all__ = [
     "recognize_rank2",
     "recognize_rank3",
     "reduce",
-    "reduction_consistency_sweep",
     "rewire_special_path",
     "serialize_graph",
     "signature_representatives",

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .graphio import serialize_graph
-from .graphs import SignedGraph
-from .recognizers import BicyclicBase, RankClassVerdict, UnbalancedBicyclicVerdict
-from .reductions import PathContraction, PendantDeletion, ReductionTrace, Switching
-from .verification import NullityCatalog, TheoremReport
 
-TOOL_VERSION = "0.1.0"
+if TYPE_CHECKING:
+    from .graphs import SignedGraph
+    from .recognizers import BicyclicBase, RankClassVerdict, UnbalancedBicyclicVerdict
+    from .reductions import ReductionTrace
+    from .verification import NullityCatalog, TheoremReport
+
+TOOL_VERSION = "0.1.0"  # also the package version: pyproject.toml reads it from here
 
 
 def text_digest(text: str) -> str:
@@ -131,31 +133,15 @@ def catalog_dict(catalog: NullityCatalog) -> dict:
 
 
 def trace_dict(trace: ReductionTrace) -> list[dict]:
-    steps = []
-    for step in trace.steps:
-        if isinstance(step, PendantDeletion):
-            steps.append(
-                {
-                    "op": "delete-pendant-pair",
-                    "pendant": step.pendant,
-                    "neighbor": step.neighbor,
-                    "relabeling": list(step.relabeling),
-                }
-            )
-        elif isinstance(step, Switching):
-            steps.append({"op": "switch", "signs": signs_text(step.signs)})
-        elif isinstance(step, PathContraction):
-            steps.append(
-                {
-                    "op": "contract-special-path",
-                    "path": [step.v1, step.v2, step.v3],
-                    "merged": step.merged,
-                    "relabeling": list(step.relabeling),
-                }
-            )
-        else:
-            raise ValueError(f"unknown trace step {step!r}")
-    return steps
+    return [
+        {
+            "op": "delete-pendant-pair",
+            "pendant": step.pendant,
+            "neighbor": step.neighbor,
+            "relabeling": list(step.relabeling),
+        }
+        for step in trace.steps
+    ]
 
 
 def graph_dict(g: SignedGraph) -> dict:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import SignedGraph, adjacency_matrix, connected_components
+from .graphs import SignedGraph, adjacency_matrix
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -85,10 +85,25 @@ def cycle_nullity_formula(length: int, balanced: bool) -> int:
     return 2 if length % 4 == 2 else 0
 
 
-def _require_forest(g: SignedGraph) -> None:
-    components = connected_components(g)
-    if len(g.edges) != g.order - len(components):
-        raise ValueError("graph contains a cycle")
+def _has_cycle(adj: list[set[int]]) -> bool:
+    """True iff the graph with adjacency sets ``adj`` has a cycle: a depth-first
+    search then reaches some vertex a second time, not from its parent."""
+    seen = [False] * len(adj)
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, -1)]
+        while stack:
+            v, parent = stack.pop()
+            for w in adj[v]:
+                if w == parent:
+                    continue
+                if seen[w]:
+                    return True
+                seen[w] = True
+                stack.append((w, v))
+    return False
 
 
 def matching_number(g: SignedGraph) -> int:
@@ -98,11 +113,12 @@ def matching_number(g: SignedGraph) -> int:
     delete both; on forests some maximum matching always contains a leaf
     edge, so the greedy count is exact.
     """
-    _require_forest(g)
     adj: list[set[int]] = [set() for _ in range(g.order)]
     for u, v, _ in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    if _has_cycle(adj):
+        raise ValueError("graph contains a cycle")
     leaves = sorted((v for v in range(g.order) if len(adj[v]) == 1), reverse=True)
     matched = 0
     while leaves:

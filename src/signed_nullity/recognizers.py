@@ -255,27 +255,28 @@ class UnbalancedBicyclicVerdict:
     is_extremal: bool  # bare theta(2,2,1) core with both triangles negative
 
 
-def unbalanced_bicyclic_verdict(g: SignedGraph) -> UnbalancedBicyclicVerdict:
-    """Check the n-3 nullity bound and its unique equality shape.
+def is_extremal_bicyclic(g: SignedGraph, base: BicyclicBase) -> bool:
+    """True iff g, with 2-core ``base``, is the equality shape of the n-3 bound.
 
-    Equality requires the whole graph to be a theta(2,2,1) (so order 4, no
-    attached trees) whose two triangles are both negative.
+    That is a bare theta(2,2,1) (so order 4, no attached trees) whose two
+    triangles are both negative.
     """
+    if base.kind != "theta" or (base.p, base.q, base.l) != (2, 2, 1):
+        return False
+    if len(base.base_vertices) != g.order:
+        return False
+    hubs = [v for v in base.base_vertices if g.degree(v) == 3]
+    mids = [v for v in base.base_vertices if g.degree(v) == 2]
+    return all(cycle_sign(g, (hubs[0], mid, hubs[1])) == -1 for mid in mids)
+
+
+def unbalanced_bicyclic_verdict(g: SignedGraph) -> UnbalancedBicyclicVerdict:
+    """Check the n-3 nullity bound and its unique equality shape."""
     base = bicyclic_base(g)
     if base is None:
         raise ValueError("graph is not bicyclic")
     if is_balanced(g).balanced:
         raise ValueError("graph is balanced")
-    bound_holds = nullity(g) <= g.order - 3
-    is_extremal = False
-    if (
-        base.kind == "theta"
-        and (base.p, base.q, base.l) == (2, 2, 1)
-        and len(base.base_vertices) == g.order
-    ):
-        hubs = [v for v in base.base_vertices if g.degree(v) == 3]
-        mids = [v for v in base.base_vertices if g.degree(v) == 2]
-        is_extremal = all(
-            cycle_sign(g, (hubs[0], mid, hubs[1])) == -1 for mid in mids
-        )
-    return UnbalancedBicyclicVerdict(bound_holds=bound_holds, is_extremal=is_extremal)
+    return UnbalancedBicyclicVerdict(
+        bound_holds=nullity(g) <= g.order - 3, is_extremal=is_extremal_bicyclic(g, base)
+    )

@@ -7,14 +7,13 @@ a single vertex.  The rewiring and contraction require the path's two edges
 to carry signs (-1, +1); ``normalize_special_path`` reaches that pattern by
 switching, which never changes the nullity either.
 
-Every step is recorded in a replayable trace so reduction chains can be
-audited.
+``reduce`` records each pendant-pair deletion it makes in a replayable
+trace so reduction chains can be audited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .graphs import SignedGraph, compaction_map, induced_subgraph, switch
 
@@ -39,25 +38,8 @@ class PendantDeletion:
 
 
 @dataclass(frozen=True)
-class Switching:
-    signs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathContraction:
-    v1: int
-    v2: int
-    v3: int
-    merged: int  # id of the merged vertex in the result
-    relabeling: tuple[int, ...]
-
-
-ReductionStep = Union[PendantDeletion, Switching, PathContraction]
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
+    steps: tuple[PendantDeletion, ...]
 
 
 def find_pendants(g: SignedGraph) -> list[tuple[int, int]]:
@@ -170,31 +152,13 @@ def contract_special_path(g: SignedGraph, p: SpecialPath) -> SignedGraph:
     return SignedGraph(g.order - 2, tuple(edges))
 
 
-def _contraction_relabeling(order: int, p: SpecialPath) -> tuple[int, ...]:
-    merged_old = min(p.v1, p.v2, p.v3)
-    removed = {p.v1, p.v2, p.v3} - {merged_old}
-    base = compaction_map(order, removed)
-    out = list(base)
-    out[p.v1] = base[merged_old]
-    out[p.v2] = base[merged_old]
-    out[p.v3] = base[merged_old]
-    return tuple(out)
-
-
-def contract_special_path_step(g: SignedGraph, p: SpecialPath) -> tuple[SignedGraph, PathContraction]:
-    """Contraction plus its trace record."""
-    result = contract_special_path(g, p)
-    relabeling = _contraction_relabeling(g.order, p)
-    return result, PathContraction(p.v1, p.v2, p.v3, relabeling[p.v1], relabeling)
-
-
 def reduce(g: SignedGraph) -> tuple[SignedGraph, ReductionTrace]:
     """Delete pendant pairs until none remain, smallest pendant first.
 
     Each round removes the lexicographically least pendant pair, so the
     result is reproducible; the nullity never changes along the trace.
     """
-    steps: list[ReductionStep] = []
+    steps: list[PendantDeletion] = []
     current = g
     while True:
         pendants = find_pendants(current)
@@ -209,12 +173,5 @@ def replay(initial: SignedGraph, trace: ReductionTrace) -> SignedGraph:
     """Re-run a trace from its initial graph."""
     current = initial
     for step in trace.steps:
-        if isinstance(step, PendantDeletion):
-            current = delete_pendant_pair(current, step.pendant, step.neighbor)
-        elif isinstance(step, Switching):
-            current = switch(current, step.signs)
-        elif isinstance(step, PathContraction):
-            current = contract_special_path(current, SpecialPath(step.v1, step.v2, step.v3))
-        else:
-            raise ValueError(f"unknown step {step!r}")
+        current = delete_pendant_pair(current, step.pendant, step.neighbor)
     return current

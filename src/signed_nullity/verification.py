@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .canonical import canonical_form
 from .enumeration import (
@@ -36,10 +35,10 @@ from .rank import cycle_nullity_formula, forest_nullity_formula, nullity, rank
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
+    is_extremal_bicyclic,
     low_rank_neighborhood_check,
     recognize_rank2,
     recognize_rank3,
-    unbalanced_bicyclic_verdict,
 )
 from .reductions import (
     contract_special_path,
@@ -73,55 +72,30 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# chunked execution
+# sweep checks: each yields every checked instance with its violation
+# details, the empty tuple when it passes
 
-Chunk = tuple
-ChunkResult = tuple[int, list[Violation]]
-
-
-def _chunk_trees(n: int) -> ChunkResult:
-    checked = 0
-    violations = []
-    for g in labeled_trees(n):
-        checked += 1
-        if forest_nullity_formula(g) != nullity(g):
-            violations.append(
-                Violation(n, "tree nullity formula disagrees with rank kernel", serialize_graph(g))
-            )
-    return checked, violations
+Checked = Iterator[tuple[SignedGraph, tuple[str, ...]]]
 
 
-def _chunk_trees_prefix(n: int, first: int) -> ChunkResult:
-    checked = 0
-    violations = []
-    for rest in product(range(n), repeat=n - 3):
-        g = prufer_graph(n, (first,) + rest)
-        checked += 1
-        if forest_nullity_formula(g) != nullity(g):
-            violations.append(
-                Violation(n, "tree nullity formula disagrees with rank kernel", serialize_graph(g))
-            )
-    return checked, violations
+def _check_trees(n: int, *prefix: int) -> Checked:
+    """Labeled trees of order n, or those whose Pruefer code starts with ``prefix``."""
+    trees = labeled_trees(n)
+    if prefix:
+        rests = product(range(n), repeat=n - 2 - len(prefix))
+        trees = (prufer_graph(n, prefix + rest) for rest in rests)
+    for g in trees:
+        ok = forest_nullity_formula(g) == nullity(g)
+        yield g, () if ok else ("tree nullity formula disagrees with rank kernel",)
 
 
-def _cycle_graph(length: int, balanced: bool) -> SignedGraph:
-    edges = [(i, i + 1, 1) for i in range(length - 1)]
-    edges.append((0, length - 1, 1 if balanced else -1))
-    return build_graph(length, edges)
-
-
-def _chunk_cycles(length: int) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_cycles(length: int) -> Checked:
+    path = [(i, i + 1, 1) for i in range(length - 1)]
     for balanced in (True, False):
-        g = _cycle_graph(length, balanced)
-        checked += 1
-        if cycle_nullity_formula(length, balanced) != nullity(g):
-            kind = "balanced" if balanced else "unbalanced"
-            violations.append(
-                Violation(length, f"{kind} cycle formula disagrees with rank kernel", serialize_graph(g))
-            )
-    return checked, violations
+        g = build_graph(length, path + [(0, length - 1, 1 if balanced else -1)])
+        kind = "balanced" if balanced else "unbalanced"
+        ok = cycle_nullity_formula(length, balanced) == nullity(g)
+        yield g, () if ok else (f"{kind} cycle formula disagrees with rank kernel",)
 
 
 def _signed_connected(n: int, m: int) -> Iterator[SignedGraph]:
@@ -129,40 +103,23 @@ def _signed_connected(n: int, m: int) -> Iterator[SignedGraph]:
         yield from signature_representatives(g)
 
 
-def _chunk_rank2(n: int, m: int) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_rank2(n: int, m: int) -> Checked:
     for rep in _signed_connected(n, m):
-        checked += 1
-        matches = recognize_rank2(rep).matches
-        if matches != (rank(adjacency_matrix(rep)) == 2):
-            violations.append(
-                Violation(n, "rank-2 recognizer disagrees with rank kernel", serialize_graph(rep))
-            )
-    return checked, violations
+        ok = recognize_rank2(rep).matches == (rank(adjacency_matrix(rep)) == 2)
+        yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
 
 
-def _chunk_rank3(n: int, m: int) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_rank3(n: int, m: int) -> Checked:
     for rep in _signed_connected(n, m):
-        checked += 1
         r = rank(adjacency_matrix(rep))
+        details: tuple[str, ...] = ()
         if recognize_rank3(rep).matches != (r == 3):
-            violations.append(
-                Violation(n, "rank-3 recognizer disagrees with rank kernel", serialize_graph(rep))
-            )
+            details = ("rank-3 recognizer disagrees with rank kernel",)
         if r <= 3 and n >= 2:
             bad = [x for x in range(n) if not low_rank_neighborhood_check(rep, x)]
             if bad:
-                violations.append(
-                    Violation(
-                        n,
-                        f"neighborhood split check fails at vertices {bad} despite rank {r}",
-                        serialize_graph(rep),
-                    )
-                )
-    return checked, violations
+                details += (f"neighborhood split check fails at vertices {bad} despite rank {r}",)
+        yield rep, details
 
 
 def _is_star(g: SignedGraph) -> bool:
@@ -171,212 +128,150 @@ def _is_star(g: SignedGraph) -> bool:
     )
 
 
-def _chunk_pendant_bound(n: int, m: int) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_pendant_bound(n: int, m: int) -> Checked:
     for g in connected_labeled_graphs(n, m):
         if n < 4 or _is_star(g) or not find_pendants(g):
             continue
         for rep in signature_representatives(g):
-            checked += 1
-            if nullity(rep) > n - 4:
-                violations.append(
-                    Violation(n, "pendant vertex present but nullity exceeds n-4", serialize_graph(rep))
-                )
-    return checked, violations
+            ok = nullity(rep) <= n - 4
+            yield rep, () if ok else ("pendant vertex present but nullity exceeds n-4",)
 
 
-def _chunk_bicyclic_bound(n: int, shape: BaseShape) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_bicyclic_bound(n: int, shape: BaseShape) -> Checked:
     for g in bicyclic_underlying(n, [shape]):
+        base = bicyclic_base(g)  # signs do not change the 2-core
         for rep in signature_representatives(g):
             if is_balanced(rep).balanced:
                 continue
-            checked += 1
-            verdict = unbalanced_bicyclic_verdict(rep)
             eta = nullity(rep)
-            if not verdict.bound_holds:
-                violations.append(
-                    Violation(n, "unbalanced bicyclic graph with nullity above n-3", serialize_graph(rep))
-                )
-            if verdict.is_extremal != (eta == n - 3):
-                violations.append(
-                    Violation(
-                        n,
-                        f"extremal-shape verdict {verdict.is_extremal} but nullity is {eta}",
-                        serialize_graph(rep),
-                    )
-                )
-    return checked, violations
+            details: tuple[str, ...] = ()
+            if eta > n - 3:
+                details = ("unbalanced bicyclic graph with nullity above n-3",)
+            extremal = is_extremal_bicyclic(rep, base)
+            if extremal != (eta == n - 3):
+                details += (f"extremal-shape verdict {extremal} but nullity is {eta}",)
+            yield rep, details
 
 
-def _chunk_special_path_bound(n: int, shape: BaseShape) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_special_path_bound(n: int, shape: BaseShape) -> Checked:
     for g in bicyclic_underlying(n, [shape]):
-        has_special = bool(find_special_paths(g))
-        has_pendant = bool(find_pendants(g))
-        if not has_special and not has_pendant:
+        reasons = ()
+        if find_special_paths(g):
+            reasons += ("special path present but nullity exceeds n-4",)
+        if find_pendants(g):
+            reasons += ("pendant vertex present but nullity exceeds n-4",)
+        if not reasons:
             continue
         for rep in signature_representatives(g):
-            checked += 1
-            eta = nullity(rep)
-            if has_special and eta > n - 4:
-                violations.append(
-                    Violation(n, "special path present but nullity exceeds n-4", serialize_graph(rep))
-                )
-            if has_pendant and eta > n - 4:
-                violations.append(
-                    Violation(n, "pendant vertex present but nullity exceeds n-4", serialize_graph(rep))
-                )
-    return checked, violations
+            yield rep, reasons if nullity(rep) > n - 4 else ()
 
 
-def _chunk_reductions(n: int, shape: BaseShape) -> ChunkResult:
-    checked = 0
-    violations = []
+def _check_reductions(n: int, shape: BaseShape) -> Checked:
     for g in bicyclic_underlying(n, [shape]):
         pendants = find_pendants(g)
         paths = find_special_paths(g)
         for rep in signature_representatives(g):
-            checked += 1
             eta = nullity(rep)
-            for v, u in pendants:
-                if nullity(delete_pendant_pair(rep, v, u)) != eta:
-                    violations.append(
-                        Violation(n, f"pendant deletion ({v},{u}) changed the nullity", serialize_graph(rep))
-                    )
-            for p in paths:
-                normalized, _ = normalize_special_path(rep, p)
-                if nullity(contract_special_path(normalized, p)) != eta:
-                    violations.append(
-                        Violation(
-                            n,
-                            f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity",
-                            serialize_graph(rep),
-                        )
-                    )
-    return checked, violations
-
-
-def _chunk_classes(n: int, shape: BaseShape) -> list[tuple[str, tuple]]:
-    out = {}
-    for g in bicyclic_underlying(n, [shape]):
-        code, canon = canonical_form(g)
-        if code not in out:
-            out[code] = canon.edges
-    return sorted(out.items())
-
-
-_CHUNK_KINDS = {
-    "trees": _chunk_trees,
-    "trees-prefix": _chunk_trees_prefix,
-    "cycles": _chunk_cycles,
-    "rank2": _chunk_rank2,
-    "rank3": _chunk_rank3,
-    "pendant-bound": _chunk_pendant_bound,
-    "bicyclic-bound": _chunk_bicyclic_bound,
-    "special-path-bound": _chunk_special_path_bound,
-    "reductions": _chunk_reductions,
-    "classes": _chunk_classes,
-}
-
-
-def _run_chunk(task: Chunk):
-    kind = task[0]
-    return _CHUNK_KINDS[kind](*task[1:])
-
-
-def _run_tasks(tasks: list[Chunk], workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_chunk, tasks))
+            details = tuple(
+                f"pendant deletion ({v},{u}) changed the nullity"
+                for v, u in pendants
+                if nullity(delete_pendant_pair(rep, v, u)) != eta
+            )
+            details += tuple(
+                f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
+                for p in paths
+                if nullity(contract_special_path(normalize_special_path(rep, p)[0], p)) != eta
+            )
+            yield rep, details
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the sweep table and engine
 
-def _tree_tasks(max_n: int) -> list[Chunk]:
-    tasks: list[Chunk] = []
+
+@dataclass(frozen=True)
+class Sweep:
+    """One exhaustive sweep: its chunks for a given max_n, and the check run on each."""
+
+    describe: str
+    min_n: int
+    tasks: Callable[[int], list[tuple]]  # max_n -> the check's arguments, one tuple per chunk
+    check: Callable[..., Checked]
+    max_len: Optional[int] = None  # when set, caps max_n in place of the enumeration ceiling
+
+
+def _tree_tasks(max_n: int) -> list[tuple]:
+    tasks: list[tuple] = []
     for n in range(1, max_n + 1):
-        if n <= 6:
-            tasks.append(("trees", n))
-        else:
-            tasks.extend(("trees-prefix", n, first) for first in range(n))
+        # from order 7 on, one chunk per first Pruefer symbol keeps the pool balanced
+        tasks.extend([(n,)] if n <= 6 else [(n, first) for first in range(n)])
     return tasks
 
 
-def _connected_tasks(kind: str, max_n: int) -> list[Chunk]:
-    tasks: list[Chunk] = []
+def _connected_tasks(max_n: int) -> list[tuple]:
+    tasks: list[tuple] = []
     for n in range(1, max_n + 1):
         pairs = n * (n - 1) // 2
-        tasks.extend((kind, n, m) for m in range(max(n - 1, 0), pairs + 1))
+        tasks.extend((n, m) for m in range(max(n - 1, 0), pairs + 1))
     return tasks
 
 
-def _bicyclic_tasks(kind: str, max_n: int) -> list[Chunk]:
-    tasks: list[Chunk] = []
+def _bicyclic_tasks(max_n: int) -> list[tuple]:
+    tasks: list[tuple] = []
     for n in range(4, max_n + 1):
-        tasks.extend(
-            (kind, n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n
-        )
+        tasks.extend((n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n)
     return tasks
 
 
-_SWEEPS: dict[str, dict] = {
-    "lemma2.1i": {
-        "tasks": _tree_tasks,
-        "orders": lambda max_n: range(1, max_n + 1),
-        "min_n": 1,
-        "describe": "nullity of every labeled signed tree equals n - 2*matching",
-    },
-    "lemma2.1ii": {
-        "tasks": lambda max_n: [("cycles", length) for length in range(3, max_n + 1)],
-        "orders": lambda max_n: range(3, max_n + 1),
-        "min_n": 3,
+_SWEEPS: dict[str, Sweep] = {
+    "lemma2.1i": Sweep(
+        "nullity of every labeled signed tree equals n - 2*matching", 1, _tree_tasks, _check_trees
+    ),
+    "lemma2.1ii": Sweep(
+        "closed-form cycle nullity matches the rank kernel for both balance classes",
+        3,
+        lambda max_n: [(length,) for length in range(3, max_n + 1)],
+        _check_cycles,
         # linear work per length, so the enumeration ceiling does not apply;
         # still capped to keep a typo from launching cubic-cost giants
-        "max_len": 128,
-        "describe": "closed-form cycle nullity matches the rank kernel for both balance classes",
-    },
-    "theorem2.3": {
-        "tasks": lambda max_n: _connected_tasks("rank2", max_n),
-        "orders": lambda max_n: range(1, max_n + 1),
-        "min_n": 1,
-        "describe": "rank-2 recognizer agrees with the rank kernel on all connected signed graphs",
-    },
-    "theorem2.4": {
-        "tasks": lambda max_n: _connected_tasks("rank3", max_n),
-        "orders": lambda max_n: range(1, max_n + 1),
-        "min_n": 1,
-        "describe": "rank-3 recognizer agrees with the rank kernel; neighborhood split holds at rank <= 3",
-    },
-    "corollary2.6": {
-        "tasks": lambda max_n: _connected_tasks("pendant-bound", max_n),
-        "orders": lambda max_n: range(1, max_n + 1),
-        "min_n": 1,
-        "describe": "connected non-star graphs of order >= 4 with a pendant have nullity <= n-4",
-    },
-    "corollary2.9": {
-        "tasks": lambda max_n: _bicyclic_tasks("special-path-bound", max_n),
-        "orders": lambda max_n: range(4, max_n + 1),
-        "min_n": 4,
-        "describe": "bicyclic graphs with a special path or pendant have nullity <= n-4",
-    },
-    "theorem3.1": {
-        "tasks": lambda max_n: _bicyclic_tasks("bicyclic-bound", max_n),
-        "orders": lambda max_n: range(4, max_n + 1),
-        "min_n": 4,
-        "describe": "unbalanced bicyclic nullity is at most n-3, extremal exactly at the doubled-triangle shape",
-    },
-    "lemma2.5": {
-        "tasks": lambda max_n: _bicyclic_tasks("reductions", max_n),
-        "orders": lambda max_n: range(4, max_n + 1),
-        "min_n": 4,
-        "describe": "pendant deletions and special-path contractions preserve the nullity",
-    },
+        max_len=128,
+    ),
+    "theorem2.3": Sweep(
+        "rank-2 recognizer agrees with the rank kernel on all connected signed graphs",
+        1,
+        _connected_tasks,
+        _check_rank2,
+    ),
+    "theorem2.4": Sweep(
+        "rank-3 recognizer agrees with the rank kernel; neighborhood split holds at rank <= 3",
+        1,
+        _connected_tasks,
+        _check_rank3,
+    ),
+    "corollary2.6": Sweep(
+        "connected non-star graphs of order >= 4 with a pendant have nullity <= n-4",
+        1,
+        _connected_tasks,
+        _check_pendant_bound,
+    ),
+    "corollary2.9": Sweep(
+        "bicyclic graphs with a special path or pendant have nullity <= n-4",
+        4,
+        _bicyclic_tasks,
+        _check_special_path_bound,
+    ),
+    "theorem3.1": Sweep(
+        "unbalanced bicyclic nullity is at most n-3, extremal exactly at the doubled-triangle shape",
+        4,
+        _bicyclic_tasks,
+        _check_bicyclic_bound,
+    ),
+    "lemma2.5": Sweep(
+        "pendant deletions and special-path contractions preserve the nullity",
+        4,
+        _bicyclic_tasks,
+        _check_reductions,
+    ),
 }
 
 _ALIASES = {
@@ -393,9 +288,33 @@ _ALIASES = {
 }
 
 
+def _sweep_chunk(task: tuple[str, tuple]) -> tuple[int, list[Violation]]:
+    """Run one chunk of a sweep: (instances checked, violations found)."""
+    key, args = task
+    checked = 0
+    violations = []
+    for g, details in _SWEEPS[key].check(*args):
+        checked += 1
+        for detail in details:
+            violations.append(Violation(g.order, detail, serialize_graph(g)))
+    return checked, violations
+
+
+def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
+    """``fn`` over every task, in order; on a process pool when workers > 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only pool users pay for the import
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def available_theorems() -> list[tuple[str, str]]:
     """(canonical id, description) pairs for every supported sweep."""
-    return [(key, spec["describe"]) for key, spec in sorted(_SWEEPS.items())]
+    return [(key, sweep.describe) for key, sweep in sorted(_SWEEPS.items())]
 
 
 def _resolve_theorem(theorem_id: str) -> str:
@@ -410,10 +329,10 @@ def _resolve_theorem(theorem_id: str) -> str:
 def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremReport:
     """Run one exhaustive sweep up to order (or cycle length) ``max_n``."""
     key = _resolve_theorem(theorem_id)
-    spec = _SWEEPS[key]
-    if "max_len" in spec:
-        if max_n > spec["max_len"]:
-            raise ValueError(f"sweep {key} supports max_n up to {spec['max_len']}")
+    sweep = _SWEEPS[key]
+    if sweep.max_len is not None:
+        if max_n > sweep.max_len:
+            raise ValueError(f"sweep {key} supports max_n up to {sweep.max_len}")
     else:
         check_order(max_n)
         if max_n > SOFT_ORDER_LIMIT:
@@ -422,28 +341,21 @@ def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremRepo
                 "and may take a long time",
                 stacklevel=2,
             )
-    if max_n < spec["min_n"]:
-        raise ValueError(f"sweep {key} needs max_n >= {spec['min_n']}")
+    if max_n < sweep.min_n:
+        raise ValueError(f"sweep {key} needs max_n >= {sweep.min_n}")
     start = time.perf_counter()
-    results = _run_tasks(spec["tasks"](max_n), workers)
-    checked = sum(r[0] for r in results)
+    results = _run_tasks(_sweep_chunk, [(key, args) for args in sweep.tasks(max_n)], workers)
     violations = sorted(
-        (v for r in results for v in r[1]),
+        (v for _, found in results for v in found),
         key=lambda v: (v.order, v.witness, v.detail),
     )
     return TheoremReport(
         theorem=key,
-        orders_checked=tuple(spec["orders"](max_n)),
-        instances_checked=checked,
+        orders_checked=tuple(range(sweep.min_n, max_n + 1)),
+        instances_checked=sum(checked for checked, _ in results),
         violations=tuple(violations),
         elapsed=time.perf_counter() - start,
     )
-
-
-def reduction_consistency_sweep(max_n: int, workers: int = 1) -> TheoremReport:
-    """Check every pendant deletion and special-path contraction over the
-    bicyclic enumeration; both must preserve the nullity everywhere."""
-    return verify_theorem("lemma2.5", max_n, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +382,22 @@ class NullityCatalog:
     entries: tuple[CatalogEntry, ...]
 
 
+def _class_chunk(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
+    n, shape = task
+    out = {}
+    for g in bicyclic_underlying(n, [shape]):
+        code, canon = canonical_form(g)
+        if code not in out:
+            out[code] = canon.edges
+    return sorted(out.items())
+
+
 def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
     """Canonical code -> canonical graph for every bicyclic class of order n."""
     check_order(n)
-    tasks: list[Chunk] = [
-        ("classes", n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n
-    ]
+    tasks = [(n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n]
     merged: dict[str, SignedGraph] = {}
-    for chunk in _run_tasks(tasks, workers):
+    for chunk in _run_tasks(_class_chunk, tasks, workers):
         for code, edges in chunk:
             if code not in merged:
                 merged[code] = SignedGraph(n, edges)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +137,27 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
         assert doc["violations"][0]["detail"] == "synthetic counterexample"
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, workers):
+        assert main(["verify", "--theorem", "lemma2.1ii", "--max-n", "4", "--workers", workers]) == 2
+        assert main(["catalog", "--n", "4", "--k", "3", "--workers", workers]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestImport:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        code = (
+            "import sys, signed_nullity.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestCatalogCommand:

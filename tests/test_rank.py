@@ -154,6 +154,9 @@ class TestMatchingNumber:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             matching_number(cycle_graph(5))
+        # K3 + K2 has m = n - 1 edges but still a cycle
+        with pytest.raises(ValueError, match="cycle"):
+            matching_number(disjoint_union(cycle_graph(3), path_graph(2)))
 
     def test_random_forests_vs_brute_force(self):
         rng = random.Random(99)

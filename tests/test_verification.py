@@ -10,7 +10,6 @@ from signed_nullity.verification import (
     available_theorems,
     bicyclic_classes,
     catalog_nullity_classes,
-    reduction_consistency_sweep,
     verify_theorem,
 )
 
@@ -60,7 +59,7 @@ class TestVerifyTheorem:
         assert report.orders_checked == (4, 5, 6)
 
     def test_reduction_sweep_passes(self):
-        report = reduction_consistency_sweep(6)
+        report = verify_theorem("reductions", 6)
         assert report.theorem == "lemma2.5"
         assert report.ok
 
@@ -75,6 +74,37 @@ class TestVerifyTheorem:
         assert documents.dumps(documents.verification_document(serial)) == documents.dumps(
             documents.verification_document(parallel)
         )
+
+    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        report = verify_theorem("lemma2.1ii", 4, workers=8)  # lengths 3 and 4: two chunks
+        assert report.instances_checked == 4
+        assert len(bicyclic_classes(5, workers=64)) == 5  # four base shapes: four chunks
+        assert sizes == [2, 4]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            verify_theorem("lemma2.1ii", 4, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            catalog_nullity_classes(4, 3, workers=workers)
 
     def test_report_shape(self):
         report = verify_theorem("theorem3.1", 5)
@@ -125,6 +155,21 @@ class TestVerifyTheorem:
                     assert total == nullity(residue)
                     residues += 1
         assert residues > 50
+
+    def test_violations_are_built_sorted_and_replayable(self, monkeypatch):
+        from signed_nullity import verification
+        from signed_nullity.graphio import parse_graph
+
+        clean = verify_theorem("lemma2.1i", 5)
+        # a broken kernel: every tree with an edge now disagrees with the formula
+        monkeypatch.setattr(verification, "nullity", lambda g: g.order)
+        report = verify_theorem("lemma2.1i", 5)
+        assert report.instances_checked == clean.instances_checked
+        assert len(report.violations) == report.instances_checked - 1
+        keys = [(v.order, v.witness, v.detail) for v in report.violations]
+        assert keys == sorted(keys)
+        for v in report.violations:
+            assert parse_graph(v.witness).order == v.order
 
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
