@@ -49,7 +49,7 @@ def canonical_form(g: SignedGraph) -> tuple[str, SignedGraph]:
     """
     n = g.order
     if n == 0:
-        return "0:", SignedGraph(0, ())
+        return "0:", SignedGraph._trusted(0, ())
     neighbors = [g.neighbors(v) for v in range(n)]
     classes = _refined_classes(g)
     best_rows: tuple[int, ...] | None = None
@@ -81,7 +81,7 @@ def canonical_form(g: SignedGraph) -> tuple[str, SignedGraph]:
         (min(best_pos[u], best_pos[v]), max(best_pos[u], best_pos[v]), 1)
         for u, v, _ in g.edges
     )
-    return code, SignedGraph(n, tuple(edges))
+    return code, SignedGraph._trusted(n, tuple(edges))
 
 
 def canonical_code(g: SignedGraph) -> str:

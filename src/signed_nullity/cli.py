@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
-1 verification violations, 2 usage errors, 3 input/output errors.
+1 verification violations, 2 usage errors, 3 input/output errors,
+4 unexpected internal errors (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    p.add_argument("--theorem", required=True, metavar="ID", help="sweep id (see --list)")
+    p.add_argument("--theorem", required=True, metavar="ID", help="sweep id (see the theorems command)")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--workers", type=int, default=1)
 
@@ -190,6 +192,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import os
 from itertools import combinations, product
 from typing import Iterator
 
-from .graphs import SignedGraph, _spanning_forest, is_connected
+from .graphs import SignedGraph, _spanning_forest
 
 SOFT_ORDER_LIMIT = 8  # larger sweeps work but take noticeably longer
 DEFAULT_ORDER_CEILING = 10
@@ -63,7 +63,7 @@ def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v), 1))
     edges.sort()
-    return SignedGraph(n, tuple(edges))
+    return SignedGraph._trusted(n, tuple(edges))
 
 
 def labeled_trees(n: int) -> Iterator[SignedGraph]:
@@ -75,9 +75,9 @@ def labeled_trees(n: int) -> Iterator[SignedGraph]:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        yield SignedGraph(1, ())
+        yield SignedGraph._trusted(1, ())
     elif n == 2:
-        yield SignedGraph(2, ((0, 1, 1),))
+        yield SignedGraph._trusted(2, ((0, 1, 1),))
     else:
         for seq in product(range(n), repeat=n - 2):
             yield prufer_graph(n, seq)
@@ -142,7 +142,7 @@ def base_graph(shape: BaseShape) -> SignedGraph:
             nxt += length - 1
             chain([u] + inner + [v])
     edges.sort()
-    return SignedGraph(n, tuple(edges))
+    return SignedGraph._trusted(n, tuple(edges))
 
 
 def _with_leaves(g: SignedGraph, target: int) -> Iterator[SignedGraph]:
@@ -151,7 +151,7 @@ def _with_leaves(g: SignedGraph, target: int) -> Iterator[SignedGraph]:
         return
     new = g.order
     for anchor in range(g.order):
-        grown = SignedGraph(g.order + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
+        grown = SignedGraph._trusted(g.order + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
         yield from _with_leaves(grown, target)
 
 
@@ -178,9 +178,9 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
     complete switching invariant (they are the fundamental cycle signs), so
     the 2^c sign patterns on non-tree edges meet every class exactly once.
     """
-    if not is_connected(g):
+    parent, _, non_tree = _spanning_forest(g)
+    if parent.count(-1) > 1:
         raise ValueError("switching-class enumeration needs a connected graph")
-    _, _, non_tree = _spanning_forest(g)
     free = {(u, v) for u, v, _ in non_tree}
     fixed = [(u, v) for u, v, _ in g.edges]
     free_positions = [i for i, pair in enumerate(fixed) if pair in free]
@@ -190,7 +190,7 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
         for where, sign in zip(free_positions, pattern):
             u, v, _ = edges[where]
             edges[where] = (u, v, sign)
-        yield SignedGraph(g.order, tuple(edges))
+        yield SignedGraph._trusted(g.order, tuple(edges))
 
 
 def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
@@ -226,4 +226,4 @@ def connected_labeled_graphs(n: int, edge_count: int | None = None) -> Iterator[
     for m in counts:
         for pairs in combinations(all_pairs, m):
             if _edges_connected(n, pairs):
-                yield SignedGraph(n, tuple((u, v, 1) for u, v in pairs))
+                yield SignedGraph._trusted(n, tuple((u, v, 1) for u, v in pairs))

@@ -17,10 +17,9 @@ Edge = tuple[int, int, int]  # (u, v, sign) with u < v
 Cycle = tuple[int, ...]  # vertex sequence, closed implicitly
 
 
-def _check_sign(s: int) -> int:
+def _check_sign(s: int) -> None:
     if s != 1 and s != -1:
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,26 @@ class SignedGraph:
                 raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
             if not (0 <= u and v < self.order):
                 raise ValueError(f"edge ({u},{v}) out of range for order {self.order}")
+            _check_sign(s)
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
             if prev is not None and prev > (u, v):
                 raise ValueError("edge list not sorted")
             prev = (u, v)
-            _check_sign(s)
+
+    @classmethod
+    def _trusted(cls, order: int, edges: tuple[Edge, ...]) -> "SignedGraph":
+        """Build a graph without the structural check of ``__post_init__``.
+
+        Only for graphs the package derives from already-valid parts.  The
+        caller guarantees that every edge has ``u < v``, that the edges are
+        sorted with no duplicate pair, that every endpoint lies in
+        ``0..order-1`` and that every sign is +1 or -1.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(order=order, edges=edges)
+        return g
 
     @cached_property
     def _neighbor_signs(self) -> tuple[dict[int, int], ...]:
@@ -80,7 +92,7 @@ class SignedGraph:
 
     def underlying(self) -> "SignedGraph":
         """The same graph with every sign set to +1."""
-        return SignedGraph(self.order, tuple((u, v, 1) for u, v, _ in self.edges))
+        return SignedGraph._trusted(self.order, tuple((u, v, 1) for u, v, _ in self.edges))
 
     def is_all_positive(self) -> bool:
         return all(s == 1 for _, _, s in self.edges)
@@ -93,21 +105,10 @@ def build_graph(order: int, edges: Iterable[tuple[int, int, int]]) -> SignedGrap
     """Build a normalized SignedGraph from an arbitrary edge list.
 
     Endpoint order within an edge does not matter; duplicates (even with a
-    different sign) and self-loops are rejected.
+    different sign) and self-loops are rejected by the constructor.
     """
-    normalized = []
-    for u, v, s in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if not (0 <= u and v < order):
-            raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-        normalized.append((u, v, _check_sign(s)))
-    normalized.sort()
-    for a, b in zip(normalized, normalized[1:]):
-        if a[:2] == b[:2]:
-            raise ValueError(f"duplicate edge ({a[0]},{a[1]})")
+    normalized = [(v, u, s) if u > v else (u, v, s) for u, v, s in edges]
+    normalized.sort(key=lambda e: e[:2])
     return SignedGraph(order, tuple(normalized))
 
 
@@ -141,7 +142,7 @@ def switch(g: SignedGraph, theta: Sequence[int]) -> SignedGraph:
         raise ValueError(f"switching function has length {len(theta)}, graph has order {g.order}")
     for t in theta:
         _check_sign(t)
-    return SignedGraph(g.order, tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
+    return SignedGraph._trusted(g.order, tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int
     """
     if not same_underlying(g1, g2):
         raise ValueError("graphs have different underlying graphs")
-    product = SignedGraph(
+    product = SignedGraph._trusted(
         g1.order,
         tuple((u, v, s1 * g2.sign_of(u, v)) for u, v, s1 in g1.edges),
     )
@@ -275,7 +276,7 @@ def induced_subgraph(g: SignedGraph, keep: Iterable[int]) -> SignedGraph:
         for u, v, s in g.edges
         if u in relabel and v in relabel
     )
-    return SignedGraph(len(kept), edges)
+    return SignedGraph._trusted(len(kept), edges)
 
 
 def compaction_map(order: int, removed: Iterable[int]) -> tuple[int, ...]:
@@ -310,4 +311,4 @@ def is_connected(g: SignedGraph) -> bool:
 def disjoint_union(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     shift = g1.order
     edges = g1.edges + tuple((u + shift, v + shift, s) for u, v, s in g2.edges)
-    return SignedGraph(g1.order + g2.order, edges)
+    return SignedGraph._trusted(g1.order + g2.order, edges)

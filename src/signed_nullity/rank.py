@@ -85,56 +85,45 @@ def cycle_nullity_formula(length: int, balanced: bool) -> int:
     return 2 if length % 4 == 2 else 0
 
 
-def _has_cycle(adj: list[set[int]]) -> bool:
-    """True iff the graph with adjacency sets ``adj`` has a cycle: a depth-first
-    search then reaches some vertex a second time, not from its parent."""
-    seen = [False] * len(adj)
-    for root in range(len(adj)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, -1)]
-        while stack:
-            v, parent = stack.pop()
-            for w in adj[v]:
-                if w == parent:
-                    continue
-                if seen[w]:
-                    return True
-                seen[w] = True
-                stack.append((w, v))
-    return False
-
-
 def matching_number(g: SignedGraph) -> int:
-    """Maximum matching size of a forest, by greedy leaf elimination.
+    """Maximum matching size of a forest, by leaves-up greedy matching.
 
-    Repeatedly match the smallest remaining leaf to its unique neighbor and
-    delete both; on forests some maximum matching always contains a leaf
-    edge, so the greedy count is exact.
+    One depth-first pass records each vertex's parent in visiting order and
+    rejects any edge that reaches a visited vertex other than the parent.
+    Walking that order backwards meets every vertex after all of its
+    descendants; matching each unmatched vertex to its parent while the
+    parent is free is exact on forests, because some maximum matching always
+    contains a leaf edge.
     """
-    adj: list[set[int]] = [set() for _ in range(g.order)]
+    n = g.order
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    if _has_cycle(adj):
-        raise ValueError("graph contains a cycle")
-    leaves = sorted((v for v in range(g.order) if len(adj[v]) == 1), reverse=True)
-    matched = 0
-    while leaves:
-        v = leaves.pop()
-        if len(adj[v]) != 1:
-            continue  # endpoint consumed by an earlier match
-        u = next(iter(adj[v]))
-        matched += 1
-        for w in adj[u]:
-            adj[w].discard(u)
-            if len(adj[w]) == 1:
-                leaves.append(w)
-        adj[u].clear()
-        adj[v].clear()
-        leaves.sort(reverse=True)
-    return matched
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-2] * n  # -2 = unvisited, -1 = root
+    preorder: list[int] = []
+    for root in range(n):
+        if parent[root] != -2:
+            continue
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w] = v
+                    stack.append(w)
+                elif w != parent[v]:
+                    raise ValueError("graph contains a cycle")
+    matched = [False] * n
+    count = 0
+    for v in reversed(preorder):
+        p = parent[v]
+        if p >= 0 and not matched[v] and not matched[p]:
+            matched[v] = matched[p] = True
+            count += 1
+    return count
 
 
 def forest_nullity_formula(g: SignedGraph) -> int:

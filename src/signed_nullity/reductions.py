@@ -120,7 +120,7 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]
     edges.append((min(v, p.v3), max(v, p.v3), s))
     edges.sort()
-    return SignedGraph(g.order, tuple(edges))
+    return SignedGraph._trusted(g.order, tuple(edges))
 
 
 def contract_special_path(g: SignedGraph, p: SpecialPath) -> SignedGraph:
@@ -149,7 +149,7 @@ def contract_special_path(g: SignedGraph, p: SpecialPath) -> SignedGraph:
             a, b = b, a
         edges.append((a, b, s))
     edges.sort()
-    return SignedGraph(g.order - 2, tuple(edges))
+    return SignedGraph._trusted(g.order - 2, tuple(edges))
 
 
 def reduce(g: SignedGraph) -> tuple[SignedGraph, ReductionTrace]:

@@ -400,7 +400,7 @@ def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
     for chunk in _run_tasks(_class_chunk, tasks, workers):
         for code, edges in chunk:
             if code not in merged:
-                merged[code] = SignedGraph(n, edges)
+                merged[code] = SignedGraph._trusted(n, edges)
     return merged
 
 

@@ -138,6 +138,23 @@ class TestVerifyCommand:
         assert doc["ok"] is False
         assert doc["violations"][0]["detail"] == "synthetic counterexample"
 
+    def test_internal_error_exits_4_with_traceback(self, capsys, monkeypatch):
+        import signed_nullity.cli as cli_module
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_module, "verify_theorem", crash)
+        assert main(["verify", "--theorem", "theorem3.1", "--max-n", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "boom" in captured.err
+
+    def test_help_points_to_the_theorems_command(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "theorems" in out and "--list" not in out
+
 
 class TestWorkersOption:
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -2,21 +2,37 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from signed_nullity import (
     SignedGraph,
     adjacency_matrix,
+    bicyclic_underlying,
     build_graph,
+    canonical_form,
+    connected_labeled_graphs,
+    contract_special_path,
     cycle_sign,
+    delete_pendant_pair,
     disjoint_union,
+    find_pendants,
+    find_special_paths,
     fundamental_cycles,
     induced_subgraph,
     is_balanced,
     is_connected,
+    labeled_trees,
+    normalize_special_path,
+    rewire_special_path,
+    signature_representatives,
     switch,
     switching_equivalent,
 )
+from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
+from signed_nullity.verification import bicyclic_classes
 from oracles import cycle_graph, path_graph
 
 
@@ -46,6 +62,9 @@ class TestBuildGraph:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             build_graph(2, [(0, 1, 2)])
+        # the bad sign sits on a duplicated pair, so sorting must not compare it
+        with pytest.raises(ValueError, match="sign"):
+            build_graph(2, [(0, 1, 1), (1, 0, "x")])
 
     def test_normalizes_endpoint_order(self):
         g = build_graph(3, [(2, 0, -1), (1, 0, 1)])
@@ -223,3 +242,66 @@ class TestHelpers:
     def test_connectivity(self):
         assert is_connected(cycle_graph(4))
         assert not is_connected(disjoint_union(path_graph(2), path_graph(2)))
+
+
+def _generated_graphs():
+    """Graphs from every generator that builds its output unchecked."""
+    for n in (1, 2, 5):
+        yield from labeled_trees(n)
+    yield from connected_labeled_graphs(5)
+    for shape in bicyclic_base_shapes(7):
+        yield base_graph(shape)
+    for g in bicyclic_underlying(6):
+        yield g
+        yield from signature_representatives(g)
+
+
+def _transformed(g, other):
+    """Outputs of every transformation that builds its result unchecked."""
+    yield g.underlying()
+    yield switch(g, tuple(-1 if v % 3 == 1 else 1 for v in range(g.order)))
+    yield induced_subgraph(g, range(0, g.order, 2))
+    yield disjoint_union(g, other)
+    for v, u in find_pendants(g):
+        yield delete_pendant_pair(g, v, u)
+    for p in find_special_paths(g):
+        h, _ = normalize_special_path(g, p)
+        yield contract_special_path(h, p)
+        for v in h.neighbors(p.v1):
+            if v != p.v2 and not h.has_edge(v, p.v3):
+                yield rewire_special_path(h, p, v)
+
+
+class TestUncheckedConstruction:
+    """Graphs built inside the package skip the constructor's check, so each
+    one must pass the public validating path unchanged."""
+
+    @staticmethod
+    def _assert_valid(graphs):
+        count = 0
+        for g in graphs:
+            rebuilt = build_graph(g.order, g.edges)
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+            count += 1
+        return count
+
+    def test_generators(self):
+        assert self._assert_valid(_generated_graphs()) > 1000
+
+    def test_canonical_forms_and_classes(self):
+        graphs = [SignedGraph(0, ())] + list(_generated_graphs())
+        assert self._assert_valid(canonical_form(g)[1] for g in graphs) == len(graphs)
+        assert self._assert_valid(bicyclic_classes(6).values()) == 19
+
+    def test_transformations(self):
+        graphs = list(_generated_graphs())
+        pairs = zip(graphs, graphs[1:] + graphs[:1])
+        outputs = (h for g, other in pairs for h in _transformed(g, other))
+        assert self._assert_valid(outputs) > 5 * len(graphs)
+
+    def test_behaves_like_a_checked_graph(self):
+        g = next(signature_representatives(next(bicyclic_underlying(5))))
+        assert g.degree(0) == build_graph(g.order, g.edges).degree(0)
+        assert pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(FrozenInstanceError):
+            g.order = 3
