@@ -2,9 +2,12 @@
 
 The code of a graph is the minimal adjacency bit matrix over all vertex
 orderings compatible with an iterated neighbor-color refinement, so two
-underlying graphs get the same code iff they are isomorphic.  Brute force
-over the refined classes is entirely adequate at the orders the catalogs
-run at (n <= 10).
+underlying graphs get the same code iff they are isomorphic.  The canonical
+form is the all-positive graph with that matrix, so it depends on the code
+alone: every member of a class canonizes to the same graph, whichever one a
+generator meets first.  Brute force over the refined classes is cheap on
+the small, leaf-heavy bicyclic graphs the catalogs canonize; on regular
+graphs refinement splits nothing and the cost is n!.
 """
 
 from __future__ import annotations
@@ -14,15 +17,15 @@ from itertools import permutations, product
 from .graphs import SignedGraph
 
 
-def _refined_classes(g: SignedGraph) -> list[list[int]]:
+def _refined_classes(neighbors: list[tuple[int, ...]]) -> list[list[int]]:
     """Vertex classes under iterated neighbor-color refinement.
 
-    Colors start as degrees and are refined by the sorted multiset of
-    neighbor colors until the partition stabilizes.  Color ranks depend only
-    on the isomorphism class, so isomorphic graphs refine identically.
+    ``neighbors[v]`` lists the neighbors of vertex v.  Colors start as
+    degrees and are refined by the sorted multiset of neighbor colors until
+    the partition stabilizes.  Color ranks depend only on the isomorphism
+    class, so isomorphic graphs refine identically.
     """
-    n = g.order
-    neighbors = [g.neighbors(v) for v in range(n)]
+    n = len(neighbors)
     color = [len(neighbors[v]) for v in range(n)]
     while True:
         signature = [
@@ -51,7 +54,7 @@ def canonical_form(g: SignedGraph) -> tuple[str, SignedGraph]:
     if n == 0:
         return "0:", SignedGraph._trusted(0, ())
     neighbors = [g.neighbors(v) for v in range(n)]
-    classes = _refined_classes(g)
+    classes = _refined_classes(neighbors)
     best_rows: tuple[int, ...] | None = None
     best_pos: list[int] | None = None
     pos = [0] * n

@@ -1,10 +1,13 @@
 """Exhaustive generators: labeled trees, bicyclic graphs, switching classes.
 
 Bicyclic graphs are streamed as (base 2-core shape) x (sequences of leaf
-attachments), which reaches every isomorphism class at least once but may
-repeat classes; consumers that need one representative per class
-de-duplicate with :mod:`signed_nullity.canonical`.  All streams are in a
-fixed deterministic order.
+attachments), which reaches every isomorphism class at least once but
+repeats most of them (14,000 labeled graphs for 797 classes at order 9).
+The sweeps check every graph of that stream.  The class list of
+:func:`signed_nullity.verification.bicyclic_classes` is not built from it:
+it grows one leaf at a time from :func:`leaf_extensions` and keeps one
+canonical graph per class at every order.  All streams are in a fixed
+deterministic order.
 """
 
 from __future__ import annotations
@@ -145,13 +148,18 @@ def base_graph(shape: BaseShape) -> SignedGraph:
     return SignedGraph._trusted(n, tuple(edges))
 
 
+def leaf_extensions(g: SignedGraph) -> Iterator[SignedGraph]:
+    """g plus one new positive pendant edge, hung from each vertex in turn."""
+    new = g.order
+    for anchor in range(new):
+        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
+
+
 def _with_leaves(g: SignedGraph, target: int) -> Iterator[SignedGraph]:
     if g.order == target:
         yield g
         return
-    new = g.order
-    for anchor in range(g.order):
-        grown = SignedGraph._trusted(g.order + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
+    for grown in leaf_extensions(g):
         yield from _with_leaves(grown, target)
 
 

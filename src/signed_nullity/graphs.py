@@ -75,8 +75,18 @@ class SignedGraph:
             table[v][u] = s
         return table
 
+    @cached_property
+    def _sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        # edges are sorted pairs u < v, so every vertex meets its smaller
+        # neighbors first and each list fills in ascending order
+        lists: list[list[int]] = [[] for _ in range(self.order)]
+        for u, v, _ in self.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        return tuple(map(tuple, lists))
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._neighbor_signs[v]))
+        return self._sorted_neighbors[v]
 
     def degree(self, v: int) -> int:
         return len(self._neighbor_signs[v])

@@ -20,12 +20,14 @@ from .canonical import canonical_form
 from .enumeration import (
     SOFT_ORDER_LIMIT,
     BaseShape,
+    base_graph,
     base_order,
     bicyclic_base_shapes,
     bicyclic_underlying,
     check_order,
     connected_labeled_graphs,
     labeled_trees,
+    leaf_extensions,
     prufer_graph,
     signature_representatives,
 )
@@ -382,26 +384,38 @@ class NullityCatalog:
     entries: tuple[CatalogEntry, ...]
 
 
-def _class_chunk(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
+def _core_classes(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
+    """(code, canonical edges) of every class of order n whose 2-core is ``shape``.
+
+    Built one order at a time: the base graph alone, then at each next order
+    every class of the order before with one leaf hung from each vertex,
+    de-duplicated by canonical code.  This meets every class: a graph that is
+    more than its 2-core has a pendant vertex, and deleting it leaves a class
+    of the order before with the same 2-core.
+    """
     n, shape = task
-    out = {}
-    for g in bicyclic_underlying(n, [shape]):
-        code, canon = canonical_form(g)
-        if code not in out:
-            out[code] = canon.edges
-    return sorted(out.items())
+    code, canon = canonical_form(base_graph(shape))
+    level = {code: canon}
+    for _ in range(base_order(shape), n):
+        grown: dict[str, SignedGraph] = {}
+        for g in level.values():
+            for h in leaf_extensions(g):
+                code, canon = canonical_form(h)
+                grown.setdefault(code, canon)
+        level = grown
+    return [(code, canon.edges) for code, canon in level.items()]
 
 
 def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
-    """Canonical code -> canonical graph for every bicyclic class of order n."""
+    """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
+
+    Classes are split by 2-core shape, which a leaf never changes, so each
+    shape is one independent chunk.
+    """
     check_order(n)
-    tasks = [(n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n]
-    merged: dict[str, SignedGraph] = {}
-    for chunk in _run_tasks(_class_chunk, tasks, workers):
-        for code, edges in chunk:
-            if code not in merged:
-                merged[code] = SignedGraph._trusted(n, edges)
-    return merged
+    tasks = [(n, shape) for shape in bicyclic_base_shapes(n)]
+    found = [pair for chunk in _run_tasks(_core_classes, tasks, workers) for pair in chunk]
+    return {code: SignedGraph._trusted(n, edges) for code, edges in sorted(found)}
 
 
 def catalog_nullity_classes(

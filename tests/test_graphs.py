@@ -243,6 +243,14 @@ class TestHelpers:
         assert is_connected(cycle_graph(4))
         assert not is_connected(disjoint_union(path_graph(2), path_graph(2)))
 
+    def test_neighbors_ascending_and_complete(self):
+        g = build_graph(4, [(3, 1, 1), (2, 0, -1), (1, 0, 1), (3, 0, 1)])
+        assert [g.neighbors(v) for v in g.vertices()] == [(1, 2, 3), (0, 3), (0,), (0, 1)]
+        for g in connected_labeled_graphs(5):
+            for v in g.vertices():
+                expected = sorted({u for e in g.edges if v in e[:2] for u in e[:2]} - {v})
+                assert g.neighbors(v) == tuple(expected)
+
 
 def _generated_graphs():
     """Graphs from every generator that builds its output unchecked."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from signed_nullity import nullity
+from signed_nullity.canonical import canonical_form
+from signed_nullity.enumeration import bicyclic_underlying
 from signed_nullity.verification import (
     TheoremReport,
     available_theorems,
@@ -178,9 +180,22 @@ class TestVerifyTheorem:
 
 
 class TestBicyclicClasses:
-    @pytest.mark.parametrize("n,count", [(4, 1), (5, 5), (6, 19), (7, 67)])
+    @pytest.mark.parametrize(
+        "n,count", [(4, 1), (5, 5), (6, 19), (7, 67), (8, 236), (9, 797)]  # OEIS A001435
+    )
     def test_class_counts(self, n, count):
         assert len(bicyclic_classes(n)) == count
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_the_deduplicated_leaf_stream(self, n):
+        # oracle: canonize every labeled graph of the leaf-sequence stream
+        expected: dict = {}
+        for g in bicyclic_underlying(n):
+            code, canon = canonical_form(g)
+            expected.setdefault(code, canon)
+        classes = bicyclic_classes(n)
+        assert list(classes) == sorted(expected)
+        assert classes == expected
 
     def test_parallel_identical(self):
         assert bicyclic_classes(6) == bicyclic_classes(6, workers=2)
