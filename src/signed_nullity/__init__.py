@@ -49,7 +49,6 @@ from .recognizers import (
 )
 from .canonical import canonical_code, canonical_form
 from .enumeration import (
-    bicyclic_underlying,
     connected_labeled_graphs,
     labeled_trees,
     signature_representatives,
@@ -58,6 +57,7 @@ from .graphio import GraphFormatError, parse_graph, serialize_graph, to_dot
 from .verification import (
     NullityCatalog,
     TheoremReport,
+    bicyclic_underlying,
     catalog_nullity_classes,
     verify_theorem,
 )

@@ -140,13 +140,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        catalog = catalog_nullity_classes(
-            args.n, args.k, balanced_only=args.balanced_only, workers=args.workers
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    catalog = catalog_nullity_classes(
+        args.n, args.k, balanced_only=args.balanced_only, workers=args.workers
+    )
     print(documents.dumps(documents.catalog_document(catalog)), end="")
     return EXIT_OK
 

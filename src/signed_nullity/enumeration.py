@@ -1,13 +1,10 @@
-"""Exhaustive generators: labeled trees, bicyclic graphs, switching classes.
+"""Exhaustive generators: labeled trees, bicyclic cores, switching classes.
 
-Bicyclic graphs are streamed as (base 2-core shape) x (sequences of leaf
-attachments), which reaches every isomorphism class at least once but
-repeats most of them (14,000 labeled graphs for 797 classes at order 9).
-The sweeps check every graph of that stream.  The class list of
-:func:`signed_nullity.verification.bicyclic_classes` is not built from it:
-it grows one leaf at a time from :func:`leaf_extensions` and keeps one
-canonical graph per class at every order.  All streams are in a fixed
-deterministic order.
+Bicyclic graphs are not streamed here: their 2-core shapes and base graphs
+are, and :func:`leaf_extensions` grows a graph by one pendant edge.
+:mod:`signed_nullity.verification` builds from these one canonical graph
+per isomorphism class, order by order, for the sweeps and the catalogs
+alike.  All streams are in a fixed deterministic order.
 """
 
 from __future__ import annotations
@@ -153,30 +150,6 @@ def leaf_extensions(g: SignedGraph) -> Iterator[SignedGraph]:
     new = g.order
     for anchor in range(new):
         yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
-
-
-def _with_leaves(g: SignedGraph, target: int) -> Iterator[SignedGraph]:
-    if g.order == target:
-        yield g
-        return
-    for grown in leaf_extensions(g):
-        yield from _with_leaves(grown, target)
-
-
-def bicyclic_underlying(n: int, shapes: list[BaseShape] | None = None) -> Iterator[SignedGraph]:
-    """Stream of connected all-positive graphs with n vertices and n+1 edges.
-
-    Every isomorphism class appears at least once; duplicates are allowed.
-    A ``shapes`` subset restricts the stream to the given cores (used to
-    split the stream into independent chunks).
-    """
-    if n < 4:
-        raise ValueError("the smallest bicyclic graph has 4 vertices")
-    if shapes is None:
-        shapes = bicyclic_base_shapes(n)
-    for shape in shapes:
-        if base_order(shape) <= n:
-            yield from _with_leaves(base_graph(shape), n)
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:

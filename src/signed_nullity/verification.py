@@ -5,7 +5,9 @@ instance and reports the violations (an empty list is the expected
 outcome).  Work is split into independent chunks -- one per base shape or
 per (order, edge count) -- so sweeps can run on a process pool; results are
 merged commutatively and sorted, which makes reports and catalogs
-byte-identical regardless of the worker count.
+byte-identical regardless of the worker count.  The bicyclic sweeps and
+the catalogs share one generator, which keeps one canonical graph per
+isomorphism class of bicyclic graphs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .enumeration import (
     base_graph,
     base_order,
     bicyclic_base_shapes,
-    bicyclic_underlying,
     check_order,
     connected_labeled_graphs,
     labeled_trees,
@@ -31,7 +32,7 @@ from .enumeration import (
     prufer_graph,
     signature_representatives,
 )
-from .graphs import SignedGraph, adjacency_matrix, build_graph, cycle_sign, fundamental_cycles, is_balanced
+from .graphs import SignedGraph, adjacency_matrix, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
 from .rank import cycle_nullity_formula, forest_nullity_formula, nullity, rank
 from .recognizers import (
@@ -71,6 +72,59 @@ class TheoremReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+# ---------------------------------------------------------------------------
+# bicyclic classes: the one generator of bicyclic graphs
+
+
+def _shape_classes(n: int, shape: BaseShape) -> dict[str, SignedGraph]:
+    """Canonical code -> canonical graph of every class of order n whose 2-core is ``shape``.
+
+    Built one order at a time: the base graph alone, then at each next order
+    every class of the order before with one leaf hung from each vertex,
+    de-duplicated by canonical code.  This meets every class: a graph that is
+    more than its 2-core has a pendant vertex, and deleting it leaves a class
+    of the order before with the same 2-core (McKay's isomorph-free
+    generation by extension).
+    """
+    code, canon = canonical_form(base_graph(shape))
+    level = {code: canon}
+    for _ in range(base_order(shape), n):
+        grown: dict[str, SignedGraph] = {}
+        for g in level.values():
+            for h in leaf_extensions(g):
+                code, canon = canonical_form(h)
+                grown.setdefault(code, canon)
+        level = grown
+    return level
+
+
+def _shape_class_edges(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
+    return [(code, g.edges) for code, g in _shape_classes(*task).items()]
+
+
+def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
+    """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
+
+    Classes are split by 2-core shape, which a leaf never changes, so each
+    shape is one independent chunk.
+    """
+    if n < 4:
+        raise ValueError("the smallest bicyclic graph has 4 vertices")
+    check_order(n)
+    tasks = [(n, shape) for shape in bicyclic_base_shapes(n)]
+    found = [pair for chunk in _run_tasks(_shape_class_edges, tasks, workers) for pair in chunk]
+    return {code: SignedGraph._trusted(n, edges) for code, edges in sorted(found)}
+
+
+def bicyclic_underlying(n: int) -> Iterator[SignedGraph]:
+    """One all-positive canonical graph per isomorphism class of connected
+    graphs with n vertices and n+1 edges, in code order.
+
+    Orders below 4 and above the enumeration ceiling are rejected.
+    """
+    return iter(bicyclic_classes(n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +194,12 @@ def _check_pendant_bound(n: int, m: int) -> Checked:
 
 
 def _check_bicyclic_bound(n: int, shape: BaseShape) -> Checked:
-    for g in bicyclic_underlying(n, [shape]):
+    for g in _shape_classes(n, shape).values():
         base = bicyclic_base(g)  # signs do not change the 2-core
         for rep in signature_representatives(g):
-            if is_balanced(rep).balanced:
+            # the representatives fix a spanning tree positive, so the one
+            # balanced pattern is the one with every non-tree edge positive
+            if rep.is_all_positive():
                 continue
             eta = nullity(rep)
             details: tuple[str, ...] = ()
@@ -156,7 +212,7 @@ def _check_bicyclic_bound(n: int, shape: BaseShape) -> Checked:
 
 
 def _check_special_path_bound(n: int, shape: BaseShape) -> Checked:
-    for g in bicyclic_underlying(n, [shape]):
+    for g in _shape_classes(n, shape).values():
         reasons = ()
         if find_special_paths(g):
             reasons += ("special path present but nullity exceeds n-4",)
@@ -169,7 +225,7 @@ def _check_special_path_bound(n: int, shape: BaseShape) -> Checked:
 
 
 def _check_reductions(n: int, shape: BaseShape) -> Checked:
-    for g in bicyclic_underlying(n, [shape]):
+    for g in _shape_classes(n, shape).values():
         pendants = find_pendants(g)
         paths = find_special_paths(g)
         for rep in signature_representatives(g):
@@ -221,7 +277,7 @@ def _connected_tasks(max_n: int) -> list[tuple]:
 def _bicyclic_tasks(max_n: int) -> list[tuple]:
     tasks: list[tuple] = []
     for n in range(4, max_n + 1):
-        tasks.extend((n, shape) for shape in bicyclic_base_shapes(n) if base_order(shape) <= n)
+        tasks.extend((n, shape) for shape in bicyclic_base_shapes(n))
     return tasks
 
 
@@ -384,40 +440,6 @@ class NullityCatalog:
     entries: tuple[CatalogEntry, ...]
 
 
-def _core_classes(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
-    """(code, canonical edges) of every class of order n whose 2-core is ``shape``.
-
-    Built one order at a time: the base graph alone, then at each next order
-    every class of the order before with one leaf hung from each vertex,
-    de-duplicated by canonical code.  This meets every class: a graph that is
-    more than its 2-core has a pendant vertex, and deleting it leaves a class
-    of the order before with the same 2-core.
-    """
-    n, shape = task
-    code, canon = canonical_form(base_graph(shape))
-    level = {code: canon}
-    for _ in range(base_order(shape), n):
-        grown: dict[str, SignedGraph] = {}
-        for g in level.values():
-            for h in leaf_extensions(g):
-                code, canon = canonical_form(h)
-                grown.setdefault(code, canon)
-        level = grown
-    return [(code, canon.edges) for code, canon in level.items()]
-
-
-def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
-    """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
-
-    Classes are split by 2-core shape, which a leaf never changes, so each
-    shape is one independent chunk.
-    """
-    check_order(n)
-    tasks = [(n, shape) for shape in bicyclic_base_shapes(n)]
-    found = [pair for chunk in _run_tasks(_core_classes, tasks, workers) for pair in chunk]
-    return {code: SignedGraph._trusted(n, edges) for code, edges in sorted(found)}
-
-
 def catalog_nullity_classes(
     n: int, k: int, balanced_only: bool = False, workers: int = 1
 ) -> NullityCatalog:
@@ -429,8 +451,6 @@ def catalog_nullity_classes(
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    if n < 4:
-        raise ValueError("the smallest bicyclic graph has 4 vertices")
     classes = bicyclic_classes(n, workers)
     entries = []
     for code in sorted(classes):

@@ -1,4 +1,4 @@
-"""Generators: labeled trees, bicyclic streams, switching-class representatives."""
+"""Generators: labeled trees, bicyclic classes, switching-class representatives."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from signed_nullity import (
     build_graph,
     canonical_code,
     connected_labeled_graphs,
+    is_balanced,
     is_connected,
     labeled_trees,
     signature_representatives,
@@ -130,6 +131,16 @@ class TestSignatureRepresentatives:
             signed = build_graph(4, [(u, v, s) for (u, v, _), s in zip(g.edges, signs)])
             hits = [r for r in reps if switching_equivalent(signed, r) is not None]
             assert len(hits) == 1
+
+    def test_only_the_all_positive_representative_is_balanced(self):
+        # a spanning tree is fixed positive, so the non-tree signs are the
+        # fundamental cycle signs: balanced exactly when all are positive
+        graphs = [g for n in range(4, 8) for g in bicyclic_underlying(n)]
+        graphs += connected_labeled_graphs(5)
+        for g in graphs:
+            balanced = [rep for rep in signature_representatives(g) if is_balanced(rep).balanced]
+            assert len(balanced) == 1
+            assert balanced[0].is_all_positive()
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1, 1), (2, 3, 1)])

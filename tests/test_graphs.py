@@ -259,9 +259,10 @@ def _generated_graphs():
     yield from connected_labeled_graphs(5)
     for shape in bicyclic_base_shapes(7):
         yield base_graph(shape)
-    for g in bicyclic_underlying(6):
-        yield g
-        yield from signature_representatives(g)
+    for n in (6, 7):
+        for g in bicyclic_underlying(n):
+            yield g
+            yield from signature_representatives(g)
 
 
 def _transformed(g, other):

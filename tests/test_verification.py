@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from signed_nullity import nullity
+from signed_nullity import is_connected, nullity
 from signed_nullity.canonical import canonical_form
-from signed_nullity.enumeration import bicyclic_underlying
+from signed_nullity.enumeration import bicyclic_base_shapes
 from signed_nullity.verification import (
     TheoremReport,
+    _shape_classes,
     available_theorems,
     bicyclic_classes,
+    bicyclic_underlying,
     catalog_nullity_classes,
     verify_theorem,
 )
+from oracles import brute_bicyclic_underlying
 
 
 class TestVerifyTheorem:
@@ -123,7 +126,6 @@ class TestVerifyTheorem:
         # bare cycle pair core or, never here, a forest; on forests and
         # cycles the closed-form nullities must agree with the kernel
         from signed_nullity import (
-            bicyclic_underlying,
             cycle_nullity_formula,
             forest_nullity_formula,
             fundamental_cycles,
@@ -133,7 +135,7 @@ class TestVerifyTheorem:
         )
 
         residues = 0
-        for underlying in bicyclic_underlying(6):
+        for underlying in (*bicyclic_underlying(6), *bicyclic_underlying(7)):
             for rep in signature_representatives(underlying):
                 residue, _ = reduce(rep)
                 if not fundamental_cycles(residue):
@@ -186,16 +188,30 @@ class TestBicyclicClasses:
     def test_class_counts(self, n, count):
         assert len(bicyclic_classes(n)) == count
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_matches_the_deduplicated_leaf_stream(self, n):
-        # oracle: canonize every labeled graph of the leaf-sequence stream
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_brute_force(self, n):
+        # oracle: canonize every connected labeled graph with n+1 edges
         expected: dict = {}
-        for g in bicyclic_underlying(n):
+        for g in brute_bicyclic_underlying(n):
             code, canon = canonical_form(g)
             expected.setdefault(code, canon)
         classes = bicyclic_classes(n)
         assert list(classes) == sorted(expected)
         assert classes == expected
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_one_canonical_graph_per_class(self, n):
+        # with the pinned class counts, distinct valid classes are all of them
+        codes = []
+        for g in bicyclic_underlying(n):
+            assert g.order == n and len(g.edges) == n + 1
+            assert is_connected(g)
+            code, canon = canonical_form(g)
+            assert canon == g
+            codes.append(code)
+        assert codes == sorted(set(codes))
+        per_shape = [code for shape in bicyclic_base_shapes(n) for code in _shape_classes(n, shape)]
+        assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
     def test_parallel_identical(self):
         assert bicyclic_classes(6) == bicyclic_classes(6, workers=2)
