@@ -48,11 +48,7 @@ from .recognizers import (
     unbalanced_bicyclic_verdict,
 )
 from .canonical import canonical_code, canonical_form
-from .enumeration import (
-    connected_labeled_graphs,
-    labeled_trees,
-    signature_representatives,
-)
+from .enumeration import labeled_trees, signature_representatives
 from .graphio import GraphFormatError, parse_graph, serialize_graph, to_dot
 from .verification import (
     NullityCatalog,
@@ -82,7 +78,6 @@ __all__ = [
     "canonical_code",
     "canonical_form",
     "catalog_nullity_classes",
-    "connected_labeled_graphs",
     "contract_special_path",
     "cycle_nullity_formula",
     "cycle_sign",

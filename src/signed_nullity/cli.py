@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
-1 verification violations, 2 usage errors, 3 input/output errors,
-4 unexpected internal errors (with a traceback on stderr).
+1 verification violations, 2 usage errors, 3 input/output errors (graph
+files announcing more than ``graphio.MAX_FILE_ORDER`` vertices included),
+4 unexpected internal errors (with a traceback on stderr, or one ``error:``
+line when a pool worker process crashed).
 """
 
 from __future__ import annotations
@@ -188,7 +190,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception:
+    except Exception as exc:
+        from concurrent.futures import BrokenExecutor
+
+        if isinstance(exc, BrokenExecutor):  # a pool worker died; its traceback is lost
+            print(f"error: a worker process crashed: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         import traceback
 
         traceback.print_exc(file=sys.stderr)

@@ -1,17 +1,17 @@
 """Exhaustive generators: labeled trees, bicyclic cores, switching classes.
 
-Bicyclic graphs are not streamed here: their 2-core shapes and base graphs
-are, and :func:`leaf_extensions` grows a graph by one pendant edge.
-:mod:`signed_nullity.verification` builds from these one canonical graph
-per isomorphism class, order by order, for the sweeps and the catalogs
-alike.  All streams are in a fixed deterministic order.
+Connected and bicyclic graphs are not streamed here.  The bicyclic 2-core
+shapes and their base graphs are, and :func:`vertex_extensions` grows a
+graph by one vertex.  From these :mod:`signed_nullity.verification` builds
+one canonical graph per isomorphism class, order by order, for the sweeps
+and the catalogs alike.  All streams are in a fixed deterministic order.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from .graphs import SignedGraph, _spanning_forest
@@ -86,11 +86,6 @@ def labeled_trees(n: int) -> Iterator[SignedGraph]:
 BaseShape = tuple[str, int, int, int]  # (kind, p, q, l)
 
 
-def base_order(shape: BaseShape) -> int:
-    kind, p, q, l = shape
-    return p + q + l - 2 if kind == "infinity" else p + q + l - 1
-
-
 def bicyclic_base_shapes(max_order: int) -> list[BaseShape]:
     """All infinity/theta core shapes with at most ``max_order`` vertices."""
     shapes: list[BaseShape] = []
@@ -145,11 +140,15 @@ def base_graph(shape: BaseShape) -> SignedGraph:
     return SignedGraph._trusted(n, tuple(edges))
 
 
-def leaf_extensions(g: SignedGraph) -> Iterator[SignedGraph]:
-    """g plus one new positive pendant edge, hung from each vertex in turn."""
+def vertex_extensions(g: SignedGraph, max_degree: int) -> Iterator[SignedGraph]:
+    """g plus one new vertex, joined by positive edges to each nonempty set
+    of at most ``max_degree`` existing vertices in turn."""
     new = g.order
-    for anchor in range(new):
-        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + ((anchor, new, 1),))))
+    joins: list[tuple[tuple[int, int, int], ...]] = [()]  # the new vertex's edges
+    for v in range(new):
+        joins += [join + ((v, new, 1),) for join in joins if len(join) < max_degree]
+    for join in joins[1:]:
+        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
@@ -172,39 +171,3 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
             u, v, _ = edges[where]
             edges[where] = (u, v, sign)
         yield SignedGraph._trusted(g.order, tuple(edges))
-
-
-def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    if n <= 1:
-        return True
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    merged = 0
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            merged += 1
-    return merged == n - 1
-
-
-def connected_labeled_graphs(n: int, edge_count: int | None = None) -> Iterator[SignedGraph]:
-    """All connected all-positive graphs on n labeled vertices.
-
-    With ``edge_count`` given, only graphs with that many edges (the unit
-    used to chunk rank sweeps).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    all_pairs = list(combinations(range(n), 2))
-    counts = range(max(n - 1, 0), len(all_pairs) + 1) if edge_count is None else [edge_count]
-    for m in counts:
-        for pairs in combinations(all_pairs, m):
-            if _edges_connected(n, pairs):
-                yield SignedGraph._trusted(n, tuple((u, v, 1) for u, v in pairs))

@@ -4,6 +4,9 @@ A graph file starts with a header line ``n m`` (order and edge count)
 followed by ``m`` edge lines ``u v s`` where ``0 <= u < v < n`` and the sign
 token ``s`` is ``+`` or ``-``.  Lines starting with ``#`` and blank lines
 are ignored.  Parsing then serializing is the identity on normalized files.
+A file may announce at most :data:`MAX_FILE_ORDER` vertices: the rank
+kernel works on a dense n x n matrix, so a larger header is refused before
+anything is built.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ class GraphFormatError(ValueError):
 
 
 _SIGN_TOKENS = {"+": 1, "-": -1}
+MAX_FILE_ORDER = 2000  # a dense matrix of this order holds 4 million entries
 
 
 def parse_graph(document: str) -> SignedGraph:
@@ -41,6 +45,10 @@ def parse_graph(document: str) -> SignedGraph:
         raise GraphFormatError(f"header must be two integers, got {header!r}", header_line) from None
     if order < 0 or edge_count < 0:
         raise GraphFormatError("order and edge count must be non-negative", header_line)
+    if order > MAX_FILE_ORDER:
+        raise GraphFormatError(
+            f"order {order} exceeds the supported maximum of {MAX_FILE_ORDER}", header_line
+        )
     if len(content) - 1 != edge_count:
         raise GraphFormatError(
             f"header announces {edge_count} edges but file has {len(content) - 1} edge lines",

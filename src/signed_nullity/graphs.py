@@ -253,10 +253,6 @@ def is_balanced(g: SignedGraph) -> BalanceWitness:
     return BalanceWitness(balanced=True, switching=tuple(theta))
 
 
-def same_underlying(g1: SignedGraph, g2: SignedGraph) -> bool:
-    return g1.order == g2.order and tuple(e[:2] for e in g1.edges) == tuple(e[:2] for e in g2.edges)
-
-
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int, ...]]:
     """A switching function taking g1 to g2, or None if none exists.
 
@@ -264,7 +260,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int
     switching the edgewise sign product ``sign1 * sign2`` to all-positive
     works, so this reduces to a balance test on that product graph.
     """
-    if not same_underlying(g1, g2):
+    if g1.order != g2.order or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise ValueError("graphs have different underlying graphs")
     product = SignedGraph._trusted(
         g1.order,

@@ -2,12 +2,13 @@
 
 Each sweep checks one classification statement over every enumerated
 instance and reports the violations (an empty list is the expected
-outcome).  Work is split into independent chunks -- one per base shape or
-per (order, edge count) -- so sweeps can run on a process pool; results are
-merged commutatively and sorted, which makes reports and catalogs
-byte-identical regardless of the worker count.  The bicyclic sweeps and
-the catalogs share one generator, which keeps one canonical graph per
-isomorphism class of bicyclic graphs.
+outcome).  Work is split into independent chunks -- one per tree order or
+Pruefer prefix, per connected order, or per bicyclic 2-core shape -- so
+sweeps can run on a process pool; results are merged commutatively and
+sorted, which makes reports and catalogs byte-identical regardless of the
+worker count.  Every sweep over graphs with cycles, and the catalogs, draw
+from one class builder that keeps one canonical graph per isomorphism
+class; the checks then take each class once per switching class.
 """
 
 from __future__ import annotations
@@ -16,21 +17,19 @@ import time
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .enumeration import (
     SOFT_ORDER_LIMIT,
     BaseShape,
     base_graph,
-    base_order,
     bicyclic_base_shapes,
     check_order,
-    connected_labeled_graphs,
     labeled_trees,
-    leaf_extensions,
     prufer_graph,
     signature_representatives,
+    vertex_extensions,
 )
 from .graphs import SignedGraph, adjacency_matrix, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
@@ -75,33 +74,53 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# bicyclic classes: the one generator of bicyclic graphs
+# graph classes: one builder for the connected and the bicyclic graphs
 
 
-def _shape_classes(n: int, shape: BaseShape) -> dict[str, SignedGraph]:
-    """Canonical code -> canonical graph of every class of order n whose 2-core is ``shape``.
+def _classes_by_order(
+    root: SignedGraph, max_n: int, max_degree: int
+) -> Iterator[dict[str, SignedGraph]]:
+    """Canonical code -> canonical graph of every class grown from ``root``,
+    one dict per order from the root's up to max_n.
 
-    Built one order at a time: the base graph alone, then at each next order
-    every class of the order before with one leaf hung from each vertex,
-    de-duplicated by canonical code.  This meets every class: a graph that is
-    more than its 2-core has a pendant vertex, and deleting it leaves a class
-    of the order before with the same 2-core (McKay's isomorph-free
-    generation by extension).
+    Each order is every class of the order before plus one new vertex,
+    joined to each nonempty set of at most ``max_degree`` vertices, and
+    de-duplicated by canonical code (McKay's isomorph-free generation by
+    extension).  From K1 with no degree cap this meets every connected
+    graph, because a connected graph has a vertex that is not a cut vertex.
+    From a bicyclic base graph with max_degree 1 it meets every graph with
+    that 2-core, because such a graph, unless it is the core itself, has a
+    pendant vertex.
     """
-    code, canon = canonical_form(base_graph(shape))
+    code, canon = canonical_form(root)
     level = {code: canon}
-    for _ in range(base_order(shape), n):
+    yield level
+    for _ in range(root.order, max_n):
         grown: dict[str, SignedGraph] = {}
         for g in level.values():
-            for h in leaf_extensions(g):
+            for h in vertex_extensions(g, max_degree):
                 code, canon = canonical_form(h)
                 grown.setdefault(code, canon)
         level = grown
-    return level
+        yield level
 
 
-def _shape_class_edges(task: tuple[int, BaseShape]) -> list[tuple[str, tuple]]:
-    return [(code, g.edges) for code, g in _shape_classes(*task).items()]
+def _connected_classes(n: int) -> Iterable[SignedGraph]:
+    """One canonical graph per isomorphism class of connected graphs of order n."""
+    *_, level = _classes_by_order(SignedGraph._trusted(1, ()), n, n)
+    return level.values()
+
+
+def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
+    """One canonical graph per class whose 2-core is ``shape``, order by order up to max_n."""
+    for level in _classes_by_order(base_graph(shape), max_n, 1):
+        yield from level.values()
+
+
+def _shape_class_edges(task: tuple[BaseShape, int]) -> list[tuple[str, tuple]]:
+    shape, n = task
+    *_, level = _classes_by_order(base_graph(shape), n, 1)
+    return [(code, g.edges) for code, g in level.items()]
 
 
 def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
@@ -113,7 +132,7 @@ def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
     if n < 4:
         raise ValueError("the smallest bicyclic graph has 4 vertices")
     check_order(n)
-    tasks = [(n, shape) for shape in bicyclic_base_shapes(n)]
+    tasks = [(shape, n) for shape in bicyclic_base_shapes(n)]
     found = [pair for chunk in _run_tasks(_shape_class_edges, tasks, workers) for pair in chunk]
     return {code: SignedGraph._trusted(n, edges) for code, edges in sorted(found)}
 
@@ -154,28 +173,27 @@ def _check_cycles(length: int) -> Checked:
         yield g, () if ok else (f"{kind} cycle formula disagrees with rank kernel",)
 
 
-def _signed_connected(n: int, m: int) -> Iterator[SignedGraph]:
-    for g in connected_labeled_graphs(n, m):
-        yield from signature_representatives(g)
+def _check_rank2(n: int) -> Checked:
+    for g in _connected_classes(n):
+        for rep in signature_representatives(g):
+            ok = recognize_rank2(rep).matches == (rank(adjacency_matrix(rep)) == 2)
+            yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
 
 
-def _check_rank2(n: int, m: int) -> Checked:
-    for rep in _signed_connected(n, m):
-        ok = recognize_rank2(rep).matches == (rank(adjacency_matrix(rep)) == 2)
-        yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
-
-
-def _check_rank3(n: int, m: int) -> Checked:
-    for rep in _signed_connected(n, m):
-        r = rank(adjacency_matrix(rep))
-        details: tuple[str, ...] = ()
-        if recognize_rank3(rep).matches != (r == 3):
-            details = ("rank-3 recognizer disagrees with rank kernel",)
-        if r <= 3 and n >= 2:
-            bad = [x for x in range(n) if not low_rank_neighborhood_check(rep, x)]
-            if bad:
-                details += (f"neighborhood split check fails at vertices {bad} despite rank {r}",)
-        yield rep, details
+def _check_rank3(n: int) -> Checked:
+    for g in _connected_classes(n):
+        for rep in signature_representatives(g):
+            r = rank(adjacency_matrix(rep))
+            details: tuple[str, ...] = ()
+            if recognize_rank3(rep).matches != (r == 3):
+                details = ("rank-3 recognizer disagrees with rank kernel",)
+            if r <= 3 and n >= 2:
+                bad = [x for x in range(n) if not low_rank_neighborhood_check(rep, x)]
+                if bad:
+                    details += (
+                        f"neighborhood split check fails at vertices {bad} despite rank {r}",
+                    )
+            yield rep, details
 
 
 def _is_star(g: SignedGraph) -> bool:
@@ -184,8 +202,8 @@ def _is_star(g: SignedGraph) -> bool:
     )
 
 
-def _check_pendant_bound(n: int, m: int) -> Checked:
-    for g in connected_labeled_graphs(n, m):
+def _check_pendant_bound(n: int) -> Checked:
+    for g in _connected_classes(n):
         if n < 4 or _is_star(g) or not find_pendants(g):
             continue
         for rep in signature_representatives(g):
@@ -193,8 +211,9 @@ def _check_pendant_bound(n: int, m: int) -> Checked:
             yield rep, () if ok else ("pendant vertex present but nullity exceeds n-4",)
 
 
-def _check_bicyclic_bound(n: int, shape: BaseShape) -> Checked:
-    for g in _shape_classes(n, shape).values():
+def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
+    for g in _shape_classes(shape, max_n):
+        n = g.order
         base = bicyclic_base(g)  # signs do not change the 2-core
         for rep in signature_representatives(g):
             # the representatives fix a spanning tree positive, so the one
@@ -211,8 +230,8 @@ def _check_bicyclic_bound(n: int, shape: BaseShape) -> Checked:
             yield rep, details
 
 
-def _check_special_path_bound(n: int, shape: BaseShape) -> Checked:
-    for g in _shape_classes(n, shape).values():
+def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
+    for g in _shape_classes(shape, max_n):
         reasons = ()
         if find_special_paths(g):
             reasons += ("special path present but nullity exceeds n-4",)
@@ -221,11 +240,11 @@ def _check_special_path_bound(n: int, shape: BaseShape) -> Checked:
         if not reasons:
             continue
         for rep in signature_representatives(g):
-            yield rep, reasons if nullity(rep) > n - 4 else ()
+            yield rep, reasons if nullity(rep) > g.order - 4 else ()
 
 
-def _check_reductions(n: int, shape: BaseShape) -> Checked:
-    for g in _shape_classes(n, shape).values():
+def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
+    for g in _shape_classes(shape, max_n):
         pendants = find_pendants(g)
         paths = find_special_paths(g)
         for rep in signature_representatives(g):
@@ -267,18 +286,12 @@ def _tree_tasks(max_n: int) -> list[tuple]:
 
 
 def _connected_tasks(max_n: int) -> list[tuple]:
-    tasks: list[tuple] = []
-    for n in range(1, max_n + 1):
-        pairs = n * (n - 1) // 2
-        tasks.extend((n, m) for m in range(max(n - 1, 0), pairs + 1))
-    return tasks
+    return [(n,) for n in range(1, max_n + 1)]
 
 
 def _bicyclic_tasks(max_n: int) -> list[tuple]:
-    tasks: list[tuple] = []
-    for n in range(4, max_n + 1):
-        tasks.extend((n, shape) for shape in bicyclic_base_shapes(n))
-    return tasks
+    # one chunk per 2-core shape, checking every order as its build reaches it
+    return [(shape, max_n) for shape in bicyclic_base_shapes(max_n)]
 
 
 _SWEEPS: dict[str, Sweep] = {

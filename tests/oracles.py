@@ -76,28 +76,36 @@ def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return False
 
 
+def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """Union-find connectivity of the graph on n vertices with these edges."""
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for u, v in pairs:
+        root[find(u)] = find(v)
+    return len({find(v) for v in range(n)}) <= 1
+
+
+def connected_labeled_graphs(n: int, edge_count: int | None = None) -> list[SignedGraph]:
+    """Every connected all-positive graph on n labeled vertices, from raw
+    edge subsets; with ``edge_count``, only those with that many edges."""
+    all_pairs = list(combinations(range(n), 2))
+    counts = range(max(n - 1, 0), len(all_pairs) + 1) if edge_count is None else [edge_count]
+    return [
+        SignedGraph(n, tuple((u, v, 1) for u, v in pairs))
+        for m in counts
+        for pairs in combinations(all_pairs, m)
+        if _edges_connected(n, pairs)
+    ]
+
+
 def brute_bicyclic_underlying(n: int) -> list[SignedGraph]:
     """Every connected n-vertex graph with n+1 edges, from raw edge subsets."""
-    all_pairs = list(combinations(range(n), 2))
-    found = []
-    for pairs in combinations(all_pairs, n + 1):
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        merged = 0
-        for u, v in pairs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                merged += 1
-        if merged == n - 1:
-            found.append(SignedGraph(n, tuple((u, v, 1) for u, v in pairs)))
-    return found
+    return connected_labeled_graphs(n, n + 1)
 
 
 def path_graph(n: int, signs: list[int] | None = None) -> SignedGraph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -38,6 +39,18 @@ class TestNullityCommand:
     def test_malformed_file_exits_3_with_line(self, graph_file, capsys):
         assert main(["nullity", graph_file("2 1\n0 0 +\n")]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_huge_header_exits_3_before_any_matrix(self, graph_file, capsys, monkeypatch):
+        import signed_nullity.cli as cli_module
+
+        def refuse(g):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(cli_module, "adjacency_matrix", refuse)
+        assert main(["nullity", graph_file("100000000 0\n")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1" in captured.err and "exceeds" in captured.err
 
 
 class TestBalanceCommand:
@@ -149,6 +162,25 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" in captured.err and "boom" in captured.err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing check is patched in and reaches the workers by fork only",
+    )
+    def test_crashed_worker_exits_4_with_one_line(self, capsys, monkeypatch):
+        from signed_nullity import verification
+
+        def crash(*args):
+            os._exit(3)
+            yield
+
+        sweep = verification.Sweep("crashes its worker", 3, lambda max_n: [(3,), (4,)], crash)
+        monkeypatch.setitem(verification._SWEEPS, "crash", sweep)
+        assert main(["verify", "--theorem", "crash", "--max-n", "4", "--workers", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a worker process crashed")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_help_points_to_the_theorems_command(self, capsys):
         assert main(["verify", "--help"]) == 0

@@ -9,7 +9,6 @@ from signed_nullity import (
     bicyclic_underlying,
     build_graph,
     canonical_code,
-    connected_labeled_graphs,
     is_balanced,
     is_connected,
     labeled_trees,
@@ -23,7 +22,7 @@ from signed_nullity.enumeration import (
     check_order,
     enumeration_ceiling,
 )
-from oracles import brute_bicyclic_underlying, cycle_graph, path_graph
+from oracles import brute_bicyclic_underlying, connected_labeled_graphs, cycle_graph, path_graph
 
 
 class TestLabeledTrees:

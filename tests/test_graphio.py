@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signed_nullity import GraphFormatError, build_graph, parse_graph, serialize_graph, to_dot
+from signed_nullity import graphio
+from signed_nullity.graphio import MAX_FILE_ORDER
 from oracles import cycle_graph
 
 
@@ -57,6 +60,34 @@ class TestParseGraph:
 
     def test_edgeless_graph(self):
         assert parse_graph("4 0\n") == build_graph(4, [])
+
+    def test_order_cap(self):
+        assert parse_graph(f"{MAX_FILE_ORDER} 0\n").order == MAX_FILE_ORDER
+        with pytest.raises(GraphFormatError, match="line 1: order .* exceeds"):
+            parse_graph(f"{MAX_FILE_ORDER + 1} 0\n")
+
+    def test_huge_order_rejected_before_any_graph_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graphio, "build_graph", refuse)
+        with pytest.raises(GraphFormatError, match="exceeds"):
+            parse_graph("100000000 0\n")
+
+
+# arbitrary text, and text over the file syntax's own characters, which
+# reaches the header and edge-line checks far more often
+_texts = st.one_of(st.text(max_size=80), st.text(alphabet="0123456789 +-#\n\t", max_size=60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts)
+def test_arbitrary_text_gives_a_graph_or_a_format_error(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError:
+        return
+    assert parse_graph(serialize_graph(g)) == g
 
 
 class TestRoundTrip:

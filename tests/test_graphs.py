@@ -13,7 +13,6 @@ from signed_nullity import (
     bicyclic_underlying,
     build_graph,
     canonical_form,
-    connected_labeled_graphs,
     contract_special_path,
     cycle_sign,
     delete_pendant_pair,
@@ -31,9 +30,9 @@ from signed_nullity import (
     switch,
     switching_equivalent,
 )
-from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
-from signed_nullity.verification import bicyclic_classes
-from oracles import cycle_graph, path_graph
+from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, vertex_extensions
+from signed_nullity.verification import _connected_classes, bicyclic_classes
+from oracles import connected_labeled_graphs, cycle_graph, path_graph
 
 
 class TestBuildGraph:
@@ -224,6 +223,8 @@ class TestSwitchingEquivalent:
     def test_different_underlying_rejected(self):
         with pytest.raises(ValueError, match="underlying"):
             switching_equivalent(path_graph(3), cycle_graph(3))
+        with pytest.raises(ValueError, match="underlying"):  # same edges, one more vertex
+            switching_equivalent(path_graph(3), build_graph(4, path_graph(3).edges))
 
     def test_found_theta_actually_switches(self):
         g1 = cycle_graph(6, 2)
@@ -256,7 +257,9 @@ def _generated_graphs():
     """Graphs from every generator that builds its output unchecked."""
     for n in (1, 2, 5):
         yield from labeled_trees(n)
-    yield from connected_labeled_graphs(5)
+    for g in _connected_classes(5):
+        yield g
+        yield from vertex_extensions(g, 5)
     for shape in bicyclic_base_shapes(7):
         yield base_graph(shape)
     for n in (6, 7):

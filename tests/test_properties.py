@@ -19,6 +19,7 @@ from signed_nullity import (
     fundamental_cycles,
     is_balanced,
     is_connected,
+    low_rank_neighborhood_check,
     normalize_special_path,
     nullity,
     parse_graph,
@@ -172,6 +173,26 @@ def test_recognizer_verdicts_are_switching_invariant(pair):
     switched = switch(g, theta)
     assert recognize_rank2(g).matches == recognize_rank2(switched).matches
     assert recognize_rank3(g).matches == recognize_rank3(switched).matches
+
+
+@st.composite
+def graphs_with_relabelings(draw):
+    g = draw(signed_graphs())
+    return g, draw(st.permutations(range(g.order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_relabelings())
+def test_recognizer_verdicts_are_relabeling_invariant(pair):
+    # the connected sweeps check one graph per isomorphism class
+    g, perm = pair
+    relabeled = build_graph(g.order, [(perm[u], perm[v], s) for u, v, s in g.edges])
+    assert recognize_rank2(g).matches == recognize_rank2(relabeled).matches
+    assert recognize_rank3(g).matches == recognize_rank3(relabeled).matches
+    if all(g.degree(v) for v in range(g.order)):  # the split check needs no isolated vertex
+        for x in range(g.order):
+            same = low_rank_neighborhood_check(relabeled, perm[x])
+            assert low_rank_neighborhood_check(g, x) == same
 
 
 @settings(max_examples=60, deadline=None)

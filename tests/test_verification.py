@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from signed_nullity import is_connected, nullity
+from signed_nullity import SignedGraph, is_connected, nullity
 from signed_nullity.canonical import canonical_form
 from signed_nullity.enumeration import bicyclic_base_shapes
 from signed_nullity.verification import (
     TheoremReport,
+    _classes_by_order,
+    _connected_classes,
+    _shape_class_edges,
     _shape_classes,
     available_theorems,
     bicyclic_classes,
@@ -16,7 +19,7 @@ from signed_nullity.verification import (
     catalog_nullity_classes,
     verify_theorem,
 )
-from oracles import brute_bicyclic_underlying
+from oracles import brute_bicyclic_underlying, connected_labeled_graphs
 
 
 class TestVerifyTheorem:
@@ -210,11 +213,56 @@ class TestBicyclicClasses:
             assert canon == g
             codes.append(code)
         assert codes == sorted(set(codes))
-        per_shape = [code for shape in bicyclic_base_shapes(n) for code in _shape_classes(n, shape)]
+        per_shape = [
+            code for shape in bicyclic_base_shapes(n) for code, _ in _shape_class_edges((shape, n))
+        ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
+
+    def test_sweep_stream_is_the_class_list_of_each_order(self):
+        # a sweep chunk walks one 2-core shape through every order up to max_n
+        by_order: dict = {}
+        for shape in bicyclic_base_shapes(7):
+            for g in _shape_classes(shape, 7):
+                by_order.setdefault(g.order, []).append(g)
+        assert sorted(by_order) == [4, 5, 6, 7]
+        for n, graphs in by_order.items():
+            classes = bicyclic_classes(n)
+            assert len(graphs) == len(classes)
+            assert set(graphs) == set(classes.values())
 
     def test_parallel_identical(self):
         assert bicyclic_classes(6) == bicyclic_classes(6, workers=2)
+
+
+class TestConnectedClasses:
+    def test_class_counts(self):
+        # OEIS A001349, from one build through every order
+        levels = _classes_by_order(SignedGraph(1, ()), 7, 7)
+        assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_labeled_oracle(self, n):
+        expected: dict = {}
+        for g in connected_labeled_graphs(n):
+            code, canon = canonical_form(g)
+            expected.setdefault(code, canon)
+        *_, level = _classes_by_order(SignedGraph(1, ()), n, n)
+        assert level == expected
+
+    def test_one_canonical_connected_graph_per_class(self):
+        graphs = list(_connected_classes(6))
+        for g in graphs:
+            assert g.order == 6 and is_connected(g)
+            assert canonical_form(g)[1] == g
+        assert len(set(graphs)) == len(graphs) == 112
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_counts(self, workers):
+        # sum over classes of 2^(m-n+1) switching classes each
+        for theorem, count in (("theorem2.3", 4532), ("theorem2.4", 4532), ("corollary2.6", 410)):
+            report = verify_theorem(theorem, 6, workers=workers)
+            assert report.ok
+            assert report.instances_checked == count
 
 
 class TestCatalogs:
