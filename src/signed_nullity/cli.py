@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
-1 verification violations, 2 usage errors, 3 input/output errors (graph
-files announcing more than ``graphio.MAX_FILE_ORDER`` vertices included),
-4 unexpected internal errors (with a traceback on stderr, or one ``error:``
-line when a pool worker process crashed).
+1 verification violations, 2 usage errors, 3 input/output errors (files
+not in UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
+included), 4 unexpected internal errors (with a traceback on stderr, or
+one ``error:`` line when a pool worker process crashed).
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact rank/nullity toolkit for signed graphs.",
         epilog=(
             "Graph files: a header line 'n m', then m lines 'u v s' with s in {+,-}; "
-            "'#' starts a comment.  The enumeration ceiling for verify/catalog "
-            "defaults to 10 and can be overridden with the environment variable "
-            "SIGNED_NULLITY_MAX_N."
+            "'#' starts a comment.  The enumeration ceiling for verify/catalog defaults "
+            "to 10 (SIGNED_NULLITY_MAX_N overrides it); lemma2.1ii has its own cap of 128."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,7 +180,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -3,12 +3,13 @@
 Each sweep checks one classification statement over every enumerated
 instance and reports the violations (an empty list is the expected
 outcome).  Work is split into independent chunks -- one per tree order or
-Pruefer prefix, per connected order, or per bicyclic 2-core shape -- so
-sweeps can run on a process pool; results are merged commutatively and
-sorted, which makes reports and catalogs byte-identical regardless of the
-worker count.  Every sweep over graphs with cycles, and the catalogs, draw
-from one class builder that keeps one canonical graph per isomorphism
-class; the checks then take each class once per switching class.
+Pruefer prefix, or one per root of the class builder -- so sweeps and
+catalogs can run on a process pool; results are merged commutatively and
+sorted, which makes them byte-identical regardless of the worker count.
+Graphs with cycles come from one class builder that keeps one canonical
+graph per isomorphism class and builds each order once from its root: K1
+for the connected graphs, a 2-core shape's base graph for the bicyclic
+ones.  The checks then take each class once per switching class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .canonical import canonical_form
 from .enumeration import (
@@ -105,10 +106,10 @@ def _classes_by_order(
         yield level
 
 
-def _connected_classes(n: int) -> Iterable[SignedGraph]:
-    """One canonical graph per isomorphism class of connected graphs of order n."""
-    *_, level = _classes_by_order(SignedGraph._trusted(1, ()), n, n)
-    return level.values()
+def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
+    """One canonical graph per class of connected graphs, order by order from K1 up to max_n."""
+    for level in _classes_by_order(SignedGraph._trusted(1, ()), max_n, max_n):
+        yield from level.values()
 
 
 def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
@@ -117,24 +118,24 @@ def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
         yield from level.values()
 
 
-def _shape_class_edges(task: tuple[BaseShape, int]) -> list[tuple[str, tuple]]:
-    shape, n = task
-    *_, level = _classes_by_order(base_graph(shape), n, 1)
-    return [(code, g.edges) for code, g in level.items()]
-
-
-def bicyclic_classes(n: int, workers: int = 1) -> dict[str, SignedGraph]:
-    """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
-
-    Classes are split by 2-core shape, which a leaf never changes, so each
-    shape is one independent chunk.
-    """
+def _bicyclic_shapes(n: int) -> list[BaseShape]:
+    """The 2-core shapes of the bicyclic classes of order n, once n is checked."""
     if n < 4:
         raise ValueError("the smallest bicyclic graph has 4 vertices")
     check_order(n)
-    tasks = [(shape, n) for shape in bicyclic_base_shapes(n)]
-    found = [pair for chunk in _run_tasks(_shape_class_edges, tasks, workers) for pair in chunk]
-    return {code: SignedGraph._trusted(n, edges) for code, edges in sorted(found)}
+    return bicyclic_base_shapes(n)
+
+
+def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
+    """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
+
+    Each 2-core shape grows its own classes by leaves; a leaf never changes
+    the 2-core, so no code comes from two shapes.
+    """
+    classes: dict[str, SignedGraph] = {}
+    for shape in _bicyclic_shapes(n):
+        classes.update(list(_classes_by_order(base_graph(shape), n, 1))[-1])
+    return dict(sorted(classes.items()))
 
 
 def bicyclic_underlying(n: int) -> Iterator[SignedGraph]:
@@ -173,22 +174,22 @@ def _check_cycles(length: int) -> Checked:
         yield g, () if ok else (f"{kind} cycle formula disagrees with rank kernel",)
 
 
-def _check_rank2(n: int) -> Checked:
-    for g in _connected_classes(n):
+def _check_rank2(max_n: int) -> Checked:
+    for g in _connected_classes(max_n):
         for rep in signature_representatives(g):
             ok = recognize_rank2(rep).matches == (rank(adjacency_matrix(rep)) == 2)
             yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
 
 
-def _check_rank3(n: int) -> Checked:
-    for g in _connected_classes(n):
+def _check_rank3(max_n: int) -> Checked:
+    for g in _connected_classes(max_n):
         for rep in signature_representatives(g):
             r = rank(adjacency_matrix(rep))
             details: tuple[str, ...] = ()
             if recognize_rank3(rep).matches != (r == 3):
                 details = ("rank-3 recognizer disagrees with rank kernel",)
-            if r <= 3 and n >= 2:
-                bad = [x for x in range(n) if not low_rank_neighborhood_check(rep, x)]
+            if r <= 3 and g.order >= 2:
+                bad = [x for x in range(g.order) if not low_rank_neighborhood_check(rep, x)]
                 if bad:
                     details += (
                         f"neighborhood split check fails at vertices {bad} despite rank {r}",
@@ -202,12 +203,12 @@ def _is_star(g: SignedGraph) -> bool:
     )
 
 
-def _check_pendant_bound(n: int) -> Checked:
-    for g in _connected_classes(n):
-        if n < 4 or _is_star(g) or not find_pendants(g):
+def _check_pendant_bound(max_n: int) -> Checked:
+    for g in _connected_classes(max_n):
+        if g.order < 4 or _is_star(g) or not find_pendants(g):
             continue
         for rep in signature_representatives(g):
-            ok = nullity(rep) <= n - 4
+            ok = nullity(rep) <= g.order - 4
             yield rep, () if ok else ("pendant vertex present but nullity exceeds n-4",)
 
 
@@ -286,7 +287,8 @@ def _tree_tasks(max_n: int) -> list[tuple]:
 
 
 def _connected_tasks(max_n: int) -> list[tuple]:
-    return [(n,) for n in range(1, max_n + 1)]
+    # one chunk, the build from K1, checking every order as it reaches it
+    return [(max_n,)]
 
 
 def _bicyclic_tasks(max_n: int) -> list[tuple]:
@@ -453,6 +455,32 @@ class NullityCatalog:
     entries: tuple[CatalogEntry, ...]
 
 
+def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]:
+    """The entries for the classes of order n whose 2-core is ``shape``."""
+    shape, n, k, balanced_only = task
+    *_, level = _classes_by_order(base_graph(shape), n, 1)
+    entries = []
+    for code, canon in level.items():
+        base = bicyclic_base(canon)
+        assert base is not None
+        c1, c2 = fundamental_cycles(canon)
+        edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
+        union_len = len(edges1 ^ edges2)
+        achieved: list[tuple[BalanceProfile, SignedGraph]] = []
+        for rep in signature_representatives(canon):
+            if nullity(rep) != n - k:
+                continue
+            s1, s2 = cycle_sign(rep, c1), cycle_sign(rep, c2)
+            if balanced_only and (s1 != 1 or s2 != 1):
+                continue
+            profile = tuple(sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2))))
+            achieved.append((profile, rep))
+        if achieved:
+            profiles = tuple(sorted({profile for profile, _ in achieved}))
+            entries.append(CatalogEntry(code, base, profiles, len(achieved), achieved[0][1]))
+    return entries
+
+
 def catalog_nullity_classes(
     n: int, k: int, balanced_only: bool = False, workers: int = 1
 ) -> NullityCatalog:
@@ -461,41 +489,14 @@ def catalog_nullity_classes(
     Each entry records which of the four switching classes achieve the
     nullity, as balance profiles over the base's two fundamental cycles and
     their edge-set sum; the witness revalidates through the rank kernel.
+    Each 2-core shape is one chunk, and no code comes from two shapes, so
+    the entries merge by sorting on the code.
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    classes = bicyclic_classes(n, workers)
-    entries = []
-    for code in sorted(classes):
-        canon = classes[code]
-        base = bicyclic_base(canon)
-        assert base is not None
-        c1, c2 = fundamental_cycles(canon)
-        edges1 = {frozenset((c1[i], c1[(i + 1) % len(c1)])) for i in range(len(c1))}
-        edges2 = {frozenset((c2[i], c2[(i + 1) % len(c2)])) for i in range(len(c2))}
-        union_len = len(edges1 ^ edges2)
-        achieved: list[tuple[BalanceProfile, SignedGraph]] = []
-        for rep in signature_representatives(canon):
-            if nullity(rep) != n - k:
-                continue
-            s1 = cycle_sign(rep, c1)
-            s2 = cycle_sign(rep, c2)
-            if balanced_only and (s1 != 1 or s2 != 1):
-                continue
-            profile: BalanceProfile = tuple(
-                sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2)))
-            )
-            achieved.append((profile, rep))
-        if achieved:
-            entries.append(
-                CatalogEntry(
-                    code=code,
-                    base=base,
-                    profiles=tuple(sorted({profile for profile, _ in achieved})),
-                    achieving_classes=len(achieved),
-                    witness=achieved[0][1],
-                )
-            )
+    tasks = [(shape, n, k, balanced_only) for shape in _bicyclic_shapes(n)]
+    chunks = _run_tasks(_catalog_chunk, tasks, workers)
+    entries = sorted((entry for chunk in chunks for entry in chunk), key=lambda e: e.code)
     return NullityCatalog(
         order=n, k=k, nullity=n - k, balanced_only=balanced_only, entries=tuple(entries)
     )

@@ -76,6 +76,15 @@ def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return False
 
 
+def automorphism_count(g: SignedGraph) -> int:
+    """Number of vertex permutations that map the underlying edge set onto itself."""
+    edges = {frozenset((u, v)) for u, v, _ in g.edges}
+    return sum(
+        all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges)
+        for perm in permutations(range(g.order))
+    )
+
+
 def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     """Union-find connectivity of the graph on n vertices with these edges."""
     root = list(range(n))

@@ -2,19 +2,48 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signed_nullity.cli import main
 
 UNBALANCED_C6 = "6 6\n0 1 -\n1 2 +\n2 3 +\n3 4 +\n4 5 +\n0 5 +\n"
 DOUBLED_TRIANGLE_NEG = "4 5\n0 1 +\n0 2 -\n0 3 -\n1 2 +\n1 3 +\n"
 TRIANGLE_PENDANT = "4 4\n0 1 +\n0 2 +\n1 2 +\n0 3 +\n"
+FILE_COMMANDS = [["nullity"], ["balance"], ["classify"], ["reduce"], ["convert", "--to", "dot"]]
+
+
+def _argv(command: list[str], path: str) -> list[str]:
+    return [command[0], path, *command[1:]]
+
+
+def _edge_lines(n: int):
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from("+-"))
+    lines = st.lists(edge, max_size=10, unique_by=lambda e: frozenset(e[:2]))
+    return lines.map(lambda es: f"{n} {len(es)}\n" + "".join(f"{u} {v} {s}\n" for u, v, s in es))
+
+
+# text over the file alphabet with a header of order <= 8: edge lines (a
+# loop now and then), or noise
+_graph_file_texts = st.one_of(
+    st.integers(1, 8).flatmap(_edge_lines),
+    st.builds(
+        "{} {}\n{}".format,
+        st.integers(0, 8),
+        st.integers(0, 12),
+        st.text(alphabet="0123456789 +-#\n\t", max_size=60),
+    ),
+)
 
 
 @pytest.fixture
@@ -51,6 +80,33 @@ class TestNullityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 1" in captured.err and "exceeds" in captured.err
+
+
+class TestGraphFiles:
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+    def test_non_utf8_file_exits_3_naming_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe 2 1\n0 1 +\n")
+        assert main(_argv(command, str(path))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and "utf-8" in captured.err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=60), _graph_file_texts))
+    def test_any_file_gives_a_result_or_an_input_error(self, content):
+        # every file-taking subcommand: exit 0, or exit 3 with nothing on stdout
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as handle:
+                handle.write(content if isinstance(content, bytes) else content.encode())
+            for command in FILE_COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(_argv(command, path))
+                assert code in (0, 3), (command, err.getvalue())
+                if code == 3:
+                    assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 class TestBalanceCommand:

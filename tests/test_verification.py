@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
 from signed_nullity import SignedGraph, is_connected, nullity
 from signed_nullity.canonical import canonical_form
-from signed_nullity.enumeration import bicyclic_base_shapes
+from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
 from signed_nullity.verification import (
     TheoremReport,
     _classes_by_order,
     _connected_classes,
-    _shape_class_edges,
     _shape_classes,
     available_theorems,
     bicyclic_classes,
@@ -19,7 +20,7 @@ from signed_nullity.verification import (
     catalog_nullity_classes,
     verify_theorem,
 )
-from oracles import brute_bicyclic_underlying, connected_labeled_graphs
+from oracles import automorphism_count, brute_bicyclic_underlying, connected_labeled_graphs
 
 
 class TestVerifyTheorem:
@@ -104,7 +105,8 @@ class TestVerifyTheorem:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         report = verify_theorem("lemma2.1ii", 4, workers=8)  # lengths 3 and 4: two chunks
         assert report.instances_checked == 4
-        assert len(bicyclic_classes(5, workers=64)) == 5  # four base shapes: four chunks
+        assert catalog_nullity_classes(5, 3, workers=64).entries == ()  # four base shapes
+        assert verify_theorem("theorem2.4", 4, workers=8).ok  # one chunk, the build from K1
         assert sizes == [2, 4]
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -214,7 +216,9 @@ class TestBicyclicClasses:
             codes.append(code)
         assert codes == sorted(set(codes))
         per_shape = [
-            code for shape in bicyclic_base_shapes(n) for code, _ in _shape_class_edges((shape, n))
+            code
+            for shape in bicyclic_base_shapes(n)
+            for code in list(_classes_by_order(base_graph(shape), n, 1))[-1]
         ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
@@ -229,9 +233,6 @@ class TestBicyclicClasses:
             classes = bicyclic_classes(n)
             assert len(graphs) == len(classes)
             assert set(graphs) == set(classes.values())
-
-    def test_parallel_identical(self):
-        assert bicyclic_classes(6) == bicyclic_classes(6, workers=2)
 
 
 class TestConnectedClasses:
@@ -250,11 +251,13 @@ class TestConnectedClasses:
         assert level == expected
 
     def test_one_canonical_connected_graph_per_class(self):
+        # the sweep stream: every order from K1 up, one build
         graphs = list(_connected_classes(6))
         for g in graphs:
-            assert g.order == 6 and is_connected(g)
+            assert is_connected(g)
             assert canonical_form(g)[1] == g
-        assert len(set(graphs)) == len(graphs) == 112
+        assert [g.order for g in graphs] == sorted(g.order for g in graphs)
+        assert len(set(graphs)) == len(graphs) == 1 + 1 + 2 + 6 + 21 + 112
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_counts(self, workers):
@@ -263,6 +266,34 @@ class TestConnectedClasses:
             report = verify_theorem(theorem, 6, workers=workers)
             assert report.ok
             assert report.instances_checked == count
+
+
+class TestCountingCertificate:
+    """n!/|Aut(G)| labelings per class: the sums over a stream's classes of
+    each order must give the labeled counts, so no class is missing."""
+
+    @staticmethod
+    def _labeled_sums(graphs, weight=lambda g: 1) -> dict[int, int]:
+        sums: dict[int, int] = {}
+        for g in graphs:
+            labelings = factorial(g.order) // automorphism_count(g)
+            sums[g.order] = sums.get(g.order, 0) + labelings * weight(g)
+        return sums
+
+    def test_connected_stream(self):
+        graphs = list(_connected_classes(6))
+        labeled = self._labeled_sums(graphs)
+        assert [labeled[n] for n in range(1, 7)] == [1, 1, 4, 38, 728, 26704]
+        # each class has 2^(m-n+1) switching classes on every labeling
+        switching = self._labeled_sums(graphs, lambda g: 2 ** (len(g.edges) - g.order + 1))
+        assert [switching[n] for n in range(1, 7)] == [1, 1, 5, 78, 3453, 436944]
+        assert sum(switching.values()) == 440482  # the instances of the old labeled sweeps
+
+    def test_bicyclic_streams(self):
+        # Wright's counts of connected labeled graphs with n+1 edges
+        graphs = [g for shape in bicyclic_base_shapes(7) for g in _shape_classes(shape, 7)]
+        labeled = self._labeled_sums(graphs)
+        assert [labeled[n] for n in range(4, 8)] == [6, 205, 5700, 156555]
 
 
 class TestCatalogs:
