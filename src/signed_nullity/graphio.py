@@ -2,8 +2,9 @@
 
 A graph file starts with a header line ``n m`` (order and edge count)
 followed by ``m`` edge lines ``u v s`` where ``0 <= u < v < n`` and the sign
-token ``s`` is ``+`` or ``-``.  Lines starting with ``#`` and blank lines
-are ignored.  Parsing then serializing is the identity on normalized files.
+token ``s`` is ``+`` or ``-``.  A ``#`` starts a comment that runs to the
+end of its line; blank lines are ignored.  Parsing then serializing is the
+identity on normalized files.
 A file may announce at most :data:`MAX_FILE_ORDER` vertices: the rank
 kernel works on a dense n x n matrix, so a larger header is refused before
 anything is built.
@@ -29,9 +30,9 @@ MAX_FILE_ORDER = 2000  # a dense matrix of this order holds 4 million entries
 def parse_graph(document: str) -> SignedGraph:
     """Parse a graph file into a normalized SignedGraph."""
     content = [
-        (number, line.strip())
-        for number, line in enumerate(document.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
+        (number, line)
+        for number, raw in enumerate(document.splitlines(), start=1)
+        if (line := raw.partition("#")[0].strip())
     ]
     if not content:
         raise GraphFormatError("missing header line 'n m'", 1)

@@ -2,9 +2,11 @@
 
 Rank 2 is equivalent to "balanced complete bipartite plus isolated vertices";
 rank 3 to "complete tripartite plus isolated vertices, with the adjacency
-rows inside each part equal up to a sign flip per vertex".  Both checks are
-purely structural (no elimination), so they can be compared against the
-exact rank kernel as independent routes to the same answer.
+rows inside each part equal up to a sign flip per vertex".  In a complete
+multipartite graph the parts are the twin classes, the vertices with equal
+neighbor lists, so both checks read them off the cached neighbor lists.
+They are purely structural (no elimination), so they can be compared
+against the exact rank kernel as independent routes to the same answer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import SignedGraph, cycle_sign, induced_subgraph, is_balanced, is_connected
+from .graphs import SignedGraph, cycle_sign, is_balanced, is_connected
 from .rank import nullity
 
 PartNeighborhoods = tuple[tuple[int, ...], tuple[int, ...]]  # (positive, negative)
@@ -36,54 +38,37 @@ class RankClassVerdict:
     neighborhoods: Optional[tuple[PartNeighborhoods, ...]] = None
 
 
-def _complement_parts(g: SignedGraph, support: list[int]) -> Optional[list[tuple[int, ...]]]:
-    """Parts of a complete multipartite graph on ``support``, or None.
+def _twin_parts(g: SignedGraph, k: int) -> tuple[Optional[str], dict[tuple[int, ...], list[int]]]:
+    """Group the non-isolated vertices by neighbor list ("twins") and test
+    for a complete k-partite graph, k being 2 or 3.
 
-    The candidate parts are the connected components of the complement;
-    the graph is complete multipartite exactly when vertices are adjacent
-    iff they live in different components.
+    Returns (mismatch reason or None, neighbor list -> its vertices, in
+    first-vertex order).  Twins are never adjacent, and two twin classes
+    are joined either completely or not at all, so the classes span a
+    quotient graph with no isolated vertex in which no two vertices share
+    a neighborhood.  On two or three vertices that is K2 or K3 (the ends of
+    a path would be twins), so k classes are exactly the k parts.
     """
-    part_of = {v: -1 for v in support}
-    parts: list[list[int]] = []
-    for v in support:
-        if part_of[v] >= 0:
-            continue
-        label = len(parts)
-        stack = [v]
-        part_of[v] = label
-        members = [v]
-        while stack:
-            u = stack.pop()
-            adjacent = set(g.neighbors(u))
-            for w in support:
-                if part_of[w] < 0 and w != u and w not in adjacent:
-                    part_of[w] = label
-                    members.append(w)
-                    stack.append(w)
-        parts.append(sorted(members))
-    for i, u in enumerate(support):
-        for w in support[i + 1 :]:
-            if (part_of[u] != part_of[w]) != g.has_edge(u, w):
-                return None
-    return [tuple(p) for p in parts]
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.order):
+        if nbrs := g.neighbors(v):
+            twins.setdefault(nbrs, []).append(v)
+    if not twins:
+        return "edgeless", twins
+    return (None if len(twins) == k else "not-complete-multipartite"), twins
 
 
 def recognize_rank2(g: SignedGraph) -> RankClassVerdict:
     """Match iff g is a balanced complete bipartite graph plus isolated vertices."""
-    support = [v for v in range(g.order) if g.degree(v) > 0]
-    if not support:
-        return RankClassVerdict(matches=False, reason="edgeless")
-    parts = _complement_parts(g, support)
-    if parts is None or len(parts) != 2:
-        return RankClassVerdict(matches=False, reason="not-complete-multipartite")
-    core = induced_subgraph(g, support)
-    witness = is_balanced(core)
+    reason, twins = _twin_parts(g, 2)
+    if reason is not None:
+        return RankClassVerdict(matches=False, reason=reason)
+    # isolated vertices are roots of their own and keep +1
+    witness = is_balanced(g)
     if not witness.balanced:
         return RankClassVerdict(matches=False, reason="unbalanced")
-    theta = [1] * g.order
-    for local, v in enumerate(support):
-        theta[v] = witness.switching[local]
-    return RankClassVerdict(matches=True, parts=tuple(parts), switching=tuple(theta))
+    parts = tuple(map(tuple, twins.values()))
+    return RankClassVerdict(matches=True, parts=parts, switching=witness.switching)
 
 
 def recognize_rank3(g: SignedGraph) -> RankClassVerdict:
@@ -94,29 +79,26 @@ def recognize_rank3(g: SignedGraph) -> RankClassVerdict:
     of "same positive and negative neighborhoods": flipping a vertex negates
     its whole row without changing the rank.
     """
-    support = [v for v in range(g.order) if g.degree(v) > 0]
-    if not support:
-        return RankClassVerdict(matches=False, reason="edgeless")
-    parts = _complement_parts(g, support)
-    if parts is None or len(parts) != 3:
-        return RankClassVerdict(matches=False, reason="not-complete-multipartite")
+    reason, twins = _twin_parts(g, 3)
+    if reason is not None:
+        return RankClassVerdict(matches=False, reason=reason)
     neighborhoods = []
-    for part in parts:
-        ref = part[0]
-        pos = frozenset(w for w in g.neighbors(ref) if g.sign_of(ref, w) == 1)
-        neg = frozenset(w for w in g.neighbors(ref) if g.sign_of(ref, w) == -1)
+    for nbrs, part in twins.items():
+        row = [g.sign_of(part[0], w) for w in nbrs]
+        flipped = [-s for s in row]
         for u in part[1:]:
-            u_pos = frozenset(w for w in g.neighbors(u) if g.sign_of(u, w) == 1)
-            u_neg = frozenset(w for w in g.neighbors(u) if g.sign_of(u, w) == -1)
-            if (u_pos, u_neg) != (pos, neg) and (u_pos, u_neg) != (neg, pos):
+            if [g.sign_of(u, w) for w in nbrs] not in (row, flipped):
                 return RankClassVerdict(matches=False, reason="neighborhood-mismatch")
-        neighborhoods.append((tuple(sorted(pos)), tuple(sorted(neg))))
-    return RankClassVerdict(matches=True, parts=tuple(parts), neighborhoods=tuple(neighborhoods))
+        signed = [tuple(w for w, s in zip(nbrs, row) if s == sign) for sign in (1, -1)]
+        neighborhoods.append(tuple(signed))
+    parts = tuple(map(tuple, twins.values()))
+    return RankClassVerdict(matches=True, parts=parts, neighborhoods=tuple(neighborhoods))
 
 
 def low_rank_neighborhood_check(g: SignedGraph, x: int) -> bool:
     """Split V into Y = N(x) and X = rest; true iff X is independent and
-    every X-Y pair is adjacent.
+    every X-Y pair is adjacent, that is, iff every vertex of X has the
+    neighbor list of x.
 
     This holds for every x whenever the adjacency rank is at most 3 (and the
     graph has no isolated vertices, which is required here).
@@ -125,17 +107,9 @@ def low_rank_neighborhood_check(g: SignedGraph, x: int) -> bool:
         raise ValueError("graph has an isolated vertex")
     if not 0 <= x < g.order:
         raise ValueError(f"vertex {x} out of range")
-    y = set(g.neighbors(x))
-    x_side = [v for v in range(g.order) if v not in y]
-    for i, u in enumerate(x_side):
-        for w in x_side[i + 1 :]:
-            if g.has_edge(u, w):
-                return False
-    for u in x_side:
-        for w in y:
-            if not g.has_edge(u, w):
-                return False
-    return True
+    y = g.neighbors(x)
+    y_set = set(y)
+    return all(g.neighbors(v) == y for v in range(g.order) if v not in y_set)
 
 
 @dataclass(frozen=True)
@@ -187,64 +161,43 @@ def _two_core(g: SignedGraph) -> list[int]:
     return [v for v in range(g.order) if not removed[v]]
 
 
-def _walk_chain(adj: dict[int, list[int]], start: int, first: int) -> tuple[int, int, int]:
-    """Follow degree-2 vertices from ``start`` via ``first`` until a branch
-    vertex; returns (endpoint, edge count, vertex before the endpoint)."""
+def _walk_chain(adj: dict[int, list[int]], start: int, first: int) -> tuple[int, int]:
+    """Follow degree-2 vertices from ``start`` via ``first`` until a hub;
+    returns (hub, edge count)."""
     prev, cur = start, first
     length = 1
     while len(adj[cur]) == 2:
         a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
         length += 1
-    return cur, length, prev
+    return cur, length
 
 
 def bicyclic_base(g: SignedGraph) -> Optional[BicyclicBase]:
     """Classify the 2-core of a bicyclic graph, or None if g is not bicyclic.
 
     A bicyclic graph is connected with exactly one more edge than vertices;
-    stripping pendant vertices to a fixpoint leaves either two cycles joined
-    by a path (possibly sharing a vertex) or three internally disjoint paths
-    between two hubs.
+    stripping pendant vertices to a fixpoint leaves a core whose degrees
+    exceed 2 by 2 in all, so it has one hub of degree 4 or two of degree 3,
+    and every walk along degree-2 vertices runs from hub to hub.  Either
+    the walks from the first hub all reach the other (a theta), or two of
+    them close a cycle at it and the rest, if any, is the path to the
+    other cycle (an infinity).
     """
     if g.order == 0 or len(g.edges) != g.order + 1 or not is_connected(g):
         return None
     core = _two_core(g)
     core_set = set(core)
-    adj = {v: sorted(u for u in g.neighbors(v) if u in core_set) for v in core}
-    hubs4 = [v for v in core if len(adj[v]) == 4]
-    hubs3 = [v for v in core if len(adj[v]) == 3]
-    if any(len(adj[v]) not in (2, 3, 4) for v in core):
-        return None
-    if len(hubs4) == 1 and not hubs3:
-        h = hubs4[0]
-        unpaired = list(adj[h])
-        lengths = []
-        while unpaired:
-            first = unpaired.pop(0)
-            end, length, back = _walk_chain(adj, h, first)
-            if end != h:
-                return None
-            lengths.append(length)
-            unpaired.remove(back)
-        p, q = sorted(lengths)
-        return BicyclicBase("infinity", p, q, 1, tuple(core))
-    if len(hubs3) == 2 and not hubs4:
-        h1, h2 = hubs3
-        walks = [_walk_chain(adj, h1, first) for first in adj[h1]]
-        ends = [w[0] for w in walks]
-        if ends == [h2, h2, h2]:
-            p, q, l = sorted((w[1] for w in walks), reverse=True)
-            return BicyclicBase("theta", p, q, l, tuple(core))
-        loops = [w for w in walks if w[0] == h1]
-        bridges = [w for w in walks if w[0] == h2]
-        if len(loops) != 2 or len(bridges) != 1:
-            return None
-        p = loops[0][1]
-        l = bridges[0][1] + 1
-        q = len(core) + 1 - p - (l - 1)
-        return BicyclicBase("infinity", min(p, q), max(p, q), l, tuple(core))
-    return None
+    adj = {v: [u for u in g.neighbors(v) if u in core_set] for v in core}
+    hub = next(v for v in core if len(adj[v]) > 2)
+    walks = [_walk_chain(adj, hub, first) for first in adj[hub]]
+    if all(end != hub for end, _ in walks):
+        p, q, l = sorted((length for _, length in walks), reverse=True)
+        return BicyclicBase("theta", p, q, l, tuple(core))
+    p = next(length for end, length in walks if end == hub)
+    l = 1 + sum(length for end, length in walks if end != hub)
+    q = len(core) + 2 - p - l  # an infinity core has p + q + l - 2 vertices
+    return BicyclicBase("infinity", min(p, q), max(p, q), l, tuple(core))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def delete_pendant_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
 
 def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
     v1, v2, v3 = p.v1, p.v2, p.v3
-    if len({v1, v2, v3}) != 3:
+    if len({v1, v2, v3}) != 3 or not all(0 <= v < g.order for v in (v1, v2, v3)):
         return False
     if not (g.has_edge(v1, v2) and g.has_edge(v2, v3)):
         return False
@@ -112,10 +112,10 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     other than v2.
     """
     _require_normalized(g, p)
-    if v == p.v2 or not g.has_edge(v, p.v1):
+    # only ids in range are neighbors of v1, and the ends of a special path
+    # share no neighbor but v2, so the edge vv3 is never there yet
+    if v == p.v2 or not g.has_edge(p.v1, v):
         raise ValueError(f"vertex {v} is not an eligible neighbor of {p.v1}")
-    if g.has_edge(v, p.v3):
-        raise ValueError(f"edge ({v},{p.v3}) already present")
     s = g.sign_of(v, p.v1)
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]
     edges.append((min(v, p.v3), max(v, p.v3), s))

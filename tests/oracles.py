@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: rank comes from
 Laplace-expansion minors (or sympy's rational elimination for larger
 matrices), matchings from subset enumeration, isomorphism from raw
-permutation search.
+permutation search, multipartite parts from complement components.
 """
 
 from __future__ import annotations
@@ -133,3 +133,44 @@ def cycle_graph(n: int, negatives: int = 0) -> SignedGraph:
 
 def star_graph(k: int) -> SignedGraph:
     return SignedGraph(k + 1, tuple((0, i, 1) for i in range(1, k + 1)))
+
+
+def complement_parts(g: SignedGraph, support: list[int]) -> list[tuple[int, ...]] | None:
+    """Parts of a complete multipartite graph on ``support``, or None.
+
+    The candidate parts are the connected components of the complement,
+    found by depth-first search; the graph is complete multipartite exactly
+    when every pair is adjacent iff its ends lie in different components.
+    """
+    part_of = {v: -1 for v in support}
+    parts: list[list[int]] = []
+    for v in support:
+        if part_of[v] >= 0:
+            continue
+        label = len(parts)
+        stack, members = [v], [v]
+        part_of[v] = label
+        while stack:
+            u = stack.pop()
+            adjacent = set(g.neighbors(u))
+            for w in support:
+                if part_of[w] < 0 and w != u and w not in adjacent:
+                    part_of[w] = label
+                    members.append(w)
+                    stack.append(w)
+        parts.append(sorted(members))
+    for i, u in enumerate(support):
+        for w in support[i + 1 :]:
+            if (part_of[u] != part_of[w]) != g.has_edge(u, w):
+                return None
+    return [tuple(p) for p in parts]
+
+
+def two_core(g: SignedGraph) -> tuple[int, ...]:
+    """Vertices left after deleting vertices of degree below 2 until none remain."""
+    alive = set(range(g.order))
+    while True:
+        low = {v for v in alive if sum(u in alive for u in g.neighbors(v)) < 2}
+        if not low:
+            return tuple(sorted(alive))
+        alive -= low

@@ -61,6 +61,11 @@ class TestNullityCommand:
         assert main(["nullity", graph_file(UNBALANCED_C6)]) == 0
         assert capsys.readouterr().out == "n=6 rank=4 nullity=2\n"
 
+    def test_trailing_comments_allowed(self, graph_file, capsys):
+        text = "4 5   # doubled triangle\n0 1 +\n0 2 - # negative\n0 3 -\n1 2 +\n1 3 +\n"
+        assert main(["nullity", graph_file(text)]) == 0
+        assert capsys.readouterr().out == "n=4 rank=3 nullity=1\n"
+
     def test_missing_file_exits_3(self, capsys):
         assert main(["nullity", "/nonexistent/graph.txt"]) == 3
         assert "error" in capsys.readouterr().err
@@ -173,6 +178,11 @@ class TestVerifyCommand:
     def test_over_ceiling_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "5")
         assert main(["verify", "--theorem", "theorem3.1", "--max-n", "6"]) == 2
+
+    def test_below_smallest_bicyclic_order_exits_2(self, capsys):
+        assert main(["verify", "--theorem", "theorem3.1", "--max-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs max_n >= 4" in captured.err
 
     def test_beyond_fast_range_warns_on_stderr(self, capsys):
         assert main(["verify", "--theorem", "corollary2.9", "--max-n", "9"]) == 0

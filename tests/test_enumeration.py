@@ -175,3 +175,6 @@ class TestCeiling:
         monkeypatch.setenv(CEILING_ENV_VAR, "many")
         with pytest.raises(ValueError, match="integer"):
             enumeration_ceiling()
+        monkeypatch.setenv(CEILING_ENV_VAR, "0")
+        with pytest.raises(ValueError, match="positive"):
+            enumeration_ceiling()

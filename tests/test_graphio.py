@@ -26,6 +26,16 @@ class TestParseGraph:
         g = parse_graph(text)
         assert len(g.edges) == 3
 
+    def test_trailing_comments_ignored(self):
+        text = "# doubled triangle\n4 5   # n m\n0 1 +\n0 2 - # negative\n0 3 -\n1 2 +\n1 3 +#\n"
+        assert parse_graph(text) == build_graph(
+            4, [(0, 1, 1), (0, 2, -1), (0, 3, -1), (1, 2, 1), (1, 3, 1)]
+        )
+
+    def test_line_numbers_count_comment_lines(self):
+        with pytest.raises(GraphFormatError, match="line 3: sign token"):
+            parse_graph("2 1 # header\n# only a comment\n0 1 x # bad sign\n")
+
     def test_self_loop_reports_line(self):
         with pytest.raises(GraphFormatError, match="line 2: self-loop"):
             parse_graph("2 1\n0 0 +")
@@ -37,6 +47,10 @@ class TestParseGraph:
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_graph("2 1\n0 2 +")
+
+    def test_non_integer_endpoint_rejected(self):
+        with pytest.raises(GraphFormatError, match="line 2: edge endpoints must be integers"):
+            parse_graph("2 1\n0 x +")
 
     def test_numeric_sign_token_rejected(self):
         with pytest.raises(GraphFormatError, match="sign token"):

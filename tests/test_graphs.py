@@ -72,6 +72,10 @@ class TestBuildGraph:
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError, match="not sorted"):
             SignedGraph(3, ((0, 2, 1), (0, 1, 1)))
+        with pytest.raises(ValueError, match="non-negative"):
+            SignedGraph(-1, ())
+        with pytest.raises(ValueError, match="not normalized"):
+            SignedGraph(2, ((1, 0, 1),))
 
 
 class TestAdjacencyMatrix:
@@ -110,6 +114,8 @@ class TestCycleSign:
         g = path_graph(4)
         with pytest.raises(ValueError):
             cycle_sign(g, (0, 1, 3))
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_sign(g, (0, 1))
 
     def test_repeated_vertex_rejected(self):
         g = cycle_graph(4)
@@ -239,6 +245,8 @@ class TestHelpers:
         g = build_graph(5, [(0, 2, -1), (2, 4, 1), (1, 3, 1)])
         h = induced_subgraph(g, [0, 2, 4])
         assert h == build_graph(3, [(0, 1, -1), (1, 2, 1)])
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            induced_subgraph(g, [0, 5])
 
     def test_connectivity(self):
         assert is_connected(cycle_graph(4))

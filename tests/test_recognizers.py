@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signed_nullity import (
+    BicyclicBase,
+    SignedGraph,
     adjacency_matrix,
     bicyclic_base,
     build_graph,
     disjoint_union,
+    is_balanced,
     low_rank_neighborhood_check,
     nullity,
     rank,
@@ -19,7 +24,9 @@ from signed_nullity import (
     switch,
     unbalanced_bicyclic_verdict,
 )
-from oracles import cycle_graph, path_graph
+from signed_nullity.enumeration import bicyclic_base_shapes
+from signed_nullity.verification import _shape_classes
+from oracles import complement_parts, cycle_graph, path_graph, two_core
 
 
 def complete_bipartite(a: int, b: int):
@@ -114,6 +121,73 @@ class TestRecognizeRank3:
             assert set(neg) == {w for w in g.neighbors(ref) if g.sign_of(ref, w) == -1}
 
 
+def reference_verdict(g, k):
+    """(reason, parts) of a k-partite recognizer, with the parts read from
+    complement components and the sign condition from whole matrix rows."""
+    support = [v for v in range(g.order) if g.degree(v) > 0]
+    if not support:
+        return "edgeless", None
+    parts = complement_parts(g, support)
+    if parts is None or len(parts) != k:
+        return "not-complete-multipartite", None
+    if k == 2 and not is_balanced(g).balanced:
+        return "unbalanced", None
+    rows = adjacency_matrix(g)
+    if k == 3 and any(rows[u] not in (rows[p[0]], [-x for x in rows[p[0]]]) for p in parts for u in p):
+        return "neighborhood-mismatch", None
+    return None, tuple(parts)
+
+
+def assert_matches_reference(g):
+    for recognize, k in ((recognize_rank2, 2), (recognize_rank3, 3)):
+        verdict = recognize(g)
+        assert (verdict.reason, verdict.parts) == reference_verdict(g, k), (g, k)
+        assert verdict.matches == (verdict.reason is None)
+
+
+class TestAgainstComplementComponents:
+    def test_every_signed_graph_up_to_order_5(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for m in range(len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, m):
+                    for signs in itertools.product((1, -1), repeat=m):
+                        edges = tuple((u, v, s) for (u, v), s in zip(chosen, signs))
+                        assert_matches_reference(SignedGraph(n, edges))
+
+
+@st.composite
+def near_multipartite_graphs(draw):
+    """A complete multipartite graph on two to four parts plus at least one
+    isolated vertex, 9 vertices at most, signed by part pair and switched
+    (or signed at random), with up to two vertex pairs toggled, relabeled."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda s: sum(s) <= 8))
+    support = sum(sizes)
+    isolated = draw(st.integers(1, 9 - support))
+    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    pair_sign = draw(st.lists(st.sampled_from((1, -1)), min_size=16, max_size=16))
+    theta = draw(st.lists(st.sampled_from((1, -1)), min_size=support, max_size=support))
+    noise = draw(st.booleans())
+    adjacency = {}
+    for u, v in itertools.combinations(range(support), 2):
+        if part_of[u] != part_of[v]:
+            s = pair_sign[4 * part_of[u] + part_of[v]] * theta[u] * theta[v]
+            adjacency[u, v] = draw(st.sampled_from((1, -1))) if noise else s
+    pairs = list(itertools.combinations(range(support), 2))
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+        if adjacency.pop((u, v), None) is None:
+            adjacency[u, v] = 1
+    order = support + isolated
+    perm = draw(st.permutations(range(order)))
+    return build_graph(order, [(perm[u], perm[v], s) for (u, v), s in adjacency.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_multipartite_graphs())
+def test_recognizers_match_complement_components_with_isolated_vertices(g):
+    assert_matches_reference(g)
+
+
 class TestLowRankNeighborhoodCheck:
     def test_balanced_k23_every_vertex(self):
         g = complete_bipartite(2, 3)
@@ -131,6 +205,11 @@ class TestLowRankNeighborhoodCheck:
         g = disjoint_union(cycle_graph(3), build_graph(1, []))
         with pytest.raises(ValueError, match="isolated"):
             low_rank_neighborhood_check(g, 0)
+
+    @pytest.mark.parametrize("x", [-1, 3])
+    def test_vertex_out_of_range_rejected(self, x):
+        with pytest.raises(ValueError, match=f"vertex {x} out of range"):
+            low_rank_neighborhood_check(cycle_graph(3), x)
 
 
 class TestBicyclicBase:
@@ -179,6 +258,26 @@ class TestBicyclicBase:
     def test_cycle_lengths_infinity(self):
         base = bicyclic_base(infinity_two_triangles())
         assert base.cycle_lengths() == (3, 3, 6)
+
+    @pytest.mark.parametrize(
+        "kind,p,q,l",
+        [("infinity", 2, 3, 1), ("infinity", 4, 3, 1), ("infinity", 3, 3, 0),
+         ("theta", 1, 1, 1), ("theta", 2, 3, 1), ("theta", 3, 2, 0), ("star", 3, 3, 1)],
+    )
+    def test_invalid_parameters_rejected(self, kind, p, q, l):
+        with pytest.raises(ValueError, match="invalid|unknown"):
+            BicyclicBase(kind, p, q, l, ())
+
+    def test_every_class_to_order_9_round_trips_its_shape(self):
+        rng = random.Random(20120)
+        for shape in bicyclic_base_shapes(9):
+            for g in _shape_classes(shape, 9):
+                perm = list(range(g.order))
+                rng.shuffle(perm)
+                h = build_graph(g.order, [(perm[u], perm[v], rng.choice((1, -1))) for u, v, _ in g.edges])
+                base = bicyclic_base(h)
+                assert (base.kind, base.p, base.q, base.l) == shape, (shape, h)
+                assert base.base_vertices == tuple(sorted(perm[v] for v in two_core(g)))
 
     def test_counts_reconstruct(self):
         g = build_graph(

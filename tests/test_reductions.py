@@ -128,6 +128,19 @@ class TestNormalizeSpecialPath:
         with pytest.raises(ValueError, match="special"):
             normalize_special_path(cycle_graph(4), SpecialPath(0, 1, 2))
 
+    @pytest.mark.parametrize("path", [(-1, 0, 1), (1, 0, -1), (3, 4, 5), (5, 0, 1)])
+    def test_out_of_range_ids_rejected(self, path):
+        # on C5, -1 would wrap around to vertex 4, and (4, 0, 1) is special
+        g = cycle_graph(5, 1)
+        assert is_special_path(g, SpecialPath(4, 0, 1))
+        p = SpecialPath(*path)
+        assert not is_special_path(g, p)
+        for operation in (normalize_special_path, contract_special_path):
+            with pytest.raises(ValueError, match="not a special path"):
+                operation(g, p)
+        with pytest.raises(ValueError, match="not a special path"):
+            rewire_special_path(g, p, 2)
+
 
 class TestRewireSpecialPath:
     def test_p5_middle_triple(self):
@@ -174,6 +187,20 @@ class TestRewireSpecialPath:
         with pytest.raises(ValueError, match="eligible"):
             rewire_special_path(g, SpecialPath(1, 2, 3), 4)
 
+    def test_out_of_range_vertex_rejected(self):
+        # -1 would wrap around to vertex 5, a neighbor of the path's end 0
+        g = build_graph(6, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (0, 5, 1)])
+        for v in (-1, 6):
+            with pytest.raises(ValueError, match="eligible"):
+                rewire_special_path(g, SpecialPath(0, 1, 2), v)
+
+    def test_rewire_onto_an_existing_edge_rejected(self):
+        # 0 is a neighbor of 1 and of 3, so the edge 0-3 exists and 1-2-3 is
+        # not special: a common neighbor of the ends rules out every such rewire
+        g = build_graph(5, [(0, 1, 1), (0, 3, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1)])
+        with pytest.raises(ValueError, match="not a special path"):
+            rewire_special_path(g, SpecialPath(1, 2, 3), 0)
+
 
 class TestContractSpecialPath:
     def test_lone_p3_contracts_to_isolated_vertex(self):
@@ -214,6 +241,10 @@ class TestContractSpecialPath:
         g = path_graph(5)
         with pytest.raises(ValueError, match="normalized"):
             contract_special_path(g, SpecialPath(1, 2, 3))
+
+    def test_non_special_rejected(self):
+        with pytest.raises(ValueError, match="not a special path"):
+            contract_special_path(cycle_graph(4, 1), SpecialPath(0, 1, 2))
 
 
 class TestReduce:

@@ -39,6 +39,10 @@ class TestVerifyTheorem:
         assert report.ok
         assert report.instances_checked == 36  # lengths 3..20, two classes each
 
+    def test_bicyclic_sweep_needs_order_4(self):
+        with pytest.raises(ValueError, match="needs max_n >= 4"):
+            verify_theorem("theorem3.1", 3)
+
     def test_cycle_sweep_has_its_own_cap(self):
         with pytest.raises(ValueError, match="up to 128"):
             verify_theorem("lemma2.1ii", 200)
