@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import product
-from typing import Iterator
+from typing import Container, Iterator
 
 from .graphs import SignedGraph, _spanning_forest
 
@@ -140,15 +140,19 @@ def base_graph(shape: BaseShape) -> SignedGraph:
     return SignedGraph._trusted(n, tuple(edges))
 
 
-def vertex_extensions(g: SignedGraph, max_degree: int) -> Iterator[SignedGraph]:
+def vertex_extensions(
+    g: SignedGraph, max_degree: int, leaf_anchors: Container[int]
+) -> Iterator[SignedGraph]:
     """g plus one new vertex, joined by positive edges to each nonempty set
-    of at most ``max_degree`` existing vertices in turn."""
+    of at most ``max_degree`` existing vertices in turn; a set of one vertex
+    only when that vertex is in ``leaf_anchors``."""
     new = g.order
     joins: list[tuple[tuple[int, int, int], ...]] = [()]  # the new vertex's edges
     for v in range(new):
         joins += [join + ((v, new, 1),) for join in joins if len(join) < max_degree]
     for join in joins[1:]:
-        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
+        if len(join) > 1 or join[0][0] in leaf_anchors:
+            yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:

@@ -85,16 +85,30 @@ class SignedGraph:
             lists[v].append(u)
         return tuple(map(tuple, lists))
 
+    # The accessors below take vertex ids from callers, so they reject ids
+    # outside 0..order-1 (a negative one would index from the end).  Hot
+    # loops read the cached tables directly.
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.order:
+            raise ValueError(f"vertex {v} out of range for order {self.order}")
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
         return self._sorted_neighbors[v]
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return len(self._neighbor_signs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return v in self._neighbor_signs[u]
 
     def sign_of(self, u: int, v: int) -> int:
+        self._check_vertex(u)
+        self._check_vertex(v)
         try:
             return self._neighbor_signs[u][v]
         except KeyError:
@@ -177,6 +191,7 @@ def _spanning_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[i
     signature representatives -- is reproducible.
     """
     n = g.order
+    neighbors = g._sorted_neighbors
     parent = [-2] * n  # -2 = unvisited, -1 = root
     depth = [0] * n
     tree_pairs: set[tuple[int, int]] = set()
@@ -188,7 +203,7 @@ def _spanning_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[i
         while queue:
             nxt: list[int] = []
             for u in queue:
-                for v in g.neighbors(u):
+                for v in neighbors[u]:
                     if parent[v] == -2:
                         parent[v] = u
                         depth[v] = depth[u] + 1
@@ -231,10 +246,11 @@ def fundamental_cycles(g: SignedGraph) -> list[Cycle]:
 def _forest_switching(g: SignedGraph, parent: list[int], depth: list[int]) -> list[int]:
     """Switching that turns every tree edge of the given forest positive."""
     theta = [1] * g.order
+    signs = g._neighbor_signs
     # resolve parents before children
     for v in sorted(range(g.order), key=depth.__getitem__):
         if parent[v] >= 0:
-            theta[v] = theta[parent[v]] * g.sign_of(parent[v], v)
+            theta[v] = theta[parent[v]] * signs[parent[v]][v]
     return theta
 
 

@@ -50,8 +50,8 @@ def _twin_parts(g: SignedGraph, k: int) -> tuple[Optional[str], dict[tuple[int, 
     a path would be twins), so k classes are exactly the k parts.
     """
     twins: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.order):
-        if nbrs := g.neighbors(v):
+    for v, nbrs in enumerate(g._sorted_neighbors):
+        if nbrs:
             twins.setdefault(nbrs, []).append(v)
     if not twins:
         return "edgeless", twins
@@ -83,11 +83,12 @@ def recognize_rank3(g: SignedGraph) -> RankClassVerdict:
     if reason is not None:
         return RankClassVerdict(matches=False, reason=reason)
     neighborhoods = []
+    signs = g._neighbor_signs
     for nbrs, part in twins.items():
-        row = [g.sign_of(part[0], w) for w in nbrs]
+        row = [signs[part[0]][w] for w in nbrs]
         flipped = [-s for s in row]
         for u in part[1:]:
-            if [g.sign_of(u, w) for w in nbrs] not in (row, flipped):
+            if [signs[u][w] for w in nbrs] not in (row, flipped):
                 return RankClassVerdict(matches=False, reason="neighborhood-mismatch")
         signed = [tuple(w for w, s in zip(nbrs, row) if s == sign) for sign in (1, -1)]
         neighborhoods.append(tuple(signed))
@@ -103,13 +104,14 @@ def low_rank_neighborhood_check(g: SignedGraph, x: int) -> bool:
     This holds for every x whenever the adjacency rank is at most 3 (and the
     graph has no isolated vertices, which is required here).
     """
-    if any(g.degree(v) == 0 for v in range(g.order)):
+    neighbors = g._sorted_neighbors
+    if not all(neighbors):
         raise ValueError("graph has an isolated vertex")
     if not 0 <= x < g.order:
         raise ValueError(f"vertex {x} out of range")
-    y = g.neighbors(x)
+    y = neighbors[x]
     y_set = set(y)
-    return all(g.neighbors(v) == y for v in range(g.order) if v not in y_set)
+    return all(neighbors[v] == y for v in range(g.order) if v not in y_set)
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,8 @@ class BicyclicBase:
 
 
 def _two_core(g: SignedGraph) -> list[int]:
-    degree = [g.degree(v) for v in range(g.order)]
-    adj = [set(g.neighbors(v)) for v in range(g.order)]
+    adj = [set(nbrs) for nbrs in g._sorted_neighbors]
+    degree = [len(nbrs) for nbrs in adj]
     queue = [v for v in range(g.order) if degree[v] == 1]
     removed = [False] * g.order
     while queue:
@@ -188,7 +190,7 @@ def bicyclic_base(g: SignedGraph) -> Optional[BicyclicBase]:
         return None
     core = _two_core(g)
     core_set = set(core)
-    adj = {v: [u for u in g.neighbors(v) if u in core_set] for v in core}
+    adj = {v: [u for u in g._sorted_neighbors[v] if u in core_set] for v in core}
     hub = next(v for v in core if len(adj[v]) > 2)
     walks = [_walk_chain(adj, hub, first) for first in adj[hub]]
     if all(end != hub for end, _ in walks):

@@ -44,7 +44,7 @@ class ReductionTrace:
 
 def find_pendants(g: SignedGraph) -> list[tuple[int, int]]:
     """All (pendant vertex, unique neighbor) pairs, sorted by pendant id."""
-    return [(v, g.neighbors(v)[0]) for v in range(g.order) if g.degree(v) == 1]
+    return [(v, nbrs[0]) for v, nbrs in enumerate(g._sorted_neighbors) if len(nbrs) == 1]
 
 
 def delete_pendant_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
@@ -69,13 +69,14 @@ def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
 def find_special_paths(g: SignedGraph) -> list[SpecialPath]:
     """Every special path, both orientations, in lexicographic order."""
     found = []
-    for v2 in range(g.order):
-        if g.degree(v2) != 2:
+    neighbors = g._sorted_neighbors
+    for v2, nbrs in enumerate(neighbors):
+        if len(nbrs) != 2:
             continue
-        a, b = g.neighbors(v2)
-        if g.has_edge(a, b):
+        a, b = nbrs
+        if b in neighbors[a]:
             continue
-        if set(g.neighbors(a)) & set(g.neighbors(b)) <= {v2}:
+        if set(neighbors[a]) & set(neighbors[b]) <= {v2}:
             found.append(SpecialPath(a, v2, b))
             found.append(SpecialPath(b, v2, a))
     found.sort(key=lambda p: (p.v1, p.v2, p.v3))
@@ -114,7 +115,7 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     _require_normalized(g, p)
     # only ids in range are neighbors of v1, and the ends of a special path
     # share no neighbor but v2, so the edge vv3 is never there yet
-    if v == p.v2 or not g.has_edge(p.v1, v):
+    if v == p.v2 or v not in g._neighbor_signs[p.v1]:
         raise ValueError(f"vertex {v} is not an eligible neighbor of {p.v1}")
     s = g.sign_of(v, p.v1)
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]

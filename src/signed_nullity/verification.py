@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional
 
-from .canonical import canonical_form
+from .canonical import _canonize
 from .enumeration import (
     SOFT_ORDER_LIMIT,
     BaseShape,
@@ -91,19 +91,41 @@ def _classes_by_order(
     graph, because a connected graph has a vertex that is not a cut vertex.
     From a bicyclic base graph with max_degree 1 it meets every graph with
     that 2-core, because such a graph, unless it is the core itself, has a
-    pendant vertex.
+    pendant vertex.  A new leaf hangs only from the anchors
+    :func:`_leaf_anchors` picks, which still meet every class with a leaf.
     """
-    code, canon = canonical_form(root)
-    level = {code: canon}
-    yield level
+    code, canon, reps = _canonize(root)
+    level = {code: (canon, reps)}
+    yield {code: canon}
     for _ in range(root.order, max_n):
-        grown: dict[str, SignedGraph] = {}
-        for g in level.values():
-            for h in vertex_extensions(g, max_degree):
-                code, canon = canonical_form(h)
-                grown.setdefault(code, canon)
+        grown: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
+        for g, reps in level.values():
+            for h in vertex_extensions(g, max_degree, _leaf_anchors(g, reps)):
+                code, canon, orbit_reps = _canonize(h)
+                grown.setdefault(code, (canon, orbit_reps))
         level = grown
-        yield level
+        yield {code: canon for code, (canon, _) in level.items()}
+
+
+def _leaf_anchors(g: SignedGraph, orbit_reps: tuple[int, ...]) -> list[int]:
+    """The vertices among ``orbit_reps`` from which a new leaf can make g's
+    extension a canonical child.
+
+    Hanging leaves from one vertex per orbit of Aut(g) loses no class.  And
+    since refinement starts from degrees and only splits classes, canonical
+    position 0 of a graph with a leaf is a leaf whose neighbor has the least
+    degree among the neighbors of its leaves; deleting that leaf gives the
+    graph's canonical parent, and the parent's extension passes this test.
+    A leaf hung from u can be that leaf only if u, one degree up, has such a
+    least degree, so extensions from other anchors are skipped uncanonized.
+    """
+    neighbors = g._sorted_neighbors
+    leaves = [(v, nbrs[0]) for v, nbrs in enumerate(neighbors) if len(nbrs) == 1]
+    return [
+        u
+        for u in orbit_reps
+        if all(len(neighbors[w]) > len(neighbors[u]) for v, w in leaves if u != v and u != w)
+    ]
 
 
 def _connected_classes(max_n: int) -> Iterator[SignedGraph]:

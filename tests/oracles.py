@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own algorithms: rank comes from
 Laplace-expansion minors (or sympy's rational elimination for larger
-matrices), matchings from subset enumeration, isomorphism from raw
-permutation search, multipartite parts from complement components.
+matrices), matchings from subset enumeration, isomorphism, automorphisms
+and canonical forms from raw permutation search, multipartite parts from
+complement components.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from signed_nullity import SignedGraph
+from signed_nullity.canonical import _refined_classes
 
 
 def laplace_det(m: list[list[int]]) -> int:
@@ -83,6 +85,62 @@ def automorphism_count(g: SignedGraph) -> int:
         all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges)
         for perm in permutations(range(g.order))
     )
+
+
+def brute_canonical_form(g: SignedGraph) -> tuple[str, SignedGraph]:
+    """Canonical code of the underlying graph plus the relabeled graph.
+
+    The returned graph is all-positive (signs are not part of the code) with
+    vertices renamed to the minimizing order, so isomorphic inputs map to
+    the identical graph value.
+    """
+    n = g.order
+    if n == 0:
+        return "0:", SignedGraph._trusted(0, ())
+    neighbors = [g.neighbors(v) for v in range(n)]
+    classes = _refined_classes(neighbors)
+    best_rows: tuple[int, ...] | None = None
+    best_pos: list[int] | None = None
+    pos = [0] * n
+    for arrangement in product(*(permutations(c) for c in classes)):
+        idx = 0
+        for block in arrangement:
+            for v in block:
+                pos[v] = idx
+                idx += 1
+        rows = [0] * n
+        for v in range(n):
+            bits = 0
+            for u in neighbors[v]:
+                bits |= 1 << (n - 1 - pos[u])
+            rows[pos[v]] = bits
+        key = tuple(rows)
+        if best_rows is None or key < best_rows:
+            best_rows = key
+            best_pos = pos[:]
+    assert best_rows is not None and best_pos is not None
+    packed = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            packed = (packed << 1) | ((best_rows[i] >> (n - 1 - j)) & 1)
+    code = f"{n}:{packed:x}"
+    edges = sorted(
+        (min(best_pos[u], best_pos[v]), max(best_pos[u], best_pos[v]), 1)
+        for u, v, _ in g.edges
+    )
+    return code, SignedGraph._trusted(n, tuple(edges))
+
+
+def automorphism_orbits(g: SignedGraph) -> list[tuple[int, ...]]:
+    """Vertex orbits under every permutation that maps the underlying edge
+    set onto itself, each ascending, in order of least member."""
+    edges = {frozenset((u, v)) for u, v, _ in g.edges}
+    orbit_of = [{v} for v in range(g.order)]
+    for perm in permutations(range(g.order)):
+        if all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges):
+            for v in range(g.order):
+                orbit_of[v].add(perm[v])
+    return sorted({tuple(sorted(orbit)) for orbit in orbit_of})
 
 
 def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:

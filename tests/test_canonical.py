@@ -5,8 +5,21 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from signed_nullity import SignedGraph, build_graph, canonical_code, canonical_form
-from oracles import are_isomorphic, cycle_graph, path_graph, star_graph
+from signed_nullity.canonical import _canonize
+from signed_nullity.verification import _connected_classes, bicyclic_classes
+from oracles import (
+    are_isomorphic,
+    automorphism_orbits,
+    brute_canonical_form,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
+from test_properties import signed_graphs
 
 
 def random_graph(rng: random.Random, n: int) -> SignedGraph:
@@ -70,3 +83,63 @@ class TestCanonicalCode:
 
     def test_empty_graph(self):
         assert canonical_code(build_graph(0, [])) == "0:"
+
+
+def _relabeled(graphs, seed):
+    """Each graph under a seeded random relabeling, so no input is canonical."""
+    rng = random.Random(seed)
+    for g in graphs:
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        yield permuted(g, perm)
+
+
+class TestAgainstBruteForce:
+    """The search that skips twin swaps finds the same minimum as trying
+    every ordering of the refined classes."""
+
+    def test_connected_classes_up_to_order_6(self):
+        for g in _relabeled(_connected_classes(6), seed=6):
+            assert canonical_form(g) == brute_canonical_form(g)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_bicyclic_classes(self, n):
+        for g in _relabeled(bicyclic_classes(n).values(), seed=n):
+            assert canonical_form(g) == brute_canonical_form(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_graphs(max_order=8), st.randoms(use_true_random=False))
+    def test_relabeled_random_graphs(self, g, rng):
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        h = permuted(g, perm)
+        assert canonical_form(h) == brute_canonical_form(h) == brute_canonical_form(g)
+
+
+class TestOrbits:
+    """_canonize reports the least vertex of each orbit of Aut(canonical graph)."""
+
+    @staticmethod
+    def _check(graphs):
+        for g in graphs:
+            code, canon, orbit_reps = _canonize(g)
+            assert orbit_reps == tuple(orbit[0] for orbit in automorphism_orbits(canon))
+
+    def test_connected_classes_up_to_order_6(self):
+        self._check(_relabeled(_connected_classes(6), seed=16))
+
+    def test_bicyclic_classes_up_to_order_7(self):
+        graphs = [g for n in range(4, 8) for g in bicyclic_classes(n).values()]
+        self._check(_relabeled(graphs, seed=17))
+
+    def test_twins_and_symmetric_graphs(self):
+        star = star_graph(5)  # five leaves: false twins
+        k4 = build_graph(4, [(u, v, 1) for u, v in combinations(range(4), 2)])  # true twins
+        two_paths = build_graph(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
+        for g, orbits in ((star, 2), (k4, 1), (cycle_graph(6), 1), (two_paths, 2), (path_graph(5), 3)):
+            code, canon, orbit_reps = _canonize(g)
+            assert len(orbit_reps) == orbits
+            assert orbit_reps == tuple(orbit[0] for orbit in automorphism_orbits(canon))
+
+    def test_empty_graph(self):
+        assert _canonize(build_graph(0, [])) == ("0:", build_graph(0, []), ())

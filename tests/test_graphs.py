@@ -122,6 +122,11 @@ class TestCycleSign:
         with pytest.raises(ValueError, match="distinct"):
             cycle_sign(g, (0, 1, 0))
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_vertex_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            cycle_sign(cycle_graph(5), (bad, 0, 1))
+
 
 class TestSwitch:
     def test_identity_switching(self):
@@ -267,7 +272,7 @@ def _generated_graphs():
         yield from labeled_trees(n)
     for g in _connected_classes(5):
         yield g
-        yield from vertex_extensions(g, 5)
+        yield from vertex_extensions(g, 5, g.vertices())
     for shape in bicyclic_base_shapes(7):
         yield base_graph(shape)
     for n in (6, 7):
@@ -290,6 +295,31 @@ def _transformed(g, other):
         for v in h.neighbors(p.v1):
             if v != p.v2 and not h.has_edge(v, p.v3):
                 yield rewire_special_path(h, p, v)
+
+
+class TestVertexIds:
+    # on C5 a negative id used to read vertex order + id: has_edge(-1, 0)
+    # was True and neighbors(-2) was (2, 4)
+    @pytest.mark.parametrize("bad", [-1, -2, 5, 6])
+    def test_every_accessor_rejects_ids_out_of_range(self, bad):
+        g = cycle_graph(5)
+        accessors = [
+            lambda: g.neighbors(bad),
+            lambda: g.degree(bad),
+            lambda: g.has_edge(bad, 0),
+            lambda: g.has_edge(0, bad),
+            lambda: g.sign_of(bad, 0),
+            lambda: g.sign_of(0, bad),
+        ]
+        for call in accessors:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+
+    def test_ids_in_range_unchanged(self):
+        g = cycle_graph(5)
+        assert g.neighbors(0) == (1, 4) and g.degree(4) == 2
+        assert g.has_edge(4, 0) and not g.has_edge(0, 2)
+        assert g.sign_of(0, 4) == 1
 
 
 class TestUncheckedConstruction:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from signed_nullity import SignedGraph, is_connected, nullity
+from signed_nullity import SignedGraph, documents, is_connected, nullity
+from signed_nullity import verification
 from signed_nullity.canonical import canonical_form
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
 from signed_nullity.verification import (
@@ -226,6 +228,20 @@ class TestBicyclicClasses:
         ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
+    def test_canonizer_calls_at_order_9(self, monkeypatch):
+        # leaves hang from one vertex per orbit and pass the degree test
+        # before canonizing; every leaf from every vertex made 2,545 calls
+        calls = []
+        canonize = verification._canonize
+
+        def counted(g):
+            calls.append(g)
+            return canonize(g)
+
+        monkeypatch.setattr(verification, "_canonize", counted)
+        assert len(bicyclic_classes(9)) == 797
+        assert len(calls) < 1400
+
     def test_sweep_stream_is_the_class_list_of_each_order(self):
         # a sweep chunk walks one 2-core shape through every order up to max_n
         by_order: dict = {}
@@ -366,3 +382,11 @@ class TestCatalogs:
         monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "5")
         with pytest.raises(ValueError, match="ceiling"):
             catalog_nullity_classes(6, 4)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_order_9_catalog_matches_golden(self, workers):
+        # 186 entries, each with its code, written by the command-line
+        # catalog before the class builder pruned its leaf anchors
+        golden = (Path(__file__).parent / "golden" / "nullity_n9_k6.json").read_bytes()
+        catalog = catalog_nullity_classes(9, 6, workers=workers)
+        assert documents.dumps(documents.catalog_document(catalog)).encode() == golden
