@@ -3,109 +3,100 @@
 Core value types and operations are re-exported here; the verification
 sweeps and catalogs live in :mod:`signed_nullity.verification` and the
 command-line front end in :mod:`signed_nullity.cli`.
+
+Importing the package loads none of its modules: each name below, and each
+submodule name, resolves on first use (PEP 562) and is then cached here, so
+a caller pays only for the layers it touches.
 """
 
-from .graphs import (
-    BalanceWitness,
-    SignedGraph,
-    adjacency_matrix,
-    build_graph,
-    cycle_sign,
-    disjoint_union,
-    fundamental_cycles,
-    induced_subgraph,
-    is_balanced,
-    is_connected,
-    switch,
-    switching_equivalent,
-)
-from .rank import (
-    cycle_nullity_formula,
-    forest_nullity_formula,
-    matching_number,
-    nullity,
-    rank,
-)
-from .reductions import (
-    ReductionTrace,
-    SpecialPath,
-    contract_special_path,
-    delete_pendant_pair,
-    find_pendants,
-    find_special_paths,
-    normalize_special_path,
-    reduce,
-    rewire_special_path,
-)
-from .recognizers import (
-    BicyclicBase,
-    RankClassVerdict,
-    UnbalancedBicyclicVerdict,
-    bicyclic_base,
-    low_rank_neighborhood_check,
-    recognize_rank2,
-    recognize_rank3,
-    unbalanced_bicyclic_verdict,
-)
-from .canonical import canonical_code, canonical_form
-from .enumeration import labeled_trees, signature_representatives
-from .graphio import GraphFormatError, parse_graph, serialize_graph, to_dot
-from .verification import (
-    NullityCatalog,
-    TheoremReport,
-    bicyclic_underlying,
-    catalog_nullity_classes,
-    verify_theorem,
-)
-from . import documents
-from .documents import TOOL_VERSION as __version__
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-__all__ = [
-    "BalanceWitness",
-    "BicyclicBase",
-    "GraphFormatError",
-    "NullityCatalog",
-    "RankClassVerdict",
-    "ReductionTrace",
-    "SignedGraph",
-    "SpecialPath",
-    "TheoremReport",
-    "UnbalancedBicyclicVerdict",
-    "adjacency_matrix",
-    "bicyclic_base",
-    "bicyclic_underlying",
-    "build_graph",
-    "canonical_code",
-    "canonical_form",
-    "catalog_nullity_classes",
-    "contract_special_path",
-    "cycle_nullity_formula",
-    "cycle_sign",
-    "delete_pendant_pair",
-    "disjoint_union",
-    "find_pendants",
-    "find_special_paths",
-    "forest_nullity_formula",
-    "fundamental_cycles",
-    "induced_subgraph",
-    "is_balanced",
-    "is_connected",
-    "labeled_trees",
-    "low_rank_neighborhood_check",
-    "matching_number",
-    "normalize_special_path",
-    "nullity",
-    "parse_graph",
-    "rank",
-    "recognize_rank2",
-    "recognize_rank3",
-    "reduce",
-    "rewire_special_path",
-    "serialize_graph",
-    "signature_representatives",
-    "switch",
-    "switching_equivalent",
-    "to_dot",
-    "unbalanced_bicyclic_verdict",
-    "verify_theorem",
-]
+_EXPORTS = {
+    "graphs": (
+        "BalanceWitness",
+        "SignedGraph",
+        "adjacency_matrix",
+        "build_graph",
+        "cycle_sign",
+        "disjoint_union",
+        "fundamental_cycles",
+        "induced_subgraph",
+        "is_balanced",
+        "is_connected",
+        "switch",
+        "switching_equivalent",
+    ),
+    "rank": (
+        "cycle_nullity_formula",
+        "forest_nullity_formula",
+        "matching_number",
+        "nullity",
+        "rank",
+    ),
+    "reductions": (
+        "ReductionTrace",
+        "SpecialPath",
+        "contract_special_path",
+        "delete_pendant_pair",
+        "find_pendants",
+        "find_special_paths",
+        "normalize_special_path",
+        "reduce",
+        "rewire_special_path",
+    ),
+    "recognizers": (
+        "BicyclicBase",
+        "RankClassVerdict",
+        "UnbalancedBicyclicVerdict",
+        "bicyclic_base",
+        "low_rank_neighborhood_check",
+        "recognize_rank2",
+        "recognize_rank3",
+        "unbalanced_bicyclic_verdict",
+    ),
+    "canonical": ("canonical_code", "canonical_form"),
+    "enumeration": ("labeled_trees", "signature_representatives"),
+    "graphio": ("GraphFormatError", "parse_graph", "serialize_graph", "to_dot"),
+    "verification": (
+        "NullityCatalog",
+        "TheoremReport",
+        "bicyclic_underlying",
+        "catalog_nullity_classes",
+        "verify_theorem",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "documents", "cli")
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(_import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name == "__version__":
+        value = _import_module(".documents", __name__).TOOL_VERSION
+    elif name in _SUBMODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES, "__version__"})
+
+
+class _Package(_ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Loading a submodule binds it on its package.  The submodule ``rank``
+        # shares its name with the function ``rank``, which keeps the name.
+        if name in _ORIGIN and isinstance(value, _ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

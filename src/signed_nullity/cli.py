@@ -5,6 +5,11 @@ Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
 not in UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
 included), 4 unexpected internal errors (with a traceback on stderr, or
 one ``error:`` line when a pool worker process crashed).
+
+Every command parses files, so the module imports only the graph, file and
+rank layers; each subcommand imports the other layers it runs (documents,
+recognizers, reductions, verification) when it is called, which keeps a
+one-graph call from paying for the sweeps and the canonizer.
 """
 
 from __future__ import annotations
@@ -13,13 +18,9 @@ import argparse
 import sys
 import warnings
 
-from . import documents
 from .graphio import GraphFormatError, parse_graph, to_dot
 from .graphs import SignedGraph, adjacency_matrix, is_balanced
 from .rank import rank
-from .recognizers import bicyclic_base, recognize_rank2, recognize_rank3, unbalanced_bicyclic_verdict
-from .reductions import reduce as reduce_pendants
-from .verification import available_theorems, catalog_nullity_classes, verify_theorem
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -85,6 +86,8 @@ def _cmd_nullity(args) -> int:
 
 
 def _cmd_balance(args) -> int:
+    from . import documents
+
     g, _ = _load_graph(args.file)
     witness = is_balanced(g)
     if witness.balanced:
@@ -95,6 +98,9 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import documents
+    from .recognizers import bicyclic_base, recognize_rank2, recognize_rank3, unbalanced_bicyclic_verdict
+
     g, text = _load_graph(args.file)
     r = rank(adjacency_matrix(g))
     base = bicyclic_base(g)
@@ -116,6 +122,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import documents
+    from .reductions import reduce as reduce_pendants
+
     g, text = _load_graph(args.file)
     reduced, trace = reduce_pendants(g)
     payload = {
@@ -129,6 +138,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import documents
+    from .verification import verify_theorem
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = verify_theorem(args.theorem, args.max_n, workers=args.workers)
@@ -141,6 +153,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import documents
+    from .verification import catalog_nullity_classes
+
     catalog = catalog_nullity_classes(
         args.n, args.k, balanced_only=args.balanced_only, workers=args.workers
     )
@@ -155,6 +170,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_theorems(args) -> int:
+    from .verification import available_theorems
+
     for key, description in available_theorems():
         print(f"{key:14s} {description}")
     return EXIT_OK

@@ -145,13 +145,19 @@ def vertex_extensions(
 ) -> Iterator[SignedGraph]:
     """g plus one new vertex, joined by positive edges to each nonempty set
     of at most ``max_degree`` existing vertices in turn; a set of one vertex
-    only when that vertex is in ``leaf_anchors``."""
+    only when that vertex is in ``leaf_anchors``, and a larger set only when
+    it holds every leaf of g, so that the grown graph has no leaf."""
     new = g.order
+    leaves = {v for v, nbrs in enumerate(g._sorted_neighbors) if len(nbrs) == 1}
     joins: list[tuple[tuple[int, int, int], ...]] = [()]  # the new vertex's edges
     for v in range(new):
         joins += [join + ((v, new, 1),) for join in joins if len(join) < max_degree]
     for join in joins[1:]:
-        if len(join) > 1 or join[0][0] in leaf_anchors:
+        if len(join) == 1:
+            keep = join[0][0] in leaf_anchors
+        else:
+            keep = leaves.issubset(u for u, _, _ in join)
+        if keep:
             yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
 
 

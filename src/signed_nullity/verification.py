@@ -93,6 +93,11 @@ def _classes_by_order(
     that 2-core, because such a graph, unless it is the core itself, has a
     pendant vertex.  A new leaf hangs only from the anchors
     :func:`_leaf_anchors` picks, which still meet every class with a leaf.
+    A new vertex with two or more neighbors joins every leaf of g: otherwise
+    the grown graph keeps a leaf, so its canonical parent is a leaf deletion,
+    whose extension the anchors keep.  No leafless class is lost, since a
+    vertex x of it that is not a cut vertex has two or more neighbors, and
+    every leaf of the graph minus x is one of them.
     """
     code, canon, reps = _canonize(root)
     level = {code: (canon, reps)}
@@ -118,6 +123,9 @@ def _leaf_anchors(g: SignedGraph, orbit_reps: tuple[int, ...]) -> list[int]:
     graph's canonical parent, and the parent's extension passes this test.
     A leaf hung from u can be that leaf only if u, one degree up, has such a
     least degree, so extensions from other anchors are skipped uncanonized.
+    For the same reason :func:`vertex_extensions` skips every larger join
+    that leaves a leaf of g a leaf: the grown graph's canonical parent is
+    then a leaf deletion, reached through these anchors.
     """
     neighbors = g._sorted_neighbors
     leaves = [(v, nbrs[0]) for v, nbrs in enumerate(neighbors) if len(nbrs) == 1]

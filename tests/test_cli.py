@@ -201,7 +201,7 @@ class TestVerifyCommand:
         assert first == second
 
     def test_violations_exit_1(self, capsys, monkeypatch):
-        import signed_nullity.cli as cli_module
+        from signed_nullity import verification
         from signed_nullity.verification import TheoremReport, Violation
 
         fake = TheoremReport(
@@ -211,19 +211,19 @@ class TestVerifyCommand:
             violations=(Violation(4, "synthetic counterexample", "4 0\n"),),
             elapsed=0.0,
         )
-        monkeypatch.setattr(cli_module, "verify_theorem", lambda *a, **kw: fake)
+        monkeypatch.setattr(verification, "verify_theorem", lambda *a, **kw: fake)
         assert main(["verify", "--theorem", "theorem3.1", "--max-n", "4"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
         assert doc["violations"][0]["detail"] == "synthetic counterexample"
 
     def test_internal_error_exits_4_with_traceback(self, capsys, monkeypatch):
-        import signed_nullity.cli as cli_module
+        from signed_nullity import verification
 
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli_module, "verify_theorem", crash)
+        monkeypatch.setattr(verification, "verify_theorem", crash)
         assert main(["verify", "--theorem", "theorem3.1", "--max-n", "4"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -263,16 +263,43 @@ class TestWorkersOption:
 
 
 class TestImport:
+    @staticmethod
+    def _fresh_stdout(code: str) -> str:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        ).stdout
+
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = (
             "import sys, signed_nullity.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        ).stdout
-        assert out == "[]\n"
+        assert self._fresh_stdout(code) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "command, layers",
+        [
+            (["nullity"], []),
+            (["convert", "--to", "dot"], []),
+            (["balance"], ["documents"]),
+            (["classify"], ["documents", "recognizers"]),
+            (["reduce"], ["documents", "reductions"]),
+        ],
+        ids=["nullity", "convert", "balance", "classify", "reduce"],
+    )
+    def test_file_command_loads_only_its_layers(self, graph_file, command, layers):
+        # a one-graph call never loads verification, canonical or enumeration
+        code = (
+            "import contextlib, io, sys\n"
+            "from signed_nullity.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({_argv(command, graph_file(DOUBLED_TRIANGLE_NEG))!r}) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('signed_nullity.')))"
+        )
+        loaded = set(self._fresh_stdout(code).split())
+        base = {"cli", "graphio", "graphs", "rank"}
+        assert loaded == {f"signed_nullity.{name}" for name in base.union(layers)}
 
 
 class TestCatalogCommand:

@@ -261,6 +261,21 @@ class TestConnectedClasses:
         levels = _classes_by_order(SignedGraph(1, ()), 7, 7)
         assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
 
+    def test_canonizer_calls_at_order_7(self, monkeypatch):
+        # a new vertex with two or more neighbors joins every old leaf, or
+        # its class comes from a leaf deletion; canonizing every such join
+        # made 7,424 calls
+        calls = []
+        canonize = verification._canonize
+
+        def counted(g):
+            calls.append(g)
+            return canonize(g)
+
+        monkeypatch.setattr(verification, "_canonize", counted)
+        assert sum(g.order == 7 for g in _connected_classes(7)) == 853
+        assert len(calls) < 6000
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_the_labeled_oracle(self, n):
         expected: dict = {}
