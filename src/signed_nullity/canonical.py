@@ -16,15 +16,20 @@ the twin swaps they generate the automorphism group, so a union-find over
 them gives the vertex orbits that :func:`_canonize` reports.  The search is
 cheap on the small, leaf-heavy graphs the class builder canonizes; on
 twin-free graphs that refinement cannot split, such as cycles, it still
-costs n!.
+costs n!.  So the public :func:`canonical_form` and :func:`canonical_code`
+count the orders first and refuse a search of more than 9! of them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
+from math import factorial
 from typing import Iterable
 
 from .graphs import SignedGraph
+
+MAX_SEARCH_ORDERS = factorial(9)  # C9 takes about 1 s at this size
 
 
 def _refined_classes(neighbors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -66,25 +71,46 @@ def _twin_orders(block: list[int], twin: list[int]) -> Iterable[tuple[int, ...]]
     return orders
 
 
-def _canonize(g: SignedGraph) -> tuple[str, SignedGraph, tuple[int, ...]]:
-    """Canonical code, canonical graph, and the least vertex of each orbit of
-    the canonical graph's automorphism group, in ascending order."""
-    n = g.order
-    if n == 0:
-        return "0:", SignedGraph._trusted(0, ()), ()
-    neighbors = g._sorted_neighbors
+def _search_space(neighbors: tuple[tuple[int, ...], ...]) -> tuple[list[list[int]], list[int]]:
+    """The refined classes, and twin[v], the least twin of each vertex v."""
     classes = _refined_classes(neighbors)
-    # twin[v] is the least twin of v.  Twins share a refined class.  No
-    # neighbor list equals a closed neighborhood, and a vertex with a false
-    # twin (equal neighbors, not adjacent) has no true twin (equal closed
-    # neighborhoods), so one lookup per kind finds the group.
-    twin = list(range(n))
+    # Twins share a refined class.  No neighbor list equals a closed
+    # neighborhood, and a vertex with a false twin (equal neighbors, not
+    # adjacent) has no true twin (equal closed neighborhoods), so one lookup
+    # per kind finds the group.
+    twin = list(range(len(neighbors)))
     for c in classes:
         if len(c) > 1:
             lead: dict[tuple[int, ...], int] = {}
             for v in c:
                 closed = tuple(sorted(neighbors[v] + (v,)))
                 twin[v] = min(lead.setdefault(neighbors[v], v), lead.setdefault(closed, v))
+    return classes, twin
+
+
+def _order_count(classes: list[list[int]], twin: list[int]) -> int:
+    """How many orders the search tries: the product over the refined
+    classes of s! / (the product of the twin-group sizes, each factorial)."""
+    count = 1
+    for c in classes:
+        count *= factorial(len(c))
+        for size in Counter(twin[v] for v in c).values():
+            count //= factorial(size)
+    return count
+
+
+def _canonize(g: SignedGraph) -> tuple[str, SignedGraph, tuple[int, ...]]:
+    """Canonical code, canonical graph, and the least vertex of each orbit of
+    the canonical graph's automorphism group, in ascending order.
+
+    The search is not bounded here: the class builder calls this in its
+    inner loop, on graphs whose searches are small.
+    """
+    n = g.order
+    if n == 0:
+        return "0:", SignedGraph._trusted(0, ()), ()
+    neighbors = g._sorted_neighbors
+    classes, twin = _search_space(neighbors)
     best_rows: tuple[int, ...] = (1 << n,)  # above every matrix
     ties: list[list[int]] = []  # the orders that give best_rows
     pos = [0] * n
@@ -136,11 +162,19 @@ def canonical_form(g: SignedGraph) -> tuple[str, SignedGraph]:
 
     The returned graph is all-positive (signs are not part of the code) with
     vertices renamed to the minimizing order, so isomorphic inputs map to
-    the identical graph value.
+    the identical graph value.  Raises ValueError, before searching, when
+    the search would try more than MAX_SEARCH_ORDERS vertex orders.
     """
+    orders = _order_count(*_search_space(g._sorted_neighbors))
+    if orders > MAX_SEARCH_ORDERS:
+        raise ValueError(
+            f"canonical form needs {orders} vertex orders, above the bound of "
+            f"{MAX_SEARCH_ORDERS} (9!)"
+        )
     code, canon, _ = _canonize(g)
     return code, canon
 
 
 def canonical_code(g: SignedGraph) -> str:
+    """The canonical code alone, under the same bound as :func:`canonical_form`."""
     return canonical_form(g)[0]

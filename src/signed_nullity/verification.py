@@ -79,10 +79,24 @@ class TheoremReport:
 
 
 def _classes_by_order(
-    root: SignedGraph, max_n: int, max_degree: int
+    root: SignedGraph,
+    max_n: int,
+    max_degree: int,
+    keep: Optional[Callable[[SignedGraph], bool]] = None,
 ) -> Iterator[dict[str, SignedGraph]]:
     """Canonical code -> canonical graph of every class grown from ``root``,
     one dict per order from the root's up to max_n.
+
+    With ``keep``, a class (the root included) whose canonical graph fails
+    it is dropped and grows no further; each verdict is recorded by code, so
+    a class met from several parents is tested once.  A catalog passes a
+    rank test, which is exact for it: a bicyclic class grows by leaves only,
+    so every class on the way to an order-n class H, the canonical parents
+    included, is an induced subgraph of H.  Every cycle of H lies in its
+    2-core, which those subgraphs share, so a switching class of H restricts
+    to a switching class of each of them, and a principal submatrix has at
+    most the rank of the whole matrix: if H has a switching class of rank
+    k, each class on its way has one of rank at most k.
 
     Each order is every class of the order before plus one new vertex,
     joined to each nonempty set of at most ``max_degree`` vertices, and
@@ -100,14 +114,20 @@ def _classes_by_order(
     every leaf of the graph minus x is one of them.
     """
     code, canon, reps = _canonize(root)
-    level = {code: (canon, reps)}
-    yield {code: canon}
+    level = {code: (canon, reps)} if keep is None or keep(canon) else {}
+    yield {code: canon for code, (canon, _) in level.items()}
     for _ in range(root.order, max_n):
         grown: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
+        dropped: set[str] = set()
         for g, reps in level.values():
             for h in vertex_extensions(g, max_degree, _leaf_anchors(g, reps)):
                 code, canon, orbit_reps = _canonize(h)
-                grown.setdefault(code, (canon, orbit_reps))
+                if code in grown or code in dropped:
+                    continue
+                if keep is None or keep(canon):
+                    grown[code] = (canon, orbit_reps)
+                else:
+                    dropped.add(code)
         level = grown
         yield {code: canon for code, (canon, _) in level.items()}
 
@@ -485,29 +505,57 @@ class NullityCatalog:
     entries: tuple[CatalogEntry, ...]
 
 
+def _rank_at_most(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
+    """The catalog's ``keep`` test for :func:`_classes_by_order`: whether a
+    class of order m below n has a switching class of rank at most k (only
+    the balanced one, all-positive up to switching, when ``balanced_only``).
+
+    Classes of order n pass untested, since the catalog decides them
+    exactly, and so do orders m <= k, where no rank exceeds k.
+    """
+
+    def keep(g: SignedGraph) -> bool:
+        if g.order <= k or g.order == n:
+            return True
+        reps = (g,) if balanced_only else signature_representatives(g)
+        return any(rank(adjacency_matrix(rep)) <= k for rep in reps)
+
+    return keep
+
+
 def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]:
-    """The entries for the classes of order n whose 2-core is ``shape``."""
+    """The entries for the classes of order n whose 2-core is ``shape``.
+
+    The build drops every class below order n whose switching classes all
+    have rank above k, since none of its descendants can reach nullity n-k
+    (see :func:`_classes_by_order`).  The base and the fundamental cycles
+    are computed only for a class with a switching class at nullity n-k.
+    """
     shape, n, k, balanced_only = task
-    *_, level = _classes_by_order(base_graph(shape), n, 1)
+    *_, level = _classes_by_order(base_graph(shape), n, 1, _rank_at_most(n, k, balanced_only))
     entries = []
     for code, canon in level.items():
-        base = bicyclic_base(canon)
-        assert base is not None
-        c1, c2 = fundamental_cycles(canon)
-        edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
-        union_len = len(edges1 ^ edges2)
+        cycles = None
         achieved: list[tuple[BalanceProfile, SignedGraph]] = []
         for rep in signature_representatives(canon):
-            if nullity(rep) != n - k:
+            # the representatives fix a spanning tree positive, so the one
+            # balanced switching class is the all-positive graph
+            if (balanced_only and not rep.is_all_positive()) or nullity(rep) != n - k:
                 continue
+            if cycles is None:
+                c1, c2 = cycles = fundamental_cycles(canon)
+                edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in cycles)
+                union_len = len(edges1 ^ edges2)
             s1, s2 = cycle_sign(rep, c1), cycle_sign(rep, c2)
-            if balanced_only and (s1 != 1 or s2 != 1):
-                continue
             profile = tuple(sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2))))
             achieved.append((profile, rep))
         if achieved:
+            base = bicyclic_base(canon)
+            assert base is not None
             profiles = tuple(sorted({profile for profile, _ in achieved}))
-            entries.append(CatalogEntry(code, base, profiles, len(achieved), achieved[0][1]))
+            # a fresh witness, free of the neighbor table cycle_sign filled
+            witness = SignedGraph._trusted(n, achieved[0][1].edges)
+            entries.append(CatalogEntry(code, base, profiles, len(achieved), witness))
     return entries
 
 
@@ -520,7 +568,10 @@ def catalog_nullity_classes(
     nullity, as balance profiles over the base's two fundamental cycles and
     their edge-set sum; the witness revalidates through the rank kernel.
     Each 2-core shape is one chunk, and no code comes from two shapes, so
-    the entries merge by sorting on the code.
+    the entries merge by sorting on the code.  A chunk grows only the
+    classes with a switching class of rank at most k (of the balanced one,
+    when ``balanced_only``), since rank never falls as leaves are added; so
+    a catalog for small k builds a small fraction of the classes of order n.
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")

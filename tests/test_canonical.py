@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signed_nullity import SignedGraph, build_graph, canonical_code, canonical_form
-from signed_nullity.canonical import _canonize
+from signed_nullity.canonical import (
+    MAX_SEARCH_ORDERS,
+    _canonize,
+    _order_count,
+    _search_space,
+    _twin_orders,
+)
 from signed_nullity.verification import _connected_classes, bicyclic_classes
 from oracles import (
     are_isomorphic,
@@ -143,3 +151,44 @@ class TestOrbits:
 
     def test_empty_graph(self):
         assert _canonize(build_graph(0, [])) == ("0:", build_graph(0, []), ())
+
+
+class TestSearchBound:
+    """canonical_form and canonical_code count the orders before searching
+    and refuse more than 9! of them; _canonize takes no bound."""
+
+    @staticmethod
+    def _petersen() -> SignedGraph:
+        edges = [(i, (i + 1) % 5, 1) for i in range(5)]  # outer cycle
+        edges += [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]  # inner pentagram
+        edges += [(i, 5 + i, 1) for i in range(5)]  # spokes
+        return build_graph(10, [(min(u, v), max(u, v), s) for u, v, s in edges])
+
+    @pytest.mark.parametrize("name", ["C10", "Petersen"])
+    def test_twin_free_regular_graphs_of_order_10_fail_fast(self, name):
+        g = cycle_graph(10) if name == "C10" else self._petersen()
+        for public in (canonical_form, canonical_code):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"{factorial(10)} vertex orders"):
+                public(g)
+            assert time.perf_counter() - start < 0.1
+
+    def test_c8_still_canonizes(self):
+        assert factorial(8) <= MAX_SEARCH_ORDERS
+        relabeled = permuted(cycle_graph(8), [3, 0, 6, 1, 7, 2, 5, 4])
+        assert canonical_code(relabeled) == canonical_code(cycle_graph(8)) == _canonize(cycle_graph(8))[0]
+
+    def test_twins_shrink_the_count(self):
+        # K5,5 is one refined class of two groups of five false twins
+        k55 = build_graph(10, [(u, v, 1) for u in range(5) for v in range(5, 10)])
+        assert _order_count(*_search_space(k55._sorted_neighbors)) == 252  # 10! / (5! 5!)
+        assert canonical_code(k55) == _canonize(k55)[0]
+
+    def test_count_is_the_number_of_orders_tried(self):
+        rng = random.Random(29)
+        graphs = list(_connected_classes(5)) + [star_graph(4), cycle_graph(6)]
+        graphs += [random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
+        for g in graphs:
+            classes, twin = _search_space(g._sorted_neighbors)
+            tried = sum(1 for _ in product(*(_twin_orders(c, twin) for c in classes)))
+            assert _order_count(classes, twin) == tried

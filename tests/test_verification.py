@@ -10,11 +10,16 @@ import pytest
 from signed_nullity import SignedGraph, documents, is_connected, nullity
 from signed_nullity import verification
 from signed_nullity.canonical import canonical_form
-from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
+from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, signature_representatives
+from signed_nullity.graphs import cycle_sign, fundamental_cycles
+from signed_nullity.recognizers import bicyclic_base
 from signed_nullity.verification import (
+    CatalogEntry,
+    NullityCatalog,
     TheoremReport,
     _classes_by_order,
     _connected_classes,
+    _rank_at_most,
     _shape_classes,
     available_theorems,
     bicyclic_classes,
@@ -23,6 +28,20 @@ from signed_nullity.verification import (
     verify_theorem,
 )
 from oracles import automorphism_count, brute_bicyclic_underlying, connected_labeled_graphs
+
+
+@pytest.fixture
+def canonize_calls(monkeypatch) -> list:
+    """Every graph the class builder canonizes from here on, in call order."""
+    calls: list = []
+    canonize = verification._canonize
+
+    def counted(g):
+        calls.append(g)
+        return canonize(g)
+
+    monkeypatch.setattr(verification, "_canonize", counted)
+    return calls
 
 
 class TestVerifyTheorem:
@@ -228,19 +247,11 @@ class TestBicyclicClasses:
         ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
-    def test_canonizer_calls_at_order_9(self, monkeypatch):
+    def test_canonizer_calls_at_order_9(self, canonize_calls):
         # leaves hang from one vertex per orbit and pass the degree test
         # before canonizing; every leaf from every vertex made 2,545 calls
-        calls = []
-        canonize = verification._canonize
-
-        def counted(g):
-            calls.append(g)
-            return canonize(g)
-
-        monkeypatch.setattr(verification, "_canonize", counted)
         assert len(bicyclic_classes(9)) == 797
-        assert len(calls) < 1400
+        assert len(canonize_calls) < 1400
 
     def test_sweep_stream_is_the_class_list_of_each_order(self):
         # a sweep chunk walks one 2-core shape through every order up to max_n
@@ -261,20 +272,12 @@ class TestConnectedClasses:
         levels = _classes_by_order(SignedGraph(1, ()), 7, 7)
         assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
 
-    def test_canonizer_calls_at_order_7(self, monkeypatch):
+    def test_canonizer_calls_at_order_7(self, canonize_calls):
         # a new vertex with two or more neighbors joins every old leaf, or
         # its class comes from a leaf deletion; canonizing every such join
         # made 7,424 calls
-        calls = []
-        canonize = verification._canonize
-
-        def counted(g):
-            calls.append(g)
-            return canonize(g)
-
-        monkeypatch.setattr(verification, "_canonize", counted)
         assert sum(g.order == 7 for g in _connected_classes(7)) == 853
-        assert len(calls) < 6000
+        assert len(canonize_calls) < 6000
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_the_labeled_oracle(self, n):
@@ -331,6 +334,78 @@ class TestCountingCertificate:
         assert [labeled[n] for n in range(4, 8)] == [6, 205, 5700, 156555]
 
 
+def _unpruned_catalogs(n: int) -> dict[tuple[int, bool], NullityCatalog]:
+    """Every catalog of order n, k = 3..n and both balanced_only values,
+    from the full class list: every switching class of every class."""
+    hits: dict[tuple[int, bool], list[CatalogEntry]] = {
+        (k, balanced): [] for k in range(3, n + 1) for balanced in (False, True)
+    }
+    for code, canon in bicyclic_classes(n).items():
+        c1, c2 = fundamental_cycles(canon)
+        edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
+        by_rank: dict[int, list] = {}
+        for rep in signature_representatives(canon):
+            s1, s2 = cycle_sign(rep, c1), cycle_sign(rep, c2)
+            profile = tuple(
+                sorted(((len(c1), s1), (len(c2), s2), (len(edges1 ^ edges2), s1 * s2)))
+            )
+            by_rank.setdefault(n - nullity(rep), []).append((profile, rep, s1 == s2 == 1))
+        for (k, balanced), entries in hits.items():
+            achieved = [(p, rep) for p, rep, bal in by_rank.get(k, []) if bal or not balanced]
+            if achieved:
+                profiles = tuple(sorted({p for p, _ in achieved}))
+                witness = SignedGraph(n, achieved[0][1].edges)
+                entries.append(
+                    CatalogEntry(code, bicyclic_base(canon), profiles, len(achieved), witness)
+                )
+    return {
+        (k, balanced): NullityCatalog(n, k, n - k, balanced, tuple(entries))
+        for (k, balanced), entries in hits.items()
+    }
+
+
+class TestRankPrunedCatalogs:
+    """The catalog build drops a class once every switching class has rank
+    above k; no entry may be lost, so it must equal the unpruned catalog."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_equals_the_unpruned_oracle(self, n):
+        for (k, balanced), expected in _unpruned_catalogs(n).items():
+            catalog = catalog_nullity_classes(n, k, balanced_only=balanced)
+            assert documents.dumps(documents.catalog_document(catalog)) == documents.dumps(
+                documents.catalog_document(expected)
+            ), (n, k, balanced)
+            assert catalog == expected
+
+    def test_canonizer_calls_at_order_9(self, canonize_calls):
+        # bicyclic_classes(9) takes 1,270 calls (pinned below 1,400 above)
+        assert len(catalog_nullity_classes(9, 4).entries) == 10
+        assert len(canonize_calls) < 300
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_keep_changes_nothing_when_k_is_at_least_n_minus_1(self, n):
+        # every order below n is at most k, so the test never runs a rank
+        for k in (n - 1, n):
+            for balanced in (False, True):
+                keep = _rank_at_most(n, k, balanced)
+                for shape in bicyclic_base_shapes(n):
+                    root = base_graph(shape)
+                    assert list(_classes_by_order(root, n, 1, keep)) == list(
+                        _classes_by_order(root, n, 1)
+                    )
+
+    def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
+        # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
+        # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
+        bowtie = base_graph(("infinity", 3, 3, 1))
+        levels = _classes_by_order(bowtie, 8, 1, _rank_at_most(8, 3, False))
+        assert [len(level) for level in levels] == [0, 0, 0, 0]
+        assert len(canonize_calls) == 1
+        k23 = base_graph(("theta", 2, 2, 2))
+        levels = _classes_by_order(k23, 8, 1, _rank_at_most(8, 3, True))
+        assert [len(level) for level in levels] == [1, 0, 0, 0]
+
+
 class TestCatalogs:
     def test_nullity_n_minus_3_only_at_order_4(self):
         catalog = catalog_nullity_classes(4, 3)
@@ -353,6 +428,8 @@ class TestCatalogs:
         catalog = catalog_nullity_classes(6, 4)
         assert catalog.nullity == 2
         for entry in catalog.entries:
+            # a fresh graph, not the representative whose tables the build filled
+            assert "_neighbor_signs" not in vars(entry.witness)
             assert nullity(entry.witness) == 2
 
     def test_bare_theta321_unbalanced_profile(self):
