@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations, product
-from math import factorial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signed_nullity import SignedGraph, build_graph, canonical_code, canonical_form
-from signed_nullity.canonical import (
-    MAX_SEARCH_ORDERS,
-    _canonize,
-    _order_count,
-    _search_space,
-    _twin_orders,
-)
+from signed_nullity import canonical
+from signed_nullity.canonical import _canonize
 from signed_nullity.verification import _connected_classes, bicyclic_classes
 from oracles import (
     are_isomorphic,
@@ -110,7 +104,7 @@ class TestAgainstBruteForce:
         for g in _relabeled(_connected_classes(6), seed=6):
             assert canonical_form(g) == brute_canonical_form(g)
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
     def test_bicyclic_classes(self, n):
         for g in _relabeled(bicyclic_classes(n).values(), seed=n):
             assert canonical_form(g) == brute_canonical_form(g)
@@ -153,42 +147,83 @@ class TestOrbits:
         assert _canonize(build_graph(0, [])) == ("0:", build_graph(0, []), ())
 
 
+def _cycles(*lengths: int) -> SignedGraph:
+    """Disjoint cycles of the given lengths."""
+    edges, first = [], 0
+    for length in lengths:
+        edges += [(first + i, first + (i + 1) % length, 1) for i in range(length)]
+        first += length
+    return build_graph(first, [(min(u, v), max(u, v), s) for u, v, s in edges])
+
+
+def _petersen() -> SignedGraph:
+    edges = [(i, (i + 1) % 5, 1) for i in range(5)]  # outer cycle
+    edges += [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]  # inner pentagram
+    edges += [(i, 5 + i, 1) for i in range(5)]  # spokes
+    return build_graph(10, [(min(u, v), max(u, v), s) for u, v, s in edges])
+
+
+def _cube() -> SignedGraph:
+    return build_graph(8, [(u, u | 1 << b, 1) for u in range(8) for b in range(3) if not u >> b & 1])
+
+
+SYMMETRIC = {
+    "C10": lambda: _cycles(10),
+    "C20": lambda: _cycles(20),
+    "Petersen": _petersen,
+    "K5,5": lambda: build_graph(10, [(u, v, 1) for u in range(5) for v in range(5, 10)]),
+    "Q3": _cube,
+}
+
+
 class TestSearchBound:
-    """canonical_form and canonical_code count the orders before searching
-    and refuse more than 9! of them; _canonize takes no bound."""
+    """The row-by-row search canonizes symmetric graphs in milliseconds;
+    canonical_form and canonical_code stop it after MAX_SEARCH_NODES
+    placements, and _canonize takes no bound."""
 
-    @staticmethod
-    def _petersen() -> SignedGraph:
-        edges = [(i, (i + 1) % 5, 1) for i in range(5)]  # outer cycle
-        edges += [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]  # inner pentagram
-        edges += [(i, 5 + i, 1) for i in range(5)]  # spokes
-        return build_graph(10, [(min(u, v), max(u, v), s) for u, v, s in edges])
-
-    @pytest.mark.parametrize("name", ["C10", "Petersen"])
-    def test_twin_free_regular_graphs_of_order_10_fail_fast(self, name):
-        g = cycle_graph(10) if name == "C10" else self._petersen()
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_symmetric_graphs_canonize_in_milliseconds(self, name):
+        g = SYMMETRIC[name]()
         for public in (canonical_form, canonical_code):
             start = time.perf_counter()
-            with pytest.raises(ValueError, match=f"{factorial(10)} vertex orders"):
-                public(g)
-            assert time.perf_counter() - start < 0.1
+            public(g)
+            assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_relabelings_get_one_code(self, name):
+        g = SYMMETRIC[name]()
+        code, canon = canonical_form(g)
+        for h in _relabeled([g] * 6, seed=len(name)):
+            assert canonical_form(h) == (code, canon)
+
+    @pytest.mark.parametrize("name", ["C8", "C9", "Q3"])
+    def test_matches_brute_force(self, name):
+        g = _cube() if name == "Q3" else _cycles(int(name[1:]))
+        (h,) = _relabeled([g], seed=3)
+        assert canonical_form(h) == brute_canonical_form(h)
 
     def test_c8_still_canonizes(self):
-        assert factorial(8) <= MAX_SEARCH_ORDERS
         relabeled = permuted(cycle_graph(8), [3, 0, 6, 1, 7, 2, 5, 4])
         assert canonical_code(relabeled) == canonical_code(cycle_graph(8)) == _canonize(cycle_graph(8))[0]
 
-    def test_twins_shrink_the_count(self):
-        # K5,5 is one refined class of two groups of five false twins
-        k55 = build_graph(10, [(u, v, 1) for u in range(5) for v in range(5, 10)])
-        assert _order_count(*_search_space(k55._sorted_neighbors)) == 252  # 10! / (5! 5!)
-        assert canonical_code(k55) == _canonize(k55)[0]
+    def test_exploding_ties_fail_fast(self):
+        # four disjoint C5s: 240,000 orders tie the least matrix
+        g = _cycles(5, 5, 5, 5)
+        for public in (canonical_form, canonical_code):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"more than {canonical.MAX_SEARCH_NODES} search nodes"):
+                public(g)
+            assert time.perf_counter() - start < 0.2
 
-    def test_count_is_the_number_of_orders_tried(self):
-        rng = random.Random(29)
-        graphs = list(_connected_classes(5)) + [star_graph(4), cycle_graph(6)]
-        graphs += [random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
-        for g in graphs:
-            classes, twin = _search_space(g._sorted_neighbors)
-            tried = sum(1 for _ in product(*(_twin_orders(c, twin) for c in classes)))
-            assert _order_count(classes, twin) == tried
+    def test_canonize_takes_no_bound(self, monkeypatch):
+        # C20 takes 340 placements; with the public bound at 100 only the
+        # public functions refuse it
+        c20 = _cycles(20)
+        monkeypatch.setattr(canonical, "MAX_SEARCH_NODES", 100)
+        for public in (canonical_form, canonical_code):
+            with pytest.raises(ValueError, match="more than 100 search nodes"):
+                public(c20)
+        (relabeled,) = _relabeled([c20], seed=20)
+        code, canon, orbit_reps = _canonize(relabeled)
+        assert (code, canon, orbit_reps) == _canonize(c20)
+        assert orbit_reps == (0,)
