@@ -180,4 +180,4 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
         for where, sign in zip(free_positions, pattern):
             u, v, _ = edges[where]
             edges[where] = (u, v, sign)
-        yield SignedGraph._trusted(g.order, tuple(edges))
+        yield g._resigned(tuple(edges))

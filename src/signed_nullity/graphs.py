@@ -67,6 +67,14 @@ class SignedGraph:
         g.__dict__.update(order=order, edges=edges)
         return g
 
+    def _resigned(self, edges: tuple[Edge, ...]) -> "SignedGraph":
+        """A graph on the same vertex pairs, in the same order, with the
+        signs of ``edges``; it shares this graph's sign-free neighbor table
+        instead of building its own."""
+        g = SignedGraph._trusted(self.order, edges)
+        g.__dict__["_sorted_neighbors"] = self._sorted_neighbors
+        return g
+
     @cached_property
     def _neighbor_signs(self) -> tuple[dict[int, int], ...]:
         table: tuple[dict[int, int], ...] = tuple({} for _ in range(self.order))
@@ -116,7 +124,7 @@ class SignedGraph:
 
     def underlying(self) -> "SignedGraph":
         """The same graph with every sign set to +1."""
-        return SignedGraph._trusted(self.order, tuple((u, v, 1) for u, v, _ in self.edges))
+        return self._resigned(tuple((u, v, 1) for u, v, _ in self.edges))
 
     def is_all_positive(self) -> bool:
         return all(s == 1 for _, _, s in self.edges)
@@ -166,7 +174,7 @@ def switch(g: SignedGraph, theta: Sequence[int]) -> SignedGraph:
         raise ValueError(f"switching function has length {len(theta)}, graph has order {g.order}")
     for t in theta:
         _check_sign(t)
-    return SignedGraph._trusted(g.order, tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
+    return g._resigned(tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
 
 
 @dataclass(frozen=True)
@@ -278,10 +286,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int
     """
     if g1.order != g2.order or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise ValueError("graphs have different underlying graphs")
-    product = SignedGraph._trusted(
-        g1.order,
-        tuple((u, v, s1 * g2.sign_of(u, v)) for u, v, s1 in g1.edges),
-    )
+    product = g1._resigned(tuple((u, v, s1 * g2.sign_of(u, v)) for u, v, s1 in g1.edges))
     witness = is_balanced(product)
     return witness.switching if witness.balanced else None
 

@@ -15,51 +15,52 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix, computed exactly.
 
     Fraction-free elimination (one-step Bareiss): after step k every working
-    entry equals a (k+1)x(k+1) minor of the input, so the division by the
-    previous pivot is exact and intermediate growth stays polynomial.  The
-    pivot is the first nonzero entry of the remaining submatrix in row-major
-    order, brought into place by a row and a column swap.
+    entry is, up to sign, a (k+1)x(k+1) minor of the input, so the division
+    by the previous pivot is exact and intermediate growth stays polynomial.
+    The pivot is the first nonzero entry, top down, of the first column that
+    has one below the rows already used, brought into place by a row swap.
+
+    A row the pivot p does not touch must be multiplied by p and divided by
+    the previous pivot to stay a minor.  When p is that pivot up to sign,
+    this only negates the row or does nothing, so it is skipped: every row
+    and pivot is then its Bareiss value up to sign, an update from them is
+    the Bareiss update up to sign, so every division stays exact, and a
+    sign does not change the rank.  The argument is copied, not modified.
     """
     m = [list(row) for row in matrix]
+    for row in m:
+        if len(row) != len(m[0]):
+            raise ValueError("ragged matrix")
+    return _eliminate(m)
+
+
+def _eliminate(m: list[list[int]]) -> int:
+    """The kernel of :func:`rank`, on a rectangular matrix that it overwrites."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    for row in m:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
     r = 0
     prev = 1
-    limit = min(rows, cols)
-    while r < limit:
-        pivot_row = -1
-        pivot_col = -1
-        for i in range(r, rows):
-            mi = m[i]
-            for j in range(r, cols):
-                if mi[j]:
-                    pivot_row, pivot_col = i, j
-                    break
-            if pivot_row >= 0:
-                break
-        if pivot_row < 0:
+    for c in range(cols):
+        if r == rows:
             break
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        if pivot_col != r:
-            for row in m:
-                row[r], row[pivot_col] = row[pivot_col], row[r]
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
         mr = m[r]
-        p = mr[r]
+        p = mr[c]
+        rescale = p != prev and p != -prev
         for i in range(r + 1, rows):
             mi = m[i]
-            f = mi[r]
+            f = mi[c]
             if f:
-                for j in range(r + 1, cols):
+                for j in range(c + 1, cols):
                     mi[j] = (mi[j] * p - f * mr[j]) // prev
-                mi[r] = 0
-            elif p != prev:
-                # rows untouched by the pivot still need the minor rescaling,
-                # otherwise later exact divisions break
-                for j in range(r + 1, cols):
+            elif rescale:
+                for j in range(c + 1, cols):
                     if mi[j]:
                         mi[j] = mi[j] * p // prev
         prev = p
@@ -68,8 +69,11 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def nullity(g: SignedGraph) -> int:
-    """Multiplicity of the zero eigenvalue: order minus adjacency rank."""
-    return g.order - rank(adjacency_matrix(g))
+    """Multiplicity of the zero eigenvalue: order minus adjacency rank.
+
+    The rank kernel overwrites the fresh adjacency matrix, with no copy.
+    """
+    return g.order - _eliminate(adjacency_matrix(g))
 
 
 def cycle_nullity_formula(length: int, balanced: bool) -> int:

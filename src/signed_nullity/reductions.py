@@ -56,14 +56,15 @@ def delete_pendant_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
 
 def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
     v1, v2, v3 = p.v1, p.v2, p.v3
-    if len({v1, v2, v3}) != 3 or not all(0 <= v < g.order for v in (v1, v2, v3)):
+    n = g.order
+    if len({v1, v2, v3}) != 3 or not (0 <= v1 < n and 0 <= v2 < n and 0 <= v3 < n):
         return False
-    if not (g.has_edge(v1, v2) and g.has_edge(v2, v3)):
+    # the ids are in range, so the table is read directly, with no accessor
+    signs = g._neighbor_signs
+    middle = signs[v2]
+    if len(middle) != 2 or v1 not in middle or v3 not in middle or v3 in signs[v1]:
         return False
-    if g.degree(v2) != 2 or g.has_edge(v1, v3):
-        return False
-    shared = set(g.neighbors(v1)) & set(g.neighbors(v3))
-    return shared <= {v2}
+    return signs[v1].keys() & signs[v3].keys() <= {v2}
 
 
 def find_special_paths(g: SignedGraph) -> list[SpecialPath]:

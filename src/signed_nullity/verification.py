@@ -331,8 +331,10 @@ class Sweep:
 def _tree_tasks(max_n: int) -> list[tuple]:
     tasks: list[tuple] = []
     for n in range(1, max_n + 1):
-        # from order 7 on, one chunk per first Pruefer symbol keeps the pool balanced
-        tasks.extend([(n,)] if n <= 6 else [(n, first) for first in range(n)])
+        # from order 7 on, one chunk per two-symbol Pruefer prefix: n^2 equal
+        # chunks, where n chunks would split 4:3 on two workers at n=7
+        prefixes = [()] if n <= 6 else product(range(n), repeat=2)
+        tasks.extend((n, *prefix) for prefix in prefixes)
     return tasks
 
 

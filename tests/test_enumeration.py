@@ -146,6 +146,14 @@ class TestSignatureRepresentatives:
         with pytest.raises(ValueError, match="connected"):
             list(signature_representatives(g))
 
+    def test_representatives_share_the_sign_free_neighbor_table(self):
+        graphs = [g for n in range(4, 8) for g in bicyclic_underlying(n)]
+        graphs += connected_labeled_graphs(5)
+        for g in graphs:
+            for rep in signature_representatives(g):
+                assert rep._sorted_neighbors is g._sorted_neighbors
+                assert rep._sorted_neighbors == build_graph(rep.order, rep.edges)._sorted_neighbors
+
 
 class TestConnectedLabeledGraphs:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)])

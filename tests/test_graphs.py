@@ -151,6 +151,15 @@ class TestSwitch:
         theta = (1, -1, -1, 1, -1, 1)
         assert switch(switch(g, theta), theta) == g
 
+    def test_shares_the_sign_free_neighbor_table(self):
+        # switching keeps the underlying graph, so the result reuses the
+        # input's table, and that table is the one a fresh build gives
+        for g in _generated_graphs():
+            theta = tuple(-1 if v % 2 else 1 for v in range(g.order))
+            for h in (switch(g, theta), g.underlying()):
+                assert h._sorted_neighbors is g._sorted_neighbors
+                assert h._sorted_neighbors == build_graph(h.order, h.edges)._sorted_neighbors
+
 
 class TestIsBalanced:
     def test_all_positive_is_balanced_with_trivial_witness(self):

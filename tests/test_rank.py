@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signed_nullity import (
     adjacency_matrix,
@@ -15,6 +16,7 @@ from signed_nullity import (
     matching_number,
     nullity,
     rank,
+    reduce,
 )
 from oracles import (
     brute_matching_number,
@@ -24,6 +26,29 @@ from oracles import (
     star_graph,
     sympy_rank,
 )
+
+
+@st.composite
+def integer_matrices(draw):
+    """Wide, tall and square matrices up to 8x8 with entries in -4..4: half
+    of them products A*B of rank at most A's column count, and any of them
+    with some columns zeroed."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+
+    def block(height, width):
+        # zero half the time, so pivots often leave rows untouched
+        row = st.lists(st.just(0) | st.integers(-4, 4), min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        a, b = block(rows, inner), block(inner, cols)
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    else:
+        m = block(rows, cols)
+    zeroed = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [[0 if j in zeroed else x for j, x in enumerate(row)] for row in m]
 
 
 class TestRankKernel:
@@ -53,6 +78,9 @@ class TestRankKernel:
     def test_needs_column_pivoting(self):
         # first column zero, rank found in later columns
         assert rank([[0, 1, 1], [0, 1, 1], [0, 0, 1]]) == 2
+        # two leading zero columns, and a column with no pivot in between
+        assert rank([[0, 0, 1, 2], [0, 0, 2, 4], [0, 0, 0, 1]]) == 2
+        assert rank([[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 3], [0, 2, 0, 0]]) == 2
 
     def test_exact_on_entries_that_overflow_floats(self):
         big = 10**30
@@ -83,6 +111,48 @@ class TestRankKernel:
                         m[i][j] = s
                         m[j][i] = s
             assert rank(m) == sympy_rank(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_matches_both_oracles(self, m):
+        # the Laplace oracle is exponential, so it only sees the smaller shapes
+        expected = sympy_rank(m)
+        assert rank(m) == expected
+        if len(m) * len(m[0]) <= 36:
+            assert minor_rank(m) == expected
+
+    def test_rank_leaves_its_argument_alone(self):
+        m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert rank(m) == 3
+        assert m == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # a signed graph on 6 vertices whose pivots run 1, -1, 2, 2, -2,
+            # -4: at the -1 an untouched row only flips sign, so its rescale
+            # is skipped; at the first 2 an untouched row is multiplied by 2
+            # and divided by -1, and a kernel that never rescales gets the
+            # rank wrong
+            [
+                [0, 0, 0, 0, 1, -1],
+                [0, 0, 0, -1, -1, -1],
+                [0, 0, 0, 1, 0, 0],
+                [0, -1, 1, 0, 0, -1],
+                [1, -1, 0, 0, 0, 0],
+                [-1, -1, 0, -1, 0, 0],
+            ],
+            # pivots 1, 2, 2, 2: rows 2 and 3 are untouched by the first 2 and
+            # must be doubled, or a later division by 2 truncates
+            [[1, -1, 1, 0], [2, 0, 0, -1], [0, 0, 1, 0], [1, -1, 2, 1]],
+            # pivots -1, 1, 4: the row [0, 1, -2] is untouched by the -1 and
+            # keeps its sign, where Bareiss would negate it
+            [[0, 1, -2], [-1, 0, 2], [-2, 0, 0]],
+        ],
+        ids=["signed-graph", "real-rescale", "sign-only"],
+    )
+    def test_rescale_branches_at_full_rank(self, m):
+        assert rank(m) == minor_rank(m) == len(m)
 
     def test_permutation_invariance(self):
         rng = random.Random(3)
@@ -115,6 +185,40 @@ class TestNullity:
         g1 = cycle_graph(4)
         g2 = star_graph(3)
         assert nullity(disjoint_union(g1, g2)) == nullity(g1) + nullity(g2)
+
+
+def _random_tree_edges(rng: random.Random, n: int, keep: float = 1.0) -> list:
+    """Signed edges joining each vertex to an earlier one with probability ``keep``."""
+    return [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n) if rng.random() < keep]
+
+
+class TestLargeInputs:
+    """Nullity of graphs with hundreds of vertices, each checked by a second route."""
+
+    @pytest.mark.parametrize("n", [300, 400, 500])
+    def test_trees_and_forests_match_the_matching_formula(self, n):
+        rng = random.Random(n)
+        for keep in (1.0, 0.9):
+            g = build_graph(n, _random_tree_edges(rng, n, keep))
+            assert nullity(g) == forest_nullity_formula(g)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bicyclic_graph_matches_its_pendant_reduction(self, seed):
+        # a random tree on 300 vertices plus two more edges; deleting
+        # pendant pairs keeps the nullity
+        rng = random.Random(seed)
+        n = 300
+        edges = _random_tree_edges(rng, n)
+        pairs = {(u, v) for u, v, _ in edges}
+        while len(edges) < n + 1:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in pairs:
+                pairs.add((u, v))
+                edges.append((u, v, rng.choice((1, -1))))
+        g = build_graph(n, edges)
+        residue, trace = reduce(g)
+        assert trace.steps
+        assert nullity(g) == nullity(residue)
 
 
 class TestCycleNullityFormula:

@@ -97,6 +97,19 @@ class TestVerifyTheorem:
         assert report.theorem == "lemma2.5"
         assert report.ok
 
+    def test_tree_chunks_are_two_symbol_prefixes_from_order_7(self):
+        tasks = verification._tree_tasks(7)
+        assert tasks[:6] == [(n,) for n in range(1, 7)]
+        prefixes = sorted(args[1:] for args in tasks[6:])
+        assert prefixes == [(a, b) for a in range(7) for b in range(7)]
+        counts = [verification._sweep_chunk(("lemma2.1i", args))[0] for args in tasks]
+        assert counts[6:] == [7**3] * 49
+        assert sum(counts) == sum(n ** (n - 2) for n in range(2, 8)) + 1 == 18249
+        serial, pooled = (verify_theorem("lemma2.1i", 7, workers=w) for w in (1, 2))
+        assert documents.dumps(documents.verification_document(serial)) == documents.dumps(
+            documents.verification_document(pooled)
+        )
+
     def test_parallel_results_identical(self):
         from signed_nullity import documents
 
