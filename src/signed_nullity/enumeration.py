@@ -1,10 +1,10 @@
 """Exhaustive generators: labeled trees, bicyclic cores, switching classes.
 
 Connected and bicyclic graphs are not streamed here.  The bicyclic 2-core
-shapes and their base graphs are, and :func:`vertex_extensions` grows a
-graph by one vertex.  From these :mod:`signed_nullity.verification` builds
-one canonical graph per isomorphism class, order by order, for the sweeps
-and the catalogs alike.  All streams are in a fixed deterministic order.
+shapes and their base graphs are: from them, and from K1,
+:mod:`signed_nullity.verification` builds one canonical graph per
+isomorphism class, order by order, for the sweeps and the catalogs alike.
+All streams are in a fixed deterministic order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import product
-from typing import Container, Iterator
+from typing import Iterator
 
 from .graphs import SignedGraph, _spanning_forest
 
@@ -138,27 +138,6 @@ def base_graph(shape: BaseShape) -> SignedGraph:
             chain([u] + inner + [v])
     edges.sort()
     return SignedGraph._trusted(n, tuple(edges))
-
-
-def vertex_extensions(
-    g: SignedGraph, max_degree: int, leaf_anchors: Container[int]
-) -> Iterator[SignedGraph]:
-    """g plus one new vertex, joined by positive edges to each nonempty set
-    of at most ``max_degree`` existing vertices in turn; a set of one vertex
-    only when that vertex is in ``leaf_anchors``, and a larger set only when
-    it holds every leaf of g, so that the grown graph has no leaf."""
-    new = g.order
-    leaves = {v for v, nbrs in enumerate(g._sorted_neighbors) if len(nbrs) == 1}
-    joins: list[tuple[tuple[int, int, int], ...]] = [()]  # the new vertex's edges
-    for v in range(new):
-        joins += [join + ((v, new, 1),) for join in joins if len(join) < max_degree]
-    for join in joins[1:]:
-        if len(join) == 1:
-            keep = join[0][0] in leaf_anchors
-        else:
-            keep = leaves.issubset(u for u, _, _ in join)
-        if keep:
-            yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:

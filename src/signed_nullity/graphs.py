@@ -332,7 +332,7 @@ def connected_components(g: SignedGraph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: SignedGraph) -> bool:
-    return g.order <= 1 or len(connected_components(g)) == 1
+    return _spanning_forest(g)[0].count(-1) <= 1
 
 
 def disjoint_union(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:

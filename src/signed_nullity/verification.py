@@ -30,11 +30,10 @@ from .enumeration import (
     labeled_trees,
     prufer_graph,
     signature_representatives,
-    vertex_extensions,
 )
-from .graphs import SignedGraph, adjacency_matrix, build_graph, cycle_sign, fundamental_cycles
+from .graphs import SignedGraph, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
-from .rank import cycle_nullity_formula, forest_nullity_formula, nullity, rank
+from .rank import cycle_nullity_formula, forest_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -81,11 +80,16 @@ class TheoremReport:
 def _classes_by_order(
     root: SignedGraph,
     max_n: int,
-    max_degree: int,
+    leaves_only: bool,
     keep: Optional[Callable[[SignedGraph], bool]] = None,
 ) -> Iterator[dict[str, SignedGraph]]:
     """Canonical code -> canonical graph of every class grown from ``root``,
     one dict per order from the root's up to max_n.
+
+    Each order is every class of the order before plus one new vertex, in
+    each way :func:`_extensions` keeps, de-duplicated by canonical code
+    (McKay's isomorph-free generation by extension); its docstring shows
+    that no class is lost.
 
     With ``keep``, a class (the root included) whose canonical graph fails
     it is dropped and grows no further; each verdict is recorded by code, so
@@ -97,21 +101,6 @@ def _classes_by_order(
     to a switching class of each of them, and a principal submatrix has at
     most the rank of the whole matrix: if H has a switching class of rank
     k, each class on its way has one of rank at most k.
-
-    Each order is every class of the order before plus one new vertex,
-    joined to each nonempty set of at most ``max_degree`` vertices, and
-    de-duplicated by canonical code (McKay's isomorph-free generation by
-    extension).  From K1 with no degree cap this meets every connected
-    graph, because a connected graph has a vertex that is not a cut vertex.
-    From a bicyclic base graph with max_degree 1 it meets every graph with
-    that 2-core, because such a graph, unless it is the core itself, has a
-    pendant vertex.  A new leaf hangs only from the anchors
-    :func:`_leaf_anchors` picks, which still meet every class with a leaf.
-    A new vertex with two or more neighbors joins every leaf of g: otherwise
-    the grown graph keeps a leaf, so its canonical parent is a leaf deletion,
-    whose extension the anchors keep.  No leafless class is lost, since a
-    vertex x of it that is not a cut vertex has two or more neighbors, and
-    every leaf of the graph minus x is one of them.
     """
     code, canon, reps = _canonize(root)
     level = {code: (canon, reps)} if keep is None or keep(canon) else {}
@@ -120,7 +109,7 @@ def _classes_by_order(
         grown: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
         dropped: set[str] = set()
         for g, reps in level.values():
-            for h in vertex_extensions(g, max_degree, _leaf_anchors(g, reps)):
+            for h in _extensions(g, reps, leaves_only):
                 code, canon, orbit_reps = _canonize(h)
                 if code in grown or code in dropped:
                     continue
@@ -132,39 +121,61 @@ def _classes_by_order(
         yield {code: canon for code, (canon, _) in level.items()}
 
 
-def _leaf_anchors(g: SignedGraph, orbit_reps: tuple[int, ...]) -> list[int]:
-    """The vertices among ``orbit_reps`` from which a new leaf can make g's
-    extension a canonical child.
+def _extensions(
+    g: SignedGraph, orbit_reps: tuple[int, ...], leaves_only: bool
+) -> Iterator[SignedGraph]:
+    """g plus one new vertex, joined by positive edges to each set of old
+    vertices that can make the grown graph a canonical child of g: one
+    vertex of ``orbit_reps`` (one per orbit of Aut(g)) that passes a degree
+    test, then, unless ``leaves_only``, every set of two or more vertices
+    that holds all of g's leaves.
 
-    Hanging leaves from one vertex per orbit of Aut(g) loses no class.  And
-    since refinement starts from degrees and only splits classes, canonical
-    position 0 of a graph with a leaf is a leaf whose neighbor has the least
-    degree among the neighbors of its leaves; deleting that leaf gives the
-    graph's canonical parent, and the parent's extension passes this test.
-    A leaf hung from u can be that leaf only if u, one degree up, has such a
-    least degree, so extensions from other anchors are skipped uncanonized.
-    For the same reason :func:`vertex_extensions` skips every larger join
-    that leaves a leaf of g a leaf: the grown graph's canonical parent is
-    then a leaf deletion, reached through these anchors.
+    No class is lost.  Let H be a class one order up.  If H has a leaf:
+    refinement starts from degrees and only splits classes, so H's canonical
+    position 0 is a leaf whose neighbor has the least degree among the
+    neighbors of H's leaves.  Deleting it gives H's canonical parent, and H
+    is that parent plus a leaf hung from the orbit representative u of its
+    neighbor.  Since u, one degree up, has that least degree, each leaf v
+    of the parent and its neighbor w have deg(w) > deg(u) unless u is v or
+    w: that is the test, and other anchors are skipped uncanonized.  For
+    the same reason a wider join that misses a leaf of g is skipped: the
+    grown graph keeps that leaf, so it is met through a leaf deletion.  If H
+    has no leaf, it has a vertex x that is not a cut vertex; x has two or
+    more neighbors, and every leaf of H - x is one of them, or it would stay
+    a leaf of H.
+
+    So from K1 the two kinds of joins meet every connected graph, and from a
+    bicyclic base graph the leaves alone meet every graph with that 2-core:
+    unless it is the core itself, such a graph has a leaf, and deleting a
+    leaf keeps the 2-core.
     """
-    neighbors = g._sorted_neighbors
-    leaves = [(v, nbrs[0]) for v, nbrs in enumerate(neighbors) if len(nbrs) == 1]
-    return [
-        u
+    new = g.order
+    degree = [len(nbrs) for nbrs in g._sorted_neighbors]
+    leaves = [(v, nbrs[0]) for v, nbrs in enumerate(g._sorted_neighbors) if len(nbrs) == 1]
+    joins = [
+        ((u, new, 1),)
         for u in orbit_reps
-        if all(len(neighbors[w]) > len(neighbors[u]) for v, w in leaves if u != v and u != w)
+        if all(degree[w] > degree[u] for v, w in leaves if u != v and u != w)
     ]
+    if not leaves_only:
+        wide = [tuple((v, new, 1) for v, _ in leaves)]
+        for u in range(new):
+            if degree[u] != 1:
+                wide += [join + ((u, new, 1),) for join in wide]
+        joins += [join for join in wide if len(join) >= 2]
+    for join in joins:
+        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
 
 
 def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
     """One canonical graph per class of connected graphs, order by order from K1 up to max_n."""
-    for level in _classes_by_order(SignedGraph._trusted(1, ()), max_n, max_n):
+    for level in _classes_by_order(SignedGraph._trusted(1, ()), max_n, False):
         yield from level.values()
 
 
 def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
     """One canonical graph per class whose 2-core is ``shape``, order by order up to max_n."""
-    for level in _classes_by_order(base_graph(shape), max_n, 1):
+    for level in _classes_by_order(base_graph(shape), max_n, True):
         yield from level.values()
 
 
@@ -184,7 +195,8 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
     """
     classes: dict[str, SignedGraph] = {}
     for shape in _bicyclic_shapes(n):
-        classes.update(list(_classes_by_order(base_graph(shape), n, 1))[-1])
+        *_, top = _classes_by_order(base_graph(shape), n, True)
+        classes.update(top)
     return dict(sorted(classes.items()))
 
 
@@ -227,14 +239,14 @@ def _check_cycles(length: int) -> Checked:
 def _check_rank2(max_n: int) -> Checked:
     for g in _connected_classes(max_n):
         for rep in signature_representatives(g):
-            ok = recognize_rank2(rep).matches == (rank(adjacency_matrix(rep)) == 2)
+            ok = recognize_rank2(rep).matches == (rep.order - nullity(rep) == 2)
             yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
 
 
 def _check_rank3(max_n: int) -> Checked:
     for g in _connected_classes(max_n):
         for rep in signature_representatives(g):
-            r = rank(adjacency_matrix(rep))
+            r = rep.order - nullity(rep)
             details: tuple[str, ...] = ()
             if recognize_rank3(rep).matches != (r == 3):
                 details = ("rank-3 recognizer disagrees with rank kernel",)
@@ -520,7 +532,7 @@ def _rank_at_most(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph]
         if g.order <= k or g.order == n:
             return True
         reps = (g,) if balanced_only else signature_representatives(g)
-        return any(rank(adjacency_matrix(rep)) <= k for rep in reps)
+        return any(rep.order - nullity(rep) <= k for rep in reps)
 
     return keep
 
@@ -534,7 +546,7 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     are computed only for a class with a switching class at nullity n-k.
     """
     shape, n, k, balanced_only = task
-    *_, level = _classes_by_order(base_graph(shape), n, 1, _rank_at_most(n, k, balanced_only))
+    *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(n, k, balanced_only))
     entries = []
     for code, canon in level.items():
         cycles = None

@@ -9,7 +9,7 @@ import pytest
 
 from signed_nullity import SignedGraph, documents, is_connected, nullity
 from signed_nullity import verification
-from signed_nullity.canonical import canonical_form
+from signed_nullity.canonical import _canonize, canonical_form
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, signature_representatives
 from signed_nullity.graphs import cycle_sign, fundamental_cycles
 from signed_nullity.recognizers import bicyclic_base
@@ -19,6 +19,7 @@ from signed_nullity.verification import (
     TheoremReport,
     _classes_by_order,
     _connected_classes,
+    _extensions,
     _rank_at_most,
     _shape_classes,
     available_theorems,
@@ -256,7 +257,7 @@ class TestBicyclicClasses:
         per_shape = [
             code
             for shape in bicyclic_base_shapes(n)
-            for code in list(_classes_by_order(base_graph(shape), n, 1))[-1]
+            for code in list(_classes_by_order(base_graph(shape), n, leaves_only=True))[-1]
         ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
@@ -264,7 +265,7 @@ class TestBicyclicClasses:
         # leaves hang from one vertex per orbit and pass the degree test
         # before canonizing; every leaf from every vertex made 2,545 calls
         assert len(bicyclic_classes(9)) == 797
-        assert len(canonize_calls) < 1400
+        assert len(canonize_calls) == 1270
 
     def test_sweep_stream_is_the_class_list_of_each_order(self):
         # a sweep chunk walks one 2-core shape through every order up to max_n
@@ -282,7 +283,7 @@ class TestBicyclicClasses:
 class TestConnectedClasses:
     def test_class_counts(self):
         # OEIS A001349, from one build through every order
-        levels = _classes_by_order(SignedGraph(1, ()), 7, 7)
+        levels = _classes_by_order(SignedGraph(1, ()), 7, leaves_only=False)
         assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
 
     def test_canonizer_calls_at_order_7(self, canonize_calls):
@@ -290,7 +291,7 @@ class TestConnectedClasses:
         # its class comes from a leaf deletion; canonizing every such join
         # made 7,424 calls
         assert sum(g.order == 7 for g in _connected_classes(7)) == 853
-        assert len(canonize_calls) < 6000
+        assert len(canonize_calls) == 5513
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_the_labeled_oracle(self, n):
@@ -298,7 +299,7 @@ class TestConnectedClasses:
         for g in connected_labeled_graphs(n):
             code, canon = canonical_form(g)
             expected.setdefault(code, canon)
-        *_, level = _classes_by_order(SignedGraph(1, ()), n, n)
+        *_, level = _classes_by_order(SignedGraph(1, ()), n, leaves_only=False)
         assert level == expected
 
     def test_one_canonical_connected_graph_per_class(self):
@@ -317,6 +318,42 @@ class TestConnectedClasses:
             report = verify_theorem(theorem, 6, workers=workers)
             assert report.ok
             assert report.instances_checked == count
+
+
+def _filtered_joins(g: SignedGraph, orbit_reps: tuple[int, ...], leaves_only: bool) -> list:
+    """The reference for :func:`_extensions`: g plus a new vertex joined to
+    every nonempty set of old vertices, kept by the filter it replaced."""
+    n = g.order
+    leaves = {v for v in g.vertices() if g.degree(v) == 1}
+    kept = []
+    for mask in range(1, 2**n):
+        join = [v for v in range(n) if mask >> v & 1]
+        h = SignedGraph(n + 1, tuple(sorted(g.edges + tuple((v, n, 1) for v in join))))
+        if len(join) == 1:
+            # an anchor whose new leaf could be the grown graph's canonical
+            # position 0: its neighbor has the least degree among the
+            # neighbors of the grown graph's leaves
+            least = min(h.degree(h.neighbors(x)[0]) for x in h.vertices() if h.degree(x) == 1)
+            keep = join[0] in orbit_reps and h.degree(join[0]) == least
+        else:
+            keep = not leaves_only and leaves <= set(join)
+        if keep:
+            kept.append(h)
+    return kept
+
+
+class TestExtensions:
+    @pytest.mark.parametrize("leaves_only", [False, True])
+    def test_matches_the_filter_over_every_join(self, leaves_only):
+        # the connected classes to order 6 and the bicyclic ones of orders 4..8
+        graphs = list(_connected_classes(6))
+        graphs += [g for shape in bicyclic_base_shapes(8) for g in _shape_classes(shape, 8)]
+        for g in graphs:
+            _, canon, orbit_reps = _canonize(g)
+            assert canon == g
+            grown = sorted(h.edges for h in _extensions(g, orbit_reps, leaves_only))
+            expected = sorted(h.edges for h in _filtered_joins(g, orbit_reps, leaves_only))
+            assert grown == expected, g
 
 
 class TestCountingCertificate:
@@ -391,9 +428,9 @@ class TestRankPrunedCatalogs:
             assert catalog == expected
 
     def test_canonizer_calls_at_order_9(self, canonize_calls):
-        # bicyclic_classes(9) takes 1,270 calls (pinned below 1,400 above)
+        # bicyclic_classes(9) takes 1,270 calls (pinned above)
         assert len(catalog_nullity_classes(9, 4).entries) == 10
-        assert len(canonize_calls) < 300
+        assert len(canonize_calls) == 139
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_keep_changes_nothing_when_k_is_at_least_n_minus_1(self, n):
@@ -403,19 +440,19 @@ class TestRankPrunedCatalogs:
                 keep = _rank_at_most(n, k, balanced)
                 for shape in bicyclic_base_shapes(n):
                     root = base_graph(shape)
-                    assert list(_classes_by_order(root, n, 1, keep)) == list(
-                        _classes_by_order(root, n, 1)
+                    assert list(_classes_by_order(root, n, True, keep)) == list(
+                        _classes_by_order(root, n, True)
                     )
 
     def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
         # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
         # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
         bowtie = base_graph(("infinity", 3, 3, 1))
-        levels = _classes_by_order(bowtie, 8, 1, _rank_at_most(8, 3, False))
+        levels = _classes_by_order(bowtie, 8, True, _rank_at_most(8, 3, False))
         assert [len(level) for level in levels] == [0, 0, 0, 0]
         assert len(canonize_calls) == 1
         k23 = base_graph(("theta", 2, 2, 2))
-        levels = _classes_by_order(k23, 8, 1, _rank_at_most(8, 3, True))
+        levels = _classes_by_order(k23, 8, True, _rank_at_most(8, 3, True))
         assert [len(level) for level in levels] == [1, 0, 0, 0]
 
 
