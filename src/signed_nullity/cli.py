@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from .graphio import GraphFormatError, parse_graph, to_dot
-from .graphs import SignedGraph, adjacency_matrix, is_balanced
-from .rank import rank
+from .graphs import SignedGraph, is_balanced
+from .rank import nullity
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -35,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact rank/nullity toolkit for signed graphs.",
         epilog=(
             "Graph files: a header line 'n m', then m lines 'u v s' with s in {+,-}; "
-            "'#' starts a comment.  The enumeration ceiling for verify/catalog defaults "
-            "to 10 (SIGNED_NULLITY_MAX_N overrides it); lemma2.1ii has its own cap of 128."
+            "'#' starts a comment.  verify and catalog refuse an order above the sweep's "
+            "cap, and the message names the cap."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,8 +79,8 @@ def _load_graph(path: str) -> tuple[SignedGraph, str]:
 
 def _cmd_nullity(args) -> int:
     g, _ = _load_graph(args.file)
-    r = rank(adjacency_matrix(g))
-    print(f"n={g.order} rank={r} nullity={g.order - r}")
+    eta = nullity(g)
+    print(f"n={g.order} rank={g.order - eta} nullity={eta}")
     return EXIT_OK
 
 
@@ -102,15 +101,15 @@ def _cmd_classify(args) -> int:
     from .recognizers import bicyclic_base, recognize_rank2, recognize_rank3, unbalanced_bicyclic_verdict
 
     g, text = _load_graph(args.file)
-    r = rank(adjacency_matrix(g))
+    eta = nullity(g)
     base = bicyclic_base(g)
     bound = None
     if base is not None and not is_balanced(g).balanced:
         bound = unbalanced_bicyclic_verdict(g)
     payload = {
         "order": g.order,
-        "rank": r,
-        "nullity": g.order - r,
+        "rank": g.order - eta,
+        "nullity": eta,
         "rank2": documents.verdict_dict(recognize_rank2(g)),
         "rank3": documents.verdict_dict(recognize_rank3(g)),
         "bicyclic_base": documents.base_dict(base),
@@ -141,11 +140,7 @@ def _cmd_verify(args) -> int:
     from . import documents
     from .verification import verify_theorem
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = verify_theorem(args.theorem, args.max_n, workers=args.workers)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    report = verify_theorem(args.theorem, args.max_n, workers=args.workers)
     doc = documents.verification_document(report)
     print(documents.dumps(doc), end="")
     print(f"checked {report.instances_checked} instances in {report.elapsed:.2f}s", file=sys.stderr)

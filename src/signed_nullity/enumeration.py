@@ -4,45 +4,18 @@ Connected and bicyclic graphs are not streamed here.  The bicyclic 2-core
 shapes and their base graphs are: from them, and from K1,
 :mod:`signed_nullity.verification` builds one canonical graph per
 isomorphism class, order by order, for the sweeps and the catalogs alike.
-All streams are in a fixed deterministic order.
+All streams are in a fixed deterministic order.  No order is capped here:
+the caps of the sweeps and the catalogs live in the sweep table of
+:mod:`signed_nullity.verification`.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import product
 from typing import Iterator
 
 from .graphs import SignedGraph, _spanning_forest
-
-SOFT_ORDER_LIMIT = 8  # larger sweeps work but take noticeably longer
-DEFAULT_ORDER_CEILING = 10
-CEILING_ENV_VAR = "SIGNED_NULLITY_MAX_N"
-
-
-def enumeration_ceiling() -> int:
-    """Largest order the enumeration entry points accept.
-
-    Defaults to 10; the environment variable SIGNED_NULLITY_MAX_N overrides
-    it (sweeps beyond 10 get expensive fast).
-    """
-    raw = os.environ.get(CEILING_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ORDER_CEILING
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{CEILING_ENV_VAR} must be positive")
-    return value
-
-
-def check_order(n: int) -> None:
-    ceiling = enumeration_ceiling()
-    if n > ceiling:
-        raise ValueError(f"order {n} exceeds the enumeration ceiling {ceiling}")
 
 
 def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:

@@ -107,7 +107,7 @@ class SignedGraph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._neighbor_signs[v])
+        return len(self._sorted_neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

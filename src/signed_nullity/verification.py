@@ -15,18 +15,15 @@ ones.  The checks then take each class once per switching class.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .canonical import _canonize
 from .enumeration import (
-    SOFT_ORDER_LIMIT,
     BaseShape,
     base_graph,
     bicyclic_base_shapes,
-    check_order,
     labeled_trees,
     prufer_graph,
     signature_representatives,
@@ -179,11 +176,19 @@ def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
         yield from level.values()
 
 
+# The largest order of the bicyclic sweeps, catalogs and classes.  On 2
+# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 36-45 s
+# at n <= 12, and the largest catalog, n = 12 and k = 12 (6,627 entries),
+# takes 7-11 s.
+_BICYCLIC_MAX_N = 12
+
+
 def _bicyclic_shapes(n: int) -> list[BaseShape]:
     """The 2-core shapes of the bicyclic classes of order n, once n is checked."""
-    if n < 4:
-        raise ValueError("the smallest bicyclic graph has 4 vertices")
-    check_order(n)
+    if not 4 <= n <= _BICYCLIC_MAX_N:
+        raise ValueError(
+            f"bicyclic classes have orders 4 up to {_BICYCLIC_MAX_N} (their ceiling), got {n}"
+        )
     return bicyclic_base_shapes(n)
 
 
@@ -204,7 +209,7 @@ def bicyclic_underlying(n: int) -> Iterator[SignedGraph]:
     """One all-positive canonical graph per isomorphism class of connected
     graphs with n vertices and n+1 edges, in code order.
 
-    Orders below 4 and above the enumeration ceiling are rejected.
+    Orders below 4 and above 12, the bicyclic sweeps' cap, are rejected.
     """
     return iter(bicyclic_classes(n).values())
 
@@ -331,13 +336,14 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
 
 @dataclass(frozen=True)
 class Sweep:
-    """One exhaustive sweep: its chunks for a given max_n, and the check run on each."""
+    """One exhaustive sweep: the orders (or cycle lengths) it accepts, its
+    chunks for a given max_n, and the check run on each."""
 
     describe: str
     min_n: int
+    max_n: int  # the largest max_n accepted; each value's reason is noted beside it
     tasks: Callable[[int], list[tuple]]  # max_n -> the check's arguments, one tuple per chunk
     check: Callable[..., Checked]
-    max_len: Optional[int] = None  # when set, caps max_n in place of the enumeration ceiling
 
 
 def _tree_tasks(max_n: int) -> list[tuple]:
@@ -348,6 +354,13 @@ def _tree_tasks(max_n: int) -> list[tuple]:
         prefixes = [()] if n <= 6 else product(range(n), repeat=2)
         tasks.extend((n, *prefix) for prefix in prefixes)
     return tasks
+
+
+# The largest order of the connected sweeps.  At n = 9 they would check at
+# least 1,613,484,762 instances (the labeled switching classes, the sum of
+# 2^(m-8) over the labeled connected graphs, divided by 9!), over 11 h at
+# 26 us each, in one chunk.
+_CONNECTED_MAX_N = 8
 
 
 def _connected_tasks(max_n: int) -> list[tuple]:
@@ -362,50 +375,58 @@ def _bicyclic_tasks(max_n: int) -> list[tuple]:
 
 _SWEEPS: dict[str, Sweep] = {
     "lemma2.1i": Sweep(
-        "nullity of every labeled signed tree equals n - 2*matching", 1, _tree_tasks, _check_trees
+        "nullity of every labeled signed tree equals n - 2*matching",
+        1,
+        10,  # n^(n-2) labeled trees: 10^8 at n = 10
+        _tree_tasks,
+        _check_trees,
     ),
     "lemma2.1ii": Sweep(
         "closed-form cycle nullity matches the rank kernel for both balance classes",
         3,
+        128,  # two cycles per length; the cap keeps a typo from launching cubic-cost giants
         lambda max_n: [(length,) for length in range(3, max_n + 1)],
         _check_cycles,
-        # linear work per length, so the enumeration ceiling does not apply;
-        # still capped to keep a typo from launching cubic-cost giants
-        max_len=128,
     ),
     "theorem2.3": Sweep(
         "rank-2 recognizer agrees with the rank kernel on all connected signed graphs",
         1,
+        _CONNECTED_MAX_N,
         _connected_tasks,
         _check_rank2,
     ),
     "theorem2.4": Sweep(
         "rank-3 recognizer agrees with the rank kernel; neighborhood split holds at rank <= 3",
         1,
+        _CONNECTED_MAX_N,
         _connected_tasks,
         _check_rank3,
     ),
     "corollary2.6": Sweep(
         "connected non-star graphs of order >= 4 with a pendant have nullity <= n-4",
         1,
+        _CONNECTED_MAX_N,
         _connected_tasks,
         _check_pendant_bound,
     ),
     "corollary2.9": Sweep(
         "bicyclic graphs with a special path or pendant have nullity <= n-4",
         4,
+        _BICYCLIC_MAX_N,
         _bicyclic_tasks,
         _check_special_path_bound,
     ),
     "theorem3.1": Sweep(
         "unbalanced bicyclic nullity is at most n-3, extremal exactly at the doubled-triangle shape",
         4,
+        _BICYCLIC_MAX_N,
         _bicyclic_tasks,
         _check_bicyclic_bound,
     ),
     "lemma2.5": Sweep(
         "pendant deletions and special-path contractions preserve the nullity",
         4,
+        _BICYCLIC_MAX_N,
         _bicyclic_tasks,
         _check_reductions,
     ),
@@ -467,19 +488,11 @@ def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremRepo
     """Run one exhaustive sweep up to order (or cycle length) ``max_n``."""
     key = _resolve_theorem(theorem_id)
     sweep = _SWEEPS[key]
-    if sweep.max_len is not None:
-        if max_n > sweep.max_len:
-            raise ValueError(f"sweep {key} supports max_n up to {sweep.max_len}")
-    else:
-        check_order(max_n)
-        if max_n > SOFT_ORDER_LIMIT:
-            warnings.warn(
-                f"sweep {key} at n={max_n} is beyond the fast range (n <= {SOFT_ORDER_LIMIT}) "
-                "and may take a long time",
-                stacklevel=2,
-            )
-    if max_n < sweep.min_n:
-        raise ValueError(f"sweep {key} needs max_n >= {sweep.min_n}")
+    if not sweep.min_n <= max_n <= sweep.max_n:
+        raise ValueError(
+            f"sweep {key} needs max_n >= {sweep.min_n} and accepts max_n up to "
+            f"{sweep.max_n} (its ceiling), got {max_n}"
+        )
     start = time.perf_counter()
     results = _run_tasks(_sweep_chunk, [(key, args) for args in sweep.tasks(max_n)], workers)
     violations = sorted(
@@ -586,6 +599,8 @@ def catalog_nullity_classes(
     classes with a switching class of rank at most k (of the balanced one,
     when ``balanced_only``), since rank never falls as leaves are added; so
     a catalog for small k builds a small fraction of the classes of order n.
+    Orders below 4 and above 12, the bicyclic sweeps' cap, are refused
+    before any work.
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -75,12 +77,13 @@ class TestNullityCommand:
         assert "line 2" in capsys.readouterr().err
 
     def test_huge_header_exits_3_before_any_matrix(self, graph_file, capsys, monkeypatch):
-        import signed_nullity.cli as cli_module
+        # the package binds the name rank to the function, not the module
+        rank_module = importlib.import_module("signed_nullity.rank")
 
         def refuse(g):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(cli_module, "adjacency_matrix", refuse)
+        monkeypatch.setattr(rank_module, "adjacency_matrix", refuse)
         assert main(["nullity", graph_file("100000000 0\n")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -176,18 +179,25 @@ class TestVerifyCommand:
         assert "unknown theorem id" in capsys.readouterr().err
 
     def test_over_ceiling_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "5")
-        assert main(["verify", "--theorem", "theorem3.1", "--max-n", "6"]) == 2
+        from signed_nullity import verification
+
+        def refuse(fn, tasks, workers):  # a broken cap fails here instead of sweeping for hours
+            raise AssertionError("a chunk was started")
+
+        monkeypatch.setattr(verification, "_run_tasks", refuse)
+        assert main(["verify", "--theorem", "theorem2.3", "--max-n", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "up to 8 (its ceiling)" in captured.err
 
     def test_below_smallest_bicyclic_order_exits_2(self, capsys):
         assert main(["verify", "--theorem", "theorem3.1", "--max-n", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "needs max_n >= 4" in captured.err
 
-    def test_beyond_fast_range_warns_on_stderr(self, capsys):
+    def test_order_9_bicyclic_sweep_prints_only_the_count(self, capsys):
         assert main(["verify", "--theorem", "corollary2.9", "--max-n", "9"]) == 0
         captured = capsys.readouterr()
-        assert "warning:" in captured.err and "beyond the fast range" in captured.err
+        assert re.fullmatch(r"checked \d+ instances in \d+\.\d\ds\n", captured.err)
         assert json.loads(captured.out)["ok"] is True
 
     def test_usage_error_exits_2(self, capsys):
@@ -240,7 +250,7 @@ class TestVerifyCommand:
             os._exit(3)
             yield
 
-        sweep = verification.Sweep("crashes its worker", 3, lambda max_n: [(3,), (4,)], crash)
+        sweep = verification.Sweep("crashes its worker", 3, 4, lambda max_n: [(3,), (4,)], crash)
         monkeypatch.setitem(verification._SWEEPS, "crash", sweep)
         assert main(["verify", "--theorem", "crash", "--max-n", "4", "--workers", "2"]) == 4
         captured = capsys.readouterr()
@@ -328,6 +338,11 @@ class TestCatalogCommand:
 
     def test_bad_k_exits_2(self, capsys):
         assert main(["catalog", "--n", "5", "--k", "2"]) == 2
+
+    def test_over_ceiling_exits_2(self, capsys):
+        assert main(["catalog", "--n", "13", "--k", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "up to 12 (their ceiling)" in captured.err
 
 
 class TestConvertCommand:

@@ -16,11 +16,8 @@ from signed_nullity import (
     switching_equivalent,
 )
 from signed_nullity.enumeration import (
-    CEILING_ENV_VAR,
     base_graph,
     bicyclic_base_shapes,
-    check_order,
-    enumeration_ceiling,
 )
 from oracles import brute_bicyclic_underlying, connected_labeled_graphs, cycle_graph, path_graph
 
@@ -164,25 +161,3 @@ class TestConnectedLabeledGraphs:
         for g in connected_labeled_graphs(4):
             assert is_connected(g)
 
-
-class TestCeiling:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
-        assert enumeration_ceiling() == 10
-        check_order(10)
-        with pytest.raises(ValueError, match="ceiling"):
-            check_order(11)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV_VAR, "6")
-        assert enumeration_ceiling() == 6
-        with pytest.raises(ValueError, match="ceiling"):
-            check_order(7)
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="integer"):
-            enumeration_ceiling()
-        monkeypatch.setenv(CEILING_ENV_VAR, "0")
-        with pytest.raises(ValueError, match="positive"):
-            enumeration_ceiling()

@@ -330,6 +330,11 @@ class TestVertexIds:
         assert g.has_edge(4, 0) and not g.has_edge(0, 2)
         assert g.sign_of(0, 4) == 1
 
+    def test_degree_reads_the_sign_free_table(self):
+        g = cycle_graph(5, negatives=1)
+        assert [g.degree(v) for v in range(5)] == [2] * 5
+        assert "_neighbor_signs" not in vars(g)
+
 
 class TestUncheckedConstruction:
     """Graphs built inside the package skip the constructor's check, so each

@@ -5,6 +5,8 @@ from __future__ import annotations
 from math import factorial
 from pathlib import Path
 
+import warnings
+
 import pytest
 
 from signed_nullity import SignedGraph, documents, is_connected, nullity
@@ -45,18 +47,57 @@ def canonize_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def no_chunks(monkeypatch) -> None:
+    """Fail any sweep or catalog that starts its chunks, so that a refusal
+    is shown to come before any work (and a broken cap fails, not hangs)."""
+
+    def refuse(fn, tasks, workers):
+        raise AssertionError("a chunk was started")
+
+    monkeypatch.setattr(verification, "_run_tasks", refuse)
+
+
+# (sweep, min_n, max_n): the range of max_n each sweep accepts
+SWEEP_ORDERS = [
+    ("lemma2.1i", 1, 10),
+    ("lemma2.1ii", 3, 128),
+    ("theorem2.3", 1, 8),
+    ("theorem2.4", 1, 8),
+    ("corollary2.6", 1, 8),
+    ("corollary2.9", 4, 12),
+    ("theorem3.1", 4, 12),
+    ("lemma2.5", 4, 12),
+]
+
+
 class TestVerifyTheorem:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem id"):
             verify_theorem("theorem9.9", 5)
 
-    def test_ceiling_enforced(self, monkeypatch):
-        monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "6")
-        with pytest.raises(ValueError, match="ceiling"):
-            verify_theorem("theorem3.1", 7)
+    def test_ceiling_enforced(self, monkeypatch, no_chunks):
+        # the cap is the sweep's own; the variable that once raised it is ignored
+        monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "12")
+        with pytest.raises(ValueError, match=r"up to 8 \(its ceiling\), got 9"):
+            verify_theorem("theorem2.3", 9)
 
-    def test_cycle_sweep_not_capped_by_ceiling(self, monkeypatch):
-        monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "6")
+    @pytest.mark.parametrize("theorem, min_n, max_n", SWEEP_ORDERS)
+    def test_each_sweep_refuses_orders_outside_its_range_before_any_work(
+        self, no_chunks, theorem, min_n, max_n
+    ):
+        sweep = verification._SWEEPS[theorem]
+        assert (sweep.min_n, sweep.max_n) == (min_n, max_n)
+        with pytest.raises(ValueError, match="ceiling"):
+            verify_theorem(theorem, max_n + 1)
+        with pytest.raises(ValueError, match=f"needs max_n >= {min_n}"):
+            verify_theorem(theorem, min_n - 1)
+
+    def test_every_sweep_has_a_pinned_range(self):
+        assert sorted(theorem for theorem, _, _ in SWEEP_ORDERS) == sorted(verification._SWEEPS)
+
+    def test_cycle_sweep_not_capped_by_ceiling(self):
+        # lengths beyond every order cap of the graph sweeps
         report = verify_theorem("lemma2.1ii", 20)
         assert report.ok
         assert report.instances_checked == 36  # lengths 3..20, two classes each
@@ -161,9 +202,10 @@ class TestVerifyTheorem:
         assert report.elapsed >= 0
         assert report.instances_checked > 0
 
-    def test_slow_range_warns(self):
-        with pytest.warns(UserWarning, match="beyond the fast range"):
-            verify_theorem("corollary2.9", 9)
+    def test_order_9_bicyclic_sweep_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_theorem("corollary2.9", 9).ok
 
     def test_reduction_residues_satisfy_closed_forms(self):
         # pendant-deleting a bicyclic graph to its fixpoint leaves either a
@@ -520,10 +562,11 @@ class TestCatalogs:
         with pytest.raises(ValueError):
             catalog_nullity_classes(3, 3)
 
-    def test_ceiling_enforced(self, monkeypatch):
-        monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "5")
+    def test_ceiling_enforced(self, no_chunks):
+        with pytest.raises(ValueError, match=r"4 up to 12 \(their ceiling\), got 13"):
+            catalog_nullity_classes(13, 4)
         with pytest.raises(ValueError, match="ceiling"):
-            catalog_nullity_classes(6, 4)
+            bicyclic_classes(13)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_order_9_catalog_matches_golden(self, workers):
