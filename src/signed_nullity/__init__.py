@@ -7,6 +7,10 @@ command-line front end in :mod:`signed_nullity.cli`.
 Importing the package loads none of its modules: each name below, and each
 submodule name, resolves on first use (PEP 562) and is then cached here, so
 a caller pays only for the layers it touches.
+
+The name ``rank`` belongs to the function: ``signed_nullity.rank`` and
+``import signed_nullity.rank as m`` both give the function ``rank``.  The
+module of that name is ``importlib.import_module("signed_nullity.rank")``.
 """
 
 import sys as _sys

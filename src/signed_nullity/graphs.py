@@ -8,6 +8,7 @@ and safe to share between threads or worker processes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -60,8 +61,8 @@ class SignedGraph:
 
         Only for graphs the package derives from already-valid parts.  The
         caller guarantees that every edge has ``u < v``, that the edges are
-        sorted with no duplicate pair, that every endpoint lies in
-        ``0..order-1`` and that every sign is +1 or -1.
+        sorted with no duplicate pair (``_edge_sign`` bisects them), that
+        every endpoint lies in ``0..order-1`` and that every sign is +1 or -1.
         """
         g = object.__new__(cls)
         g.__dict__.update(order=order, edges=edges)
@@ -69,19 +70,11 @@ class SignedGraph:
 
     def _resigned(self, edges: tuple[Edge, ...]) -> "SignedGraph":
         """A graph on the same vertex pairs, in the same order, with the
-        signs of ``edges``; it shares this graph's sign-free neighbor table
-        instead of building its own."""
+        signs of ``edges``; it shares this graph's neighbor table, the only
+        one a graph derives, instead of building its own."""
         g = SignedGraph._trusted(self.order, edges)
         g.__dict__["_sorted_neighbors"] = self._sorted_neighbors
         return g
-
-    @cached_property
-    def _neighbor_signs(self) -> tuple[dict[int, int], ...]:
-        table: tuple[dict[int, int], ...] = tuple({} for _ in range(self.order))
-        for u, v, s in self.edges:
-            table[u][v] = s
-            table[v][u] = s
-        return table
 
     @cached_property
     def _sorted_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -93,9 +86,17 @@ class SignedGraph:
             lists[v].append(u)
         return tuple(map(tuple, lists))
 
+    def _edge_sign(self, u: int, v: int) -> int:
+        """Sign of the edge uv, or 0 if there is none (``u == v`` included),
+        found by bisecting the sorted edge tuple."""
+        pair = (u, v) if u < v else (v, u)
+        edges = self.edges
+        i = bisect_left(edges, pair)
+        return edges[i][2] if i < len(edges) and edges[i][:2] == pair else 0
+
     # The accessors below take vertex ids from callers, so they reject ids
     # outside 0..order-1 (a negative one would index from the end).  Hot
-    # loops read the cached tables directly.
+    # loops read the neighbor table and ``_edge_sign`` directly.
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
@@ -112,15 +113,15 @@ class SignedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._neighbor_signs[u]
+        return self._edge_sign(u, v) != 0
 
     def sign_of(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
-        try:
-            return self._neighbor_signs[u][v]
-        except KeyError:
-            raise ValueError(f"no edge ({u},{v})") from None
+        s = self._edge_sign(u, v)
+        if not s:
+            raise ValueError(f"no edge ({u},{v})")
+        return s
 
     def underlying(self) -> "SignedGraph":
         """The same graph with every sign set to +1."""
@@ -254,11 +255,10 @@ def fundamental_cycles(g: SignedGraph) -> list[Cycle]:
 def _forest_switching(g: SignedGraph, parent: list[int], depth: list[int]) -> list[int]:
     """Switching that turns every tree edge of the given forest positive."""
     theta = [1] * g.order
-    signs = g._neighbor_signs
     # resolve parents before children
     for v in sorted(range(g.order), key=depth.__getitem__):
         if parent[v] >= 0:
-            theta[v] = theta[parent[v]] * signs[parent[v]][v]
+            theta[v] = theta[parent[v]] * g._edge_sign(parent[v], v)
     return theta
 
 
@@ -286,7 +286,8 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int
     """
     if g1.order != g2.order or [e[:2] for e in g1.edges] != [e[:2] for e in g2.edges]:
         raise ValueError("graphs have different underlying graphs")
-    product = g1._resigned(tuple((u, v, s1 * g2.sign_of(u, v)) for u, v, s1 in g1.edges))
+    # the pairs match, so the signs pair up edge by edge
+    product = g1._resigned(tuple((u, v, s1 * e[2]) for (u, v, s1), e in zip(g1.edges, g2.edges)))
     witness = is_balanced(product)
     return witness.switching if witness.balanced else None
 
@@ -318,17 +319,6 @@ def compaction_map(order: int, removed: Iterable[int]) -> tuple[int, ...]:
             out.append(nxt)
             nxt += 1
     return tuple(out)
-
-
-def connected_components(g: SignedGraph) -> list[tuple[int, ...]]:
-    parent, _, _ = _spanning_forest(g)
-    comp: dict[int, list[int]] = {}
-    for v in range(g.order):
-        root = v
-        while parent[root] >= 0:
-            root = parent[root]
-        comp.setdefault(root, []).append(v)
-    return [tuple(sorted(vs)) for vs in sorted(comp.values())]
 
 
 def is_connected(g: SignedGraph) -> bool:

@@ -83,12 +83,11 @@ def recognize_rank3(g: SignedGraph) -> RankClassVerdict:
     if reason is not None:
         return RankClassVerdict(matches=False, reason=reason)
     neighborhoods = []
-    signs = g._neighbor_signs
     for nbrs, part in twins.items():
-        row = [signs[part[0]][w] for w in nbrs]
+        row = [g._edge_sign(part[0], w) for w in nbrs]
         flipped = [-s for s in row]
         for u in part[1:]:
-            if [signs[u][w] for w in nbrs] not in (row, flipped):
+            if [g._edge_sign(u, w) for w in nbrs] not in (row, flipped):
                 return RankClassVerdict(matches=False, reason="neighborhood-mismatch")
         signed = [tuple(w for w, s in zip(nbrs, row) if s == sign) for sign in (1, -1)]
         neighborhoods.append(tuple(signed))

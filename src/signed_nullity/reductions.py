@@ -60,26 +60,21 @@ def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
     if len({v1, v2, v3}) != 3 or not (0 <= v1 < n and 0 <= v2 < n and 0 <= v3 < n):
         return False
     # the ids are in range, so the table is read directly, with no accessor
-    signs = g._neighbor_signs
-    middle = signs[v2]
-    if len(middle) != 2 or v1 not in middle or v3 not in middle or v3 in signs[v1]:
+    neighbors = g._sorted_neighbors
+    middle = neighbors[v2]
+    if len(middle) != 2 or v1 not in middle or v3 not in middle or v3 in neighbors[v1]:
         return False
-    return signs[v1].keys() & signs[v3].keys() <= {v2}
+    return set(neighbors[v1]) & set(neighbors[v3]) <= {v2}
 
 
 def find_special_paths(g: SignedGraph) -> list[SpecialPath]:
     """Every special path, both orientations, in lexicographic order."""
     found = []
-    neighbors = g._sorted_neighbors
-    for v2, nbrs in enumerate(neighbors):
-        if len(nbrs) != 2:
-            continue
-        a, b = nbrs
-        if b in neighbors[a]:
-            continue
-        if set(neighbors[a]) & set(neighbors[b]) <= {v2}:
-            found.append(SpecialPath(a, v2, b))
-            found.append(SpecialPath(b, v2, a))
+    for v2, nbrs in enumerate(g._sorted_neighbors):
+        if len(nbrs) == 2:
+            a, b = nbrs
+            paths = (SpecialPath(a, v2, b), SpecialPath(b, v2, a))
+            found += [p for p in paths if is_special_path(g, p)]
     found.sort(key=lambda p: (p.v1, p.v2, p.v3))
     return found
 
@@ -116,7 +111,7 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     _require_normalized(g, p)
     # only ids in range are neighbors of v1, and the ends of a special path
     # share no neighbor but v2, so the edge vv3 is never there yet
-    if v == p.v2 or v not in g._neighbor_signs[p.v1]:
+    if v == p.v2 or v not in g._sorted_neighbors[p.v1]:
         raise ValueError(f"vertex {v} is not an eligible neighbor of {p.v1}")
     s = g.sign_of(v, p.v1)
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]
@@ -169,11 +164,3 @@ def reduce(g: SignedGraph) -> tuple[SignedGraph, ReductionTrace]:
         v, u = pendants[0]
         steps.append(PendantDeletion(v, u, compaction_map(current.order, (v, u))))
         current = delete_pendant_pair(current, v, u)
-
-
-def replay(initial: SignedGraph, trace: ReductionTrace) -> SignedGraph:
-    """Re-run a trace from its initial graph."""
-    current = initial
-    for step in trace.steps:
-        current = delete_pendant_pair(current, step.pendant, step.neighbor)
-    return current

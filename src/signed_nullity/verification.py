@@ -148,7 +148,7 @@ def _extensions(
     """
     new = g.order
     degree = [len(nbrs) for nbrs in g._sorted_neighbors]
-    leaves = [(v, nbrs[0]) for v, nbrs in enumerate(g._sorted_neighbors) if len(nbrs) == 1]
+    leaves = find_pendants(g)
     joins = [
         ((u, new, 1),)
         for u in orbit_reps
@@ -580,7 +580,7 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
             base = bicyclic_base(canon)
             assert base is not None
             profiles = tuple(sorted({profile for profile, _ in achieved}))
-            # a fresh witness, free of the neighbor table cycle_sign filled
+            # a fresh witness, free of the neighbor table rep shares with canon
             witness = SignedGraph._trusted(n, achieved[0][1].edges)
             entries.append(CatalogEntry(code, base, profiles, len(achieved), witness))
     return entries

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: rank comes from
 Laplace-expansion minors (or sympy's rational elimination for larger
 matrices), matchings from subset enumeration, isomorphism, automorphisms
 and canonical forms from raw permutation search, multipartite parts from
-complement components.
+complement components, connected components from a plain traversal of the
+edge list.
 """
 
 from __future__ import annotations
@@ -155,6 +156,28 @@ def _edges_connected(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     for u, v in pairs:
         root[find(u)] = find(v)
     return len({find(v) for v in range(n)}) <= 1
+
+
+def connected_components(g: SignedGraph) -> list[tuple[int, ...]]:
+    """Vertex sets of g's components, by depth-first search over ``g.edges``."""
+    adjacent: list[set[int]] = [set() for _ in range(g.order)]
+    for u, v, _ in g.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    seen: set[int] = set()
+    components = []
+    for root in range(g.order):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, component = [root], []
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            stack.extend(adjacent[v] - seen)
+            seen |= adjacent[v]
+        components.append(tuple(sorted(component)))
+    return components
 
 
 def connected_labeled_graphs(n: int, edge_count: int | None = None) -> list[SignedGraph]:

@@ -25,6 +25,7 @@ from signed_nullity import (
     is_connected,
     labeled_trees,
     normalize_special_path,
+    recognize_rank3,
     rewire_special_path,
     signature_representatives,
     switch,
@@ -330,10 +331,21 @@ class TestVertexIds:
         assert g.has_edge(4, 0) and not g.has_edge(0, 2)
         assert g.sign_of(0, 4) == 1
 
-    def test_degree_reads_the_sign_free_table(self):
+    def test_readers_derive_no_table_but_the_neighbor_lists(self):
+        # signs are read from the sorted edge tuple, so the sign-free
+        # neighbor lists are the only table a graph ever caches
         g = cycle_graph(5, negatives=1)
         assert [g.degree(v) for v in range(5)] == [2] * 5
-        assert "_neighbor_signs" not in vars(g)
+        assert g.neighbors(0) == (1, 4)
+        assert g.has_edge(4, 0) and not g.has_edge(1, 1)
+        assert g.sign_of(1, 0) == -1
+        assert cycle_sign(g, range(5)) == -1
+        assert not is_balanced(g).balanced
+        assert not recognize_rank3(g).matches
+        assert set(vars(g)) <= {"order", "edges", "_sorted_neighbors"}
+        k222 = build_graph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
+        assert recognize_rank3(k222).matches
+        assert set(vars(k222)) <= {"order", "edges", "_sorted_neighbors"}
 
 
 class TestUncheckedConstruction:

@@ -53,15 +53,19 @@ def test_every_name_is_the_object_of_its_defining_module():
 
 
 def test_the_function_rank_keeps_its_name_over_the_submodule():
-    # the CLI loads the submodule ``rank`` without the package's help
+    # the CLI loads the submodule ``rank`` without the package's help; the
+    # module itself is reached through importlib
     code = (
+        "import importlib, sys\n"
         "import signed_nullity.cli\n"
         "from signed_nullity import rank\n"
         "import signed_nullity.rank as also_rank\n"
         "from signed_nullity.rank import rank as defined\n"
-        "print(rank is defined is also_rank)"
+        "module = importlib.import_module('signed_nullity.rank')\n"
+        "print(rank is defined is also_rank, module is sys.modules['signed_nullity.rank'],"
+        " hasattr(module, '_eliminate'))"
     )
-    assert _fresh_stdout(code) == "True\n"
+    assert _fresh_stdout(code) == "True True True\n"
 
 
 def test_star_import_binds_all():

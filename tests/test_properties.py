@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from signed_nullity import (
     adjacency_matrix,
     build_graph,
     canonical_code,
+    canonical_form,
     cycle_sign,
     delete_pendant_pair,
     disjoint_union,
@@ -17,6 +20,7 @@ from signed_nullity import (
     find_special_paths,
     contract_special_path,
     fundamental_cycles,
+    induced_subgraph,
     is_balanced,
     is_connected,
     low_rank_neighborhood_check,
@@ -27,6 +31,7 @@ from signed_nullity import (
     recognize_rank2,
     recognize_rank3,
     reduce,
+    rewire_special_path,
     serialize_graph,
     signature_representatives,
     switch,
@@ -77,6 +82,49 @@ def test_switching_preserves_rank_and_balance(pair):
     switched = switch(g, theta)
     assert rank(adjacency_matrix(switched)) == rank(adjacency_matrix(g))
     assert is_balanced(switched).balanced == is_balanced(g).balanced
+
+
+def _derived(g, theta, other):
+    """g and graphs the package derives from it, most of them built unchecked."""
+    yield g
+    yield switch(g, theta)
+    yield g.underlying()
+    yield induced_subgraph(g, range(0, g.order, 2))
+    yield disjoint_union(g, other)
+    yield canonical_form(g)[1]
+    for p in find_special_paths(g)[:2]:
+        normalized, _ = normalize_special_path(g, p)
+        yield contract_special_path(normalized, p)
+        for v in normalized.neighbors(p.v1):
+            if v != p.v2:
+                yield rewire_special_path(normalized, p, v)
+    if is_connected(g):
+        yield from islice(signature_representatives(g), 4)
+
+
+@st.composite
+def derived_graphs(draw):
+    g = draw(signed_graphs(max_order=9))
+    theta = tuple(draw(st.sampled_from((1, -1))) for _ in range(g.order))
+    return list(_derived(g, theta, draw(signed_graphs(max_order=3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_graphs())
+def test_edge_readers_agree_with_the_adjacency_matrix(graphs):
+    # signs are bisected out of the edge tuple, which must stay sorted
+    for h in graphs:
+        pairs = [e[:2] for e in h.edges]
+        assert pairs == sorted(set(pairs)) and all(u < v for u, v in pairs)
+        m = adjacency_matrix(h)
+        for u in range(h.order):
+            for v in range(h.order):
+                assert h.has_edge(u, v) == (m[u][v] != 0)
+                if m[u][v]:
+                    assert h.sign_of(u, v) == m[u][v]
+                else:
+                    with pytest.raises(ValueError, match="no edge"):
+                        h.sign_of(u, v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,7 +18,7 @@ from signed_nullity import (
     rewire_special_path,
     switch,
 )
-from signed_nullity.reductions import is_special_path, replay
+from signed_nullity.reductions import is_special_path
 from oracles import cycle_graph, path_graph, star_graph
 
 
@@ -246,6 +246,16 @@ class TestContractSpecialPath:
         with pytest.raises(ValueError, match="not a special path"):
             contract_special_path(cycle_graph(4, 1), SpecialPath(0, 1, 2))
 
+    def test_normalized_copy_shares_the_table_and_builds_no_other(self):
+        # the switched copy reads the path's signs from its edge tuple, so
+        # checking the path again builds no table of its own
+        rep = switch(theta(2, 2, 3), (1, -1, 1, -1, 1, -1))
+        for p in find_special_paths(rep):
+            normalized, _ = normalize_special_path(rep, p)
+            assert normalized._sorted_neighbors is rep._sorted_neighbors
+            contract_special_path(normalized, p)
+            assert set(vars(normalized)) == {"order", "edges", "_sorted_neighbors"}
+
 
 class TestReduce:
     def test_forest_reduces_to_isolated_vertices(self):
@@ -271,7 +281,10 @@ class TestReduce:
     def test_replay_reproduces_result(self):
         g = build_graph(8, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1), (2, 5, 1), (5, 6, -1), (6, 7, 1)])
         reduced, trace = reduce(g)
-        assert replay(g, trace) == reduced
+        current = g
+        for step in trace.steps:
+            current = delete_pendant_pair(current, step.pendant, step.neighbor)
+        assert current == reduced
         assert nullity(reduced) == nullity(g)
 
     def test_nullity_invariant_along_trace(self):
