@@ -12,10 +12,11 @@ the caps of the sweeps and the catalogs live in the sweep table of
 from __future__ import annotations
 
 import heapq
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .graphs import SignedGraph, _spanning_forest
+from .recognizers import shape_order
 
 
 def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:
@@ -49,8 +50,6 @@ def labeled_trees(n: int) -> Iterator[SignedGraph]:
         raise ValueError("need n >= 1")
     if n == 1:
         yield SignedGraph._trusted(1, ())
-    elif n == 2:
-        yield SignedGraph._trusted(2, ((0, 1, 1),))
     else:
         for seq in product(range(n), repeat=n - 2):
             yield prufer_graph(n, seq)
@@ -60,56 +59,40 @@ BaseShape = tuple[str, int, int, int]  # (kind, p, q, l)
 
 
 def bicyclic_base_shapes(max_order: int) -> list[BaseShape]:
-    """All infinity/theta core shapes with at most ``max_order`` vertices."""
-    shapes: list[BaseShape] = []
-    for p in range(3, max_order + 1):
-        for q in range(p, max_order + 1):
-            for l in range(1, max_order + 1):
-                if p + q + l - 2 <= max_order:
-                    shapes.append(("infinity", p, q, l))
-    for p in range(1, max_order + 2):
-        for q in range(1, p + 1):
-            for l in range(1, q + 1):
-                if q >= 2 and p + q + l - 1 <= max_order:
-                    shapes.append(("theta", p, q, l))
-    shapes.sort()
-    return shapes
+    """All infinity/theta core shapes with at most ``max_order`` vertices,
+    infinities first, then by p, q and l; no parameter of one exceeds
+    max_order - 2, so the scan stops there."""
+    sizes = range(1, max_order - 1)
+    return [
+        (kind, p, q, l)
+        for kind in ("infinity", "theta")
+        for p, q, l in product(sizes, repeat=3)
+        if 0 < shape_order(kind, p, q, l) <= max_order
+    ]
 
 
 def base_graph(shape: BaseShape) -> SignedGraph:
-    """Canonical all-positive layout of a core shape."""
-    kind, p, q, l = shape
-    edges: list[tuple[int, int, int]] = []
+    """Canonical all-positive layout of a core shape, as chains of new
+    vertices between hubs.
 
-    def chain(points: list[int]) -> None:
-        for a, b in zip(points, points[1:]):
-            edges.append((min(a, b), max(a, b), 1))
+    An infinity's hubs are the ends of its path 0, 1, ..., l-1 (one vertex
+    when l = 1), with a p-cycle through the first and a q-cycle through the
+    second; a theta joins hubs 0 and 1 by chains of p, q and l edges.
+    """
+    kind, p, q, l = shape
+    n = shape_order(kind, p, q, l)
+    fresh = iter(range(n))
+
+    def chain(a: int, b: int, length: int) -> list[int]:
+        return [a, *islice(fresh, length - 1), b]
 
     if kind == "infinity":
-        if l == 1:
-            n = p + q - 1
-            left = [0] + list(range(1, p))
-            right = [0] + list(range(p, n))
-            chain(left + [0])
-            chain(right + [0])
-        else:
-            n = p + q + l - 2
-            u, v = 0, 1
-            left = [u] + list(range(2, p + 1))
-            chain(left + [u])
-            right = [v] + list(range(p + 1, p + q))
-            chain(right + [v])
-            path = [u] + list(range(p + q, n)) + [v]
-            chain(path)
+        path = list(islice(fresh, l))
+        chains = [path, chain(path[0], path[0], p), chain(path[-1], path[-1], q)]
     else:
-        n = p + q + l - 1
-        u, v = 0, 1
-        nxt = 2
-        for length in (p, q, l):
-            inner = list(range(nxt, nxt + length - 1))
-            nxt += length - 1
-            chain([u] + inner + [v])
-    edges.sort()
+        u, v = islice(fresh, 2)
+        chains = [chain(u, v, length) for length in (p, q, l)]
+    edges = sorted((min(a, b), max(a, b), 1) for c in chains for a, b in zip(c, c[1:]))
     return SignedGraph._trusted(n, tuple(edges))
 
 

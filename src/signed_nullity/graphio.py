@@ -2,9 +2,10 @@
 
 A graph file starts with a header line ``n m`` (order and edge count)
 followed by ``m`` edge lines ``u v s`` where ``0 <= u < v < n`` and the sign
-token ``s`` is ``+`` or ``-``.  A ``#`` starts a comment that runs to the
-end of its line; blank lines are ignored.  Parsing then serializing is the
-identity on normalized files.
+token ``s`` is ``+`` or ``-``.  Numbers are ASCII decimal digits with an
+optional leading minus: no ``+``, no ``_`` and no other digits.  A ``#``
+starts a comment that runs to the end of its line; blank lines are ignored.
+Parsing then serializing is the identity on normalized files.
 A file may announce at most :data:`MAX_FILE_ORDER` vertices: the rank
 kernel works on a dense n x n matrix, so a larger header is refused before
 anything is built.
@@ -27,6 +28,14 @@ _SIGN_TOKENS = {"+": 1, "-": -1}
 MAX_FILE_ORDER = 2000  # a dense matrix of this order holds 4 million entries
 
 
+def _integer(token: str) -> int:
+    """The value of a plain integer token; ``int`` alone would also take
+    ``1_0``, ``+0`` and non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not a plain integer: {token!r}")
+    return int(token)
+
+
 def parse_graph(document: str) -> SignedGraph:
     """Parse a graph file into a normalized SignedGraph."""
     content = [
@@ -41,7 +50,7 @@ def parse_graph(document: str) -> SignedGraph:
     if len(fields) != 2:
         raise GraphFormatError(f"header must be 'n m', got {header!r}", header_line)
     try:
-        order, edge_count = int(fields[0]), int(fields[1])
+        order, edge_count = _integer(fields[0]), _integer(fields[1])
     except ValueError:
         raise GraphFormatError(f"header must be two integers, got {header!r}", header_line) from None
     if order < 0 or edge_count < 0:
@@ -61,7 +70,7 @@ def parse_graph(document: str) -> SignedGraph:
         if len(fields) != 3:
             raise GraphFormatError(f"edge line must be 'u v s', got {line!r}", number)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _integer(fields[0]), _integer(fields[1])
         except ValueError:
             raise GraphFormatError(f"edge endpoints must be integers, got {line!r}", number) from None
         sign = _SIGN_TOKENS.get(fields[2])

@@ -38,7 +38,6 @@ class SignedGraph:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be non-negative")
-        seen: set[tuple[int, int]] = set()
         prev: Optional[tuple[int, int]] = None
         for u, v, s in self.edges:
             if u == v:
@@ -48,11 +47,9 @@ class SignedGraph:
             if not (0 <= u and v < self.order):
                 raise ValueError(f"edge ({u},{v}) out of range for order {self.order}")
             _check_sign(s)
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            if prev is not None and prev > (u, v):
-                raise ValueError("edge list not sorted")
+            # strictly increasing pairs are both sorted and unique
+            if prev is not None and prev >= (u, v):
+                raise ValueError(f"duplicate edge ({u},{v})" if prev == (u, v) else "edge list not sorted")
             prev = (u, v)
 
     @classmethod

@@ -113,6 +113,16 @@ def low_rank_neighborhood_check(g: SignedGraph, x: int) -> bool:
     return all(neighbors[v] == y for v in range(g.order) if v not in y_set)
 
 
+def shape_order(kind: str, p: int, q: int, l: int) -> int:
+    """Vertex count of the 2-core that (kind, p, q, l) names (see
+    :class:`BicyclicBase`), or 0 if those parameters name no shape."""
+    if kind == "infinity" and 3 <= p <= q and l >= 1:
+        return p + q + l - 2  # the path shares both its ends with the cycles
+    if kind == "theta" and p >= q >= l >= 1 and q >= 2:
+        return p + q + l - 1  # the three paths share the two hubs
+    return 0
+
+
 @dataclass(frozen=True)
 class BicyclicBase:
     """Shape of a bicyclic graph's 2-core.
@@ -120,6 +130,7 @@ class BicyclicBase:
     ``infinity``: two cycles of lengths p <= q joined by a path with l-1
     edges (l = 1 means they share a vertex).  ``theta``: three internally
     disjoint paths of edge-lengths p >= q >= l between two hub vertices.
+    :func:`shape_order` decides which parameters are valid.
     """
 
     kind: str  # "infinity" | "theta"
@@ -129,14 +140,10 @@ class BicyclicBase:
     base_vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind == "infinity":
-            if not (3 <= self.p <= self.q and self.l >= 1):
-                raise ValueError(f"invalid infinity parameters {(self.p, self.q, self.l)}")
-        elif self.kind == "theta":
-            if not (self.p >= self.q >= self.l >= 1 and self.q >= 2):
-                raise ValueError(f"invalid theta parameters {(self.p, self.q, self.l)}")
-        else:
+        if self.kind not in ("infinity", "theta"):
             raise ValueError(f"unknown base kind {self.kind!r}")
+        if not shape_order(self.kind, self.p, self.q, self.l):
+            raise ValueError(f"invalid {self.kind} parameters {(self.p, self.q, self.l)}")
 
     def cycle_lengths(self) -> tuple[int, int, int]:
         """Lengths of the two independent cycles and of their edge-set sum."""
@@ -197,7 +204,7 @@ def bicyclic_base(g: SignedGraph) -> Optional[BicyclicBase]:
         return BicyclicBase("theta", p, q, l, tuple(core))
     p = next(length for end, length in walks if end == hub)
     l = 1 + sum(length for end, length in walks if end != hub)
-    q = len(core) + 2 - p - l  # an infinity core has p + q + l - 2 vertices
+    q = len(core) + 2 - p - l  # inverts shape_order("infinity", p, q, l) == len(core)
     return BicyclicBase("infinity", min(p, q), max(p, q), l, tuple(core))
 
 

@@ -564,10 +564,8 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     for code, canon in level.items():
         cycles = None
         achieved: list[tuple[BalanceProfile, SignedGraph]] = []
-        for rep in signature_representatives(canon):
-            # the representatives fix a spanning tree positive, so the one
-            # balanced switching class is the all-positive graph
-            if (balanced_only and not rep.is_all_positive()) or nullity(rep) != n - k:
+        for rep in (canon,) if balanced_only else signature_representatives(canon):
+            if nullity(rep) != n - k:
                 continue
             if cycles is None:
                 c1, c2 = cycles = fundamental_cycles(canon)

@@ -73,8 +73,9 @@ class TestNullityCommand:
         assert "error" in capsys.readouterr().err
 
     def test_malformed_file_exits_3_with_line(self, graph_file, capsys):
-        assert main(["nullity", graph_file("2 1\n0 0 +\n")]) == 3
-        assert "line 2" in capsys.readouterr().err
+        for text in ("2 1\n0 0 +\n", "11 1\n0 1_0 +\n"):
+            assert main(["nullity", graph_file(text)]) == 3
+            assert "line 2" in capsys.readouterr().err
 
     def test_huge_header_exits_3_before_any_matrix(self, graph_file, capsys, monkeypatch):
         # the package binds the name rank to the function, not the module

@@ -19,6 +19,7 @@ from signed_nullity.enumeration import (
     base_graph,
     bicyclic_base_shapes,
 )
+from signed_nullity.recognizers import shape_order
 from oracles import brute_bicyclic_underlying, connected_labeled_graphs, cycle_graph, path_graph
 
 
@@ -66,8 +67,20 @@ class TestBicyclicUnderlying:
 
 
 class TestBaseShapes:
+    def test_shape_counts(self):
+        counts = [len(bicyclic_base_shapes(n)) for n in range(17)]
+        assert counts == [0, 0, 0, 0, 1, 4, 9, 17, 29, 45, 66, 93, 126, 166, 214, 270, 335]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_shapes_of_order_n_are_those_of_the_brute_force_cores(self, n):
+        cores = [
+            g for g in brute_bicyclic_underlying(n) if all(g.degree(v) >= 2 for v in range(n))
+        ]
+        found = {(b.kind, b.p, b.q, b.l) for b in map(bicyclic_base, cores)}
+        assert set(bicyclic_base_shapes(n)) - set(bicyclic_base_shapes(n - 1)) == found
+
     def test_base_graphs_classify_as_their_shape(self):
-        for shape in bicyclic_base_shapes(9):
+        for shape in bicyclic_base_shapes(16):
             g = base_graph(shape)
             base = bicyclic_base(g)
             assert base is not None
@@ -75,8 +88,9 @@ class TestBaseShapes:
             assert (base.kind, base.p, base.q, base.l) == (kind, p, q, l), shape
 
     def test_shape_orders(self):
-        for shape in bicyclic_base_shapes(8):
+        for shape in bicyclic_base_shapes(16):
             g = base_graph(shape)
+            assert g.order == shape_order(*shape), shape
             assert len(g.edges) == g.order + 1
 
     def test_fundamental_cycles_realize_base_cycle_lengths(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,8 +51,17 @@ class TestParseGraph:
             parse_graph("2 1\n0 2 +")
 
     def test_non_integer_endpoint_rejected(self):
-        with pytest.raises(GraphFormatError, match="line 2: edge endpoints must be integers"):
-            parse_graph("2 1\n0 x +")
+        # int() alone would read 1_0 as 10, +0 as 0 and an Arabic-Indic digit
+        for text in ("2 1\n0 x +", "11 1\n0 1_0 +\n", "2 1\n+0 1 +\n", "2 1\n0 \u0661 +\n",
+                     "2 1\n0 --1 +\n", "2 1\n0 - +\n"):
+            with pytest.raises(GraphFormatError, match="line 2: edge endpoints must be integers"):
+                parse_graph(text)
+
+    def test_a_minus_still_reaches_the_range_checks(self):
+        with pytest.raises(GraphFormatError, match="line 1: order and edge count must be non-negative"):
+            parse_graph("-2 0\n")
+        with pytest.raises(GraphFormatError, match="line 2: vertex id out of range"):
+            parse_graph("2 1\n-1 1 +\n")
 
     def test_numeric_sign_token_rejected(self):
         with pytest.raises(GraphFormatError, match="sign token"):
@@ -61,8 +72,9 @@ class TestParseGraph:
     def test_malformed_header(self):
         with pytest.raises(GraphFormatError, match="header"):
             parse_graph("2\n0 1 +")
-        with pytest.raises(GraphFormatError, match="header"):
-            parse_graph("two 1\n0 1 +")
+        for text in ("two 1\n0 1 +", "0_2 0\n", "+2 0\n", "\u0662 0\n"):
+            with pytest.raises(GraphFormatError, match="line 1: header must be two integers"):
+                parse_graph(text)
 
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError, match="announces 2 edges"):
@@ -89,9 +101,15 @@ class TestParseGraph:
             parse_graph("100000000 0\n")
 
 
-# arbitrary text, and text over the file syntax's own characters, which
-# reaches the header and edge-line checks far more often
-_texts = st.one_of(st.text(max_size=80), st.text(alphabet="0123456789 +-#\n\t", max_size=60))
+# arbitrary text, text over the file syntax's own characters, and lines of
+# tokens, which reach the header and edge-line checks far more often; the
+# underscore, the plus and a non-ASCII digit are what int() alone accepts
+_tokens = st.sampled_from(["0", "1", "2", "-1", "+1", "1_0", "\u0663", "+", "-", "#"])
+_texts = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="0123456789 +-#_\u0663\n\t", max_size=60),
+    st.lists(st.lists(_tokens, min_size=1, max_size=3).map(" ".join), max_size=4).map("\n".join),
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -102,6 +120,11 @@ def test_arbitrary_text_gives_a_graph_or_a_format_error(text):
     except GraphFormatError:
         return
     assert parse_graph(serialize_graph(g)) == g
+    for line in text.splitlines():
+        fields = line.partition("#")[0].split()
+        # the header is two numbers, an edge line two numbers and a sign
+        for token in fields[:2]:
+            assert re.fullmatch("-?[0-9]+", token), (token, text)
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import factorial
 from pathlib import Path
 
@@ -9,7 +10,16 @@ import warnings
 
 import pytest
 
-from signed_nullity import SignedGraph, documents, is_connected, nullity
+from signed_nullity import (
+    RankClassVerdict,
+    SignedGraph,
+    documents,
+    is_connected,
+    nullity,
+    parse_graph,
+    recognize_rank2,
+    recognize_rank3,
+)
 from signed_nullity import verification
 from signed_nullity.canonical import _canonize, canonical_form
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, signature_representatives
@@ -73,6 +83,76 @@ SWEEP_ORDERS = [
     ("corollary2.9", 4, 12),
     ("theorem3.1", 4, 12),
     ("lemma2.5", 4, 12),
+]
+
+
+def _order(g: SignedGraph) -> int:
+    return g.order
+
+
+def _flipped(recognize):
+    return lambda g: RankClassVerdict(matches=not recognize(g).matches)
+
+
+# (sweep, max_n, names in verification to replace, a regex for each text the
+# sweep must then report, and no other); together every text of every sweep
+_BROKEN_SWEEPS = [
+    ("lemma2.1i", 4, {"nullity": _order}, [r"tree nullity formula disagrees with rank kernel"]),
+    (
+        "lemma2.1ii",
+        4,
+        {"nullity": _order},
+        [
+            r"balanced cycle formula disagrees with rank kernel",
+            r"unbalanced cycle formula disagrees with rank kernel",
+        ],
+    ),
+    (
+        "theorem2.3",
+        4,
+        {"recognize_rank2": _flipped(recognize_rank2)},
+        [r"rank-2 recognizer disagrees with rank kernel"],
+    ),
+    (
+        "theorem2.4",
+        4,
+        {"recognize_rank3": _flipped(recognize_rank3)},
+        [r"rank-3 recognizer disagrees with rank kernel"],
+    ),
+    (
+        "theorem2.4",
+        4,
+        {"low_rank_neighborhood_check": lambda g, x: False},
+        [r"neighborhood split check fails at vertices \[\d+(, \d+)+\] despite rank [23]"],
+    ),
+    ("corollary2.6", 5, {"nullity": _order}, [r"pendant vertex present but nullity exceeds n-4"]),
+    (
+        "corollary2.9",
+        6,
+        {"nullity": _order},
+        [
+            r"special path present but nullity exceeds n-4",
+            r"pendant vertex present but nullity exceeds n-4",
+        ],
+    ),
+    (
+        "theorem3.1",
+        5,
+        {"nullity": lambda g: g.order - 2, "is_extremal_bicyclic": lambda g, base: True},
+        [
+            r"unbalanced bicyclic graph with nullity above n-3",
+            r"extremal-shape verdict True but nullity is \d+",
+        ],
+    ),
+    (
+        "lemma2.5",
+        6,
+        {"nullity": _order},
+        [
+            r"pendant deletion \(\d+,\d+\) changed the nullity",
+            r"contraction of special path \(\d+,\d+,\d+\) changed the nullity",
+        ],
+    ),
 ]
 
 
@@ -262,6 +342,26 @@ class TestVerifyTheorem:
         assert len(report.violations) == report.instances_checked - 1
         keys = [(v.order, v.witness, v.detail) for v in report.violations]
         assert keys == sorted(keys)
+        for v in report.violations:
+            assert parse_graph(v.witness).order == v.order
+
+    @pytest.mark.parametrize(
+        "theorem,max_n,broken,texts",
+        _BROKEN_SWEEPS,
+        ids=[f"{case[0]}-{'-'.join(case[2])}" for case in _BROKEN_SWEEPS],
+    )
+    def test_a_broken_check_reports_each_of_its_texts(
+        self, monkeypatch, theorem, max_n, broken, texts
+    ):
+        for name, replacement in broken.items():
+            monkeypatch.setattr(verification, name, replacement)
+        report = verify_theorem(theorem, max_n, workers=1)
+        assert not report.ok
+        details = {v.detail for v in report.violations}
+        for text in texts:
+            assert any(re.fullmatch(text, d) for d in details), (text, sorted(details))
+        for detail in details:
+            assert any(re.fullmatch(text, detail) for text in texts), detail
         for v in report.violations:
             assert parse_graph(v.witness).order == v.order
 
