@@ -11,7 +11,6 @@ the caps of the sweeps and the catalogs live in the sweep table of
 
 from __future__ import annotations
 
-import heapq
 from itertools import islice, product
 from typing import Iterator
 
@@ -19,24 +18,53 @@ from .graphs import SignedGraph, _spanning_forest
 from .recognizers import shape_order
 
 
-def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:
-    """Decode a length n-2 sequence over 0..n-1 into its labeled tree."""
+def prufer_sequences(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Every Pruefer sequence of the labeled trees on n vertices that starts
+    with ``prefix``, in lexicographic order; K1's is the empty sequence."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n == 1:
+        return iter([()])
+    return (prefix + rest for rest in product(range(n), repeat=n - 2 - len(prefix)))
+
+
+def prufer_pairs(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges of the labeled tree with Pruefer sequence ``seq`` (length
+    n-2 over 0..n-1), as (leaf, neighbor) pairs in the order the leaves are
+    removed; the last pair joins the two vertices left, n-1 second.  K1 has
+    none.
+
+    Each step removes the smallest leaf.  A pointer scans up for the leaves
+    present from the start; a vertex that becomes a leaf when its last
+    occurrence in ``seq`` is read is removed next if it is below the
+    pointer, since every leaf below the pointer is gone, and otherwise the
+    pointer will reach it.  So the decoding takes linear time, with no heap.
+    A leaf comes off only after every vertex that hung from it.
+    """
+    if n == 1:
+        return []
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    ptr = leaf = degree.index(1)
+    pairs = []
     for x in seq:
-        v = heapq.heappop(leaves)
-        edges.append((min(v, x), max(v, x), 1))
+        pairs.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v), 1))
-    edges.sort()
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    pairs.append((leaf, n - 1))
+    return pairs
+
+
+def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:
+    """The all-positive labeled tree with Pruefer sequence ``seq``."""
+    edges = sorted((min(u, v), max(u, v), 1) for u, v in prufer_pairs(n, seq))
     return SignedGraph._trusted(n, tuple(edges))
 
 
@@ -46,13 +74,8 @@ def labeled_trees(n: int) -> Iterator[SignedGraph]:
     Signs on forests are immaterial (every signature of a forest is
     switching-equivalent to all-positive), so one signature suffices.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        yield SignedGraph._trusted(1, ())
-    else:
-        for seq in product(range(n), repeat=n - 2):
-            yield prufer_graph(n, seq)
+    for seq in prufer_sequences(n):
+        yield prufer_graph(n, seq)
 
 
 BaseShape = tuple[str, int, int, int]  # (kind, p, q, l)

@@ -6,6 +6,7 @@ anywhere, so rank and nullity never depend on a tolerance.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .graphs import SignedGraph, adjacency_matrix
@@ -25,9 +26,16 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     this only negates the row or does nothing, so it is skipped: every row
     and pivot is then its Bareiss value up to sign, an update from them is
     the Bareiss update up to sign, so every division stays exact, and a
-    sign does not change the rank.  The argument is copied, not modified.
+    sign does not change the rank.  The argument is copied, not modified,
+    and each entry through ``operator.index``: a float or fraction, which
+    the exact divisions would truncate, is refused with ValueError, and a
+    fixed-width integer, such as numpy's, becomes a Python int that cannot
+    overflow.
     """
-    m = [list(row) for row in matrix]
+    try:
+        m = [list(map(index, row)) for row in matrix]
+    except TypeError:
+        raise ValueError("rank needs a matrix of integers") from None
     for row in m:
         if len(row) != len(m[0]):
             raise ValueError("ragged matrix")

@@ -24,13 +24,14 @@ from .enumeration import (
     BaseShape,
     base_graph,
     bicyclic_base_shapes,
-    labeled_trees,
     prufer_graph,
+    prufer_pairs,
+    prufer_sequences,
     signature_representatives,
 )
 from .graphs import SignedGraph, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
-from .rank import cycle_nullity_formula, forest_nullity_formula, nullity
+from .rank import _eliminate, cycle_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -216,20 +217,45 @@ def bicyclic_underlying(n: int) -> Iterator[SignedGraph]:
 
 # ---------------------------------------------------------------------------
 # sweep checks: each yields every checked instance with its violation
-# details, the empty tuple when it passes
+# details, the empty tuple when it passes; a check may yield None in place
+# of the graph of a passing instance, so as not to build it
 
-Checked = Iterator[tuple[SignedGraph, tuple[str, ...]]]
+Checked = Iterator[tuple[Optional[SignedGraph], tuple[str, ...]]]
+
+
+def _leaf_matching(n: int, pairs: list[tuple[int, int]]) -> int:
+    """Matching number of a tree given as :func:`prufer_pairs` yields it.
+
+    Each leaf is matched to its neighbor when both are free, in removal
+    order.  A leaf comes off only after every vertex that hung from it, so
+    this is the leaves-up greedy matching, which is maximum on trees.
+    """
+    free = [True] * n
+    count = 0
+    for leaf, neighbor in pairs:
+        if free[leaf] and free[neighbor]:
+            free[leaf] = free[neighbor] = False
+            count += 1
+    return count
 
 
 def _check_trees(n: int, *prefix: int) -> Checked:
-    """Labeled trees of order n, or those whose Pruefer code starts with ``prefix``."""
-    trees = labeled_trees(n)
-    if prefix:
-        rests = product(range(n), repeat=n - 2 - len(prefix))
-        trees = (prufer_graph(n, prefix + rest) for rest in rests)
-    for g in trees:
-        ok = forest_nullity_formula(g) == nullity(g)
-        yield g, () if ok else ("tree nullity formula disagrees with rank kernel",)
+    """Labeled trees of order n, or those whose Pruefer code starts with ``prefix``.
+
+    One decoding gives both routes their input: the formula side matches
+    along the removal order, and the rank kernel gets the adjacency matrix.
+    Neither reads the other's result, and the tree's graph is built only as
+    the witness of a violation.
+    """
+    for seq in prufer_sequences(n, prefix):
+        pairs = prufer_pairs(n, seq)
+        matrix = [[0] * n for _ in range(n)]
+        for u, v in pairs:
+            matrix[u][v] = matrix[v][u] = 1
+        if n - 2 * _leaf_matching(n, pairs) == n - _eliminate(matrix):
+            yield None, ()
+        else:
+            yield prufer_graph(n, seq), ("tree nullity formula disagrees with rank kernel",)
 
 
 def _check_cycles(length: int) -> Checked:

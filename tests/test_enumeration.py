@@ -24,9 +24,13 @@ from oracles import brute_bicyclic_underlying, connected_labeled_graphs, cycle_g
 
 
 class TestLabeledTrees:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
+    @pytest.mark.parametrize(
+        "n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125), (6, 1296), (7, 16807)]
+    )
     def test_cayley_counts(self, n, count):
-        assert sum(1 for _ in labeled_trees(n)) == count
+        # n^(n-2) pairwise distinct trees: every labeled tree is decoded once
+        trees = [g.edges for g in labeled_trees(n)]
+        assert len(trees) == len(set(trees)) == count
 
     def test_all_distinct_and_acyclic(self):
         seen = set()

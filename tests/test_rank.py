@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,25 @@ class TestRankKernel:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
             rank([[1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[0.5, 1], [1, 3]], [[Fraction(1, 2), 1], [1, 3]], [[1, "a"]], [1, 2]],
+        ids=["float", "fraction", "string", "flat"],
+    )
+    def test_non_integer_entries_rejected(self, m):
+        # the true rank of the first two is 2; the exact divisions would
+        # truncate their entries and find 1
+        with pytest.raises(ValueError, match="integers"):
+            rank(m)
+
+    def test_fixed_width_integers_do_not_overflow(self):
+        np = pytest.importorskip("numpy")
+        h = np.array([[1]], dtype=np.int64)
+        for _ in range(5):
+            h = np.block([[h, h], [h, -h]])
+        # a 32x32 Sylvester-Hadamard matrix; int64 arithmetic would overflow
+        assert rank(h) == 32
 
     def test_needs_column_pivoting(self):
         # first column zero, rank found in later columns

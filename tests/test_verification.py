@@ -15,6 +15,7 @@ from signed_nullity import (
     SignedGraph,
     documents,
     is_connected,
+    matching_number,
     nullity,
     parse_graph,
     recognize_rank2,
@@ -22,7 +23,14 @@ from signed_nullity import (
 )
 from signed_nullity import verification
 from signed_nullity.canonical import _canonize, canonical_form
-from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, signature_representatives
+from signed_nullity.enumeration import (
+    base_graph,
+    bicyclic_base_shapes,
+    prufer_graph,
+    prufer_pairs,
+    prufer_sequences,
+    signature_representatives,
+)
 from signed_nullity.graphs import cycle_sign, fundamental_cycles
 from signed_nullity.recognizers import bicyclic_base
 from signed_nullity.verification import (
@@ -43,6 +51,7 @@ from signed_nullity.verification import (
 from oracles import (
     automorphism_count,
     brute_bicyclic_underlying,
+    brute_matching_number,
     connected_components,
     connected_labeled_graphs,
 )
@@ -97,7 +106,18 @@ def _flipped(recognize):
 # (sweep, max_n, names in verification to replace, a regex for each text the
 # sweep must then report, and no other); together every text of every sweep
 _BROKEN_SWEEPS = [
-    ("lemma2.1i", 4, {"nullity": _order}, [r"tree nullity formula disagrees with rank kernel"]),
+    (
+        "lemma2.1i",
+        4,
+        {"_eliminate": lambda m: 0},
+        [r"tree nullity formula disagrees with rank kernel"],
+    ),
+    (
+        "lemma2.1i",
+        4,
+        {"_leaf_matching": lambda n, pairs: 0},
+        [r"tree nullity formula disagrees with rank kernel"],
+    ),
     (
         "lemma2.1ii",
         4,
@@ -237,6 +257,15 @@ class TestVerifyTheorem:
             documents.verification_document(pooled)
         )
 
+    def test_leaf_order_matching_is_the_matching_number(self):
+        for n in range(1, 8):
+            for seq in prufer_sequences(n):
+                g = prufer_graph(n, seq)
+                found = verification._leaf_matching(n, prufer_pairs(n, seq))
+                assert found == matching_number(g), (n, seq)
+                if n <= 6:
+                    assert found == brute_matching_number(g), (n, seq)
+
     def test_parallel_results_identical(self):
         from signed_nullity import documents
 
@@ -336,7 +365,7 @@ class TestVerifyTheorem:
 
         clean = verify_theorem("lemma2.1i", 5)
         # a broken kernel: every tree with an edge now disagrees with the formula
-        monkeypatch.setattr(verification, "nullity", lambda g: g.order)
+        monkeypatch.setattr(verification, "_eliminate", lambda m: 0)
         report = verify_theorem("lemma2.1i", 5)
         assert report.instances_checked == clean.instances_checked
         assert len(report.violations) == report.instances_checked - 1
