@@ -1,15 +1,22 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
-1 verification violations, 2 usage errors, 3 input/output errors (files
-not in UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
+1 verification violations, 2 usage errors (including the arguments that
+``verify`` and ``catalog`` refuse), 3 input/output errors (files not in
+UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
 included), 4 unexpected internal errors (with a traceback on stderr, or
-one ``error:`` line when a pool worker process crashed).
+one ``error:`` line when a pool worker process crashed).  A file command
+reports every input error as a ``GraphFormatError``, so any other
+``ValueError`` it meets is internal.
 
-Every command parses files, so the module imports only the graph, file and
-rank layers; each subcommand imports the other layers it runs (documents,
-recognizers, reductions, verification) when it is called, which keeps a
-one-graph call from paying for the sweeps and the canonizer.
+The module imports only the graph, file and rank layers; each subcommand
+imports the other layers it runs (documents, recognizers, reductions,
+verification) when it is called.  A one-graph call thus loads ``graphs``,
+``graphio``, ``rank`` and this module, plus ``documents`` for ``balance``,
+``classify`` and ``reduce``, ``recognizers`` for ``classify`` and
+``reductions`` for ``reduce``: never the sweeps or the canonizer.  The
+records are NamedTuples and ``SignedGraph`` a plain class, so none of them
+loads ``inspect``, ``ast`` or ``dis``.
 """
 
 from __future__ import annotations
@@ -198,10 +205,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
+        if isinstance(exc, ValueError) and not hasattr(args, "file"):
+            # verify and catalog refuse their arguments with a ValueError; a
+            # file command's input errors are all GraphFormatErrors, so a
+            # ValueError after its file parsed is a fault, reported below
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         from concurrent.futures import BrokenExecutor
 
         if isinstance(exc, BrokenExecutor):  # a pool worker died; its traceback is lost

@@ -9,9 +9,8 @@ and safe to share between threads or worker processes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 Sign = int  # restricted to +1 / -1 at every construction boundary
 Edge = tuple[int, int, int]  # (u, v, sign) with u < v
@@ -23,38 +22,69 @@ def _check_sign(s: int) -> None:
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
 
 
-@dataclass(frozen=True)
+def _refuse(message: str) -> NoReturn:
+    # the module that defines the error costs milliseconds to import, so
+    # only a refused write pays for it
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
 class SignedGraph:
     """Immutable signed graph on vertices ``0..order-1``.
 
     ``edges`` is the canonical edge set: each entry is ``(u, v, sign)`` with
     ``u < v`` and entries sorted, so equal graphs have identical
     representations (and serializations).
+
+    ``order`` and ``edges`` live in the instance ``__dict__``, next to the
+    cached neighbor table; assigning or deleting an attribute raises
+    ``FrozenInstanceError``.  Equality, hashing and ``repr`` read the two
+    fields only.
     """
 
     order: int
     edges: tuple[Edge, ...]
+    __match_args__ = ("order", "edges")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, edges: tuple[Edge, ...]) -> None:
+        if order < 0:
             raise ValueError("order must be non-negative")
         prev: Optional[tuple[int, int]] = None
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
-            if not (0 <= u and v < self.order):
-                raise ValueError(f"edge ({u},{v}) out of range for order {self.order}")
+            if not (0 <= u and v < order):
+                raise ValueError(f"edge ({u},{v}) out of range for order {order}")
             _check_sign(s)
             # strictly increasing pairs are both sorted and unique
             if prev is not None and prev >= (u, v):
                 raise ValueError(f"duplicate edge ({u},{v})" if prev == (u, v) else "edge list not sorted")
             prev = (u, v)
+        self.__dict__.update(order=order, edges=edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.edges) == (other.order, other.edges)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(order={self.order!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        _refuse(f"cannot delete field {name!r}")
 
     @classmethod
     def _trusted(cls, order: int, edges: tuple[Edge, ...]) -> "SignedGraph":
-        """Build a graph without the structural check of ``__post_init__``.
+        """Build a graph without the structural check of ``__init__``.
 
         Only for graphs the package derives from already-valid parts.  The
         caller guarantees that every edge has ``u < v``, that the edges are
@@ -175,8 +205,7 @@ def switch(g: SignedGraph, theta: Sequence[int]) -> SignedGraph:
     return g._resigned(tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
 
 
-@dataclass(frozen=True)
-class BalanceWitness:
+class BalanceWitness(NamedTuple):
     """Outcome of a balance test, always carrying a checkable certificate.
 
     Balanced graphs come with a switching function that makes every edge

@@ -11,8 +11,7 @@ against the exact rank kernel as independent routes to the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import SignedGraph, cycle_sign, is_balanced, is_connected
 from .rank import nullity
@@ -20,8 +19,7 @@ from .rank import nullity
 PartNeighborhoods = tuple[tuple[int, ...], tuple[int, ...]]  # (positive, negative)
 
 
-@dataclass(frozen=True)
-class RankClassVerdict:
+class RankClassVerdict(NamedTuple):
     """Outcome of a rank-class recognition, with a revalidatable certificate.
 
     On a match, ``parts`` holds the multipartition of the non-isolated
@@ -123,27 +121,37 @@ def shape_order(kind: str, p: int, q: int, l: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BicyclicBase:
-    """Shape of a bicyclic graph's 2-core.
-
-    ``infinity``: two cycles of lengths p <= q joined by a path with l-1
-    edges (l = 1 means they share a vertex).  ``theta``: three internally
-    disjoint paths of edge-lengths p >= q >= l between two hub vertices.
-    :func:`shape_order` decides which parameters are valid.
-    """
-
+class _BicyclicBaseFields(NamedTuple):
     kind: str  # "infinity" | "theta"
     p: int
     q: int
     l: int
     base_vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("infinity", "theta"):
-            raise ValueError(f"unknown base kind {self.kind!r}")
-        if not shape_order(self.kind, self.p, self.q, self.l):
-            raise ValueError(f"invalid {self.kind} parameters {(self.p, self.q, self.l)}")
+
+class BicyclicBase(_BicyclicBaseFields):
+    """Shape of a bicyclic graph's 2-core.
+
+    ``infinity``: two cycles of lengths p <= q joined by a path with l-1
+    edges (l = 1 means they share a vertex).  ``theta``: three internally
+    disjoint paths of edge-lengths p >= q >= l between two hub vertices.
+    :func:`shape_order` decides which parameters are valid, and the
+    constructor refuses the others.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int, q: int, l: int, base_vertices: tuple[int, ...]) -> "BicyclicBase":
+        if kind not in ("infinity", "theta"):
+            raise ValueError(f"unknown base kind {kind!r}")
+        if not shape_order(kind, p, q, l):
+            raise ValueError(f"invalid {kind} parameters {(p, q, l)}")
+        return super().__new__(cls, kind, p, q, l, base_vertices)
+
+    @classmethod
+    def _make(cls, iterable) -> "BicyclicBase":
+        # the NamedTuple version, which ``_replace`` calls too, skips __new__
+        return cls(*iterable)
 
     def cycle_lengths(self) -> tuple[int, int, int]:
         """Lengths of the two independent cycles and of their edge-set sum."""
@@ -208,8 +216,7 @@ def bicyclic_base(g: SignedGraph) -> Optional[BicyclicBase]:
     return BicyclicBase("infinity", min(p, q), max(p, q), l, tuple(core))
 
 
-@dataclass(frozen=True)
-class UnbalancedBicyclicVerdict:
+class UnbalancedBicyclicVerdict(NamedTuple):
     """Nullity-bound verdict for an unbalanced bicyclic signed graph."""
 
     bound_holds: bool  # nullity <= order - 3

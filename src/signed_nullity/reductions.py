@@ -13,15 +13,14 @@ trace so reduction chains can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import SignedGraph, compaction_map, induced_subgraph, switch
 
 SwitchingFunction = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpecialPath:
+class SpecialPath(NamedTuple):
     """Path v1-v2-v3 with deg(v2)=2, v1v3 not an edge, and no common neighbor
     of v1 and v3 besides v2."""
 
@@ -30,15 +29,13 @@ class SpecialPath:
     v3: int
 
 
-@dataclass(frozen=True)
-class PendantDeletion:
+class PendantDeletion(NamedTuple):
     pendant: int
     neighbor: int
     relabeling: tuple[int, ...]  # old id -> new id, -1 for the two removed
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[PendantDeletion, ...]
 
 

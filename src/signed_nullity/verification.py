@@ -15,9 +15,8 @@ ones.  The checks then take each class once per switching class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .canonical import _canonize
 from .enumeration import (
@@ -49,8 +48,7 @@ from .reductions import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A failed instance, with a replayable witness graph."""
 
     order: int
@@ -58,8 +56,7 @@ class Violation:
     witness: str  # graph-file text
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem: str
     orders_checked: tuple[int, ...]
     instances_checked: int
@@ -360,8 +357,7 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
 # the sweep table and engine
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """One exhaustive sweep: the orders (or cycle lengths) it accepts, its
     chunks for a given max_n, and the check run on each."""
 
@@ -540,8 +536,7 @@ def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremRepo
 BalanceProfile = tuple[tuple[int, int], ...]  # ((cycle length, sign) x 3), sorted
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     code: str
     base: BicyclicBase
     profiles: tuple[BalanceProfile, ...]
@@ -549,8 +544,7 @@ class CatalogEntry:
     witness: SignedGraph
 
 
-@dataclass(frozen=True)
-class NullityCatalog:
+class NullityCatalog(NamedTuple):
     order: int
     k: int
     nullity: int

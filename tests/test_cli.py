@@ -118,6 +118,20 @@ class TestGraphFiles:
                     assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+    def test_value_error_that_is_no_format_error_exits_4(self, graph_file, capsys, monkeypatch, command):
+        from signed_nullity import cli
+
+        def fail(text):
+            raise ValueError("parser fault")
+
+        monkeypatch.setattr(cli, "parse_graph", fail)
+        assert main(_argv(command, graph_file(DOUBLED_TRIANGLE_NEG))) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "parser fault" in captured.err
+
+
 class TestBalanceCommand:
     def test_balanced_witness(self, graph_file, capsys):
         assert main(["balance", graph_file("2 1\n0 1 -\n")]) == 0
@@ -140,6 +154,19 @@ class TestClassifyCommand:
         assert doc["rank2"]["matches"] is False
         assert doc["bicyclic_base"]["kind"] == "theta"
         assert doc["unbalanced_bicyclic"] == {"bound_holds": True, "is_extremal": True}
+
+    def test_internal_value_error_exits_4_with_traceback(self, graph_file, capsys, monkeypatch):
+        # the file parsed, so a ValueError from a layer below is a fault, not a usage error
+        from signed_nullity import recognizers
+
+        def fail(g):
+            raise ValueError("recognizer fault")
+
+        monkeypatch.setattr(recognizers, "recognize_rank2", fail)
+        assert main(["classify", graph_file(DOUBLED_TRIANGLE_NEG)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "recognizer fault" in captured.err
 
     def test_non_bicyclic_has_null_base(self, graph_file, capsys):
         assert main(["classify", graph_file("2 1\n0 1 +\n")]) == 0
@@ -311,6 +338,20 @@ class TestImport:
         loaded = set(self._fresh_stdout(code).split())
         base = {"cli", "graphio", "graphs", "rank"}
         assert loaded == {f"signed_nullity.{name}" for name in base.union(layers)}
+
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+    def test_file_command_loads_no_code_introspection(self, graph_file, command):
+        # records are NamedTuples and SignedGraph a plain class, so a
+        # one-graph call loads neither dataclasses nor the modules it imports
+        code = (
+            "import contextlib, io, sys\n"
+            "from signed_nullity.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({_argv(command, graph_file(DOUBLED_TRIANGLE_NEG))!r}) == 0\n"
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+        )
+        assert self._fresh_stdout(code) == "\n"
 
 
 class TestCatalogCommand:

@@ -267,6 +267,8 @@ class TestBicyclicBase:
     def test_invalid_parameters_rejected(self, kind, p, q, l):
         with pytest.raises(ValueError, match="invalid|unknown"):
             BicyclicBase(kind, p, q, l, ())
+        with pytest.raises(ValueError, match="invalid|unknown"):
+            BicyclicBase("theta", 2, 2, 1, ())._replace(kind=kind, p=p, q=q, l=l)
 
     def test_every_class_to_order_9_round_trips_its_shape(self):
         rng = random.Random(20120)
