@@ -6,14 +6,15 @@ Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
 UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
 included), 4 unexpected internal errors (with a traceback on stderr, or
 one ``error:`` line when a pool worker process crashed).  A file command
-reports every input error as a ``GraphFormatError``, so any other
-``ValueError`` it meets is internal.
+reports every input error as a ``GraphFormatError``, and ``verify`` and
+``catalog`` refuse their arguments with a ``verification.UsageError``, so
+any other ``ValueError`` is internal.
 
 The module imports only the graph, file and rank layers; each subcommand
 imports the other layers it runs (documents, recognizers, reductions,
 verification) when it is called.  A one-graph call thus loads ``graphs``,
-``graphio``, ``rank`` and this module, plus ``documents`` for ``balance``,
-``classify`` and ``reduce``, ``recognizers`` for ``classify`` and
+``graphio``, ``rank`` and this module, plus ``documents`` for ``classify``
+and ``reduce``, ``recognizers`` for ``classify`` and
 ``reductions`` for ``reduce``: never the sweeps or the canonizer.  The
 records are NamedTuples and ``SignedGraph`` a plain class, so none of them
 loads ``inspect``, ``ast`` or ``dis``.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .graphio import GraphFormatError, parse_graph, to_dot
+from .graphio import GraphFormatError, parse_graph, signs_text, to_dot
 from .graphs import SignedGraph, is_balanced
 from .rank import nullity
 
@@ -92,12 +93,10 @@ def _cmd_nullity(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    from . import documents
-
     g, _ = _load_graph(args.file)
     witness = is_balanced(g)
     if witness.balanced:
-        print(f"balanced theta={documents.signs_text(witness.switching)}")
+        print(f"balanced theta={signs_text(witness.switching)}")
     else:
         print("unbalanced cycle=" + " ".join(map(str, witness.negative_cycle)))
     return EXIT_OK
@@ -206,10 +205,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:
-        if isinstance(exc, ValueError) and not hasattr(args, "file"):
-            # verify and catalog refuse their arguments with a ValueError; a
-            # file command's input errors are all GraphFormatErrors, so a
-            # ValueError after its file parsed is a fault, reported below
+        # only verify and catalog refuse arguments, after loading the sweeps;
+        # looking the module up keeps a file command from loading them
+        verification = sys.modules.get(f"{__package__}.verification")
+        if verification is not None and isinstance(exc, verification.UsageError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         from concurrent.futures import BrokenExecutor

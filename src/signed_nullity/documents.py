@@ -12,7 +12,7 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .graphio import serialize_graph
+from .graphio import serialize_graph, signs_text
 
 if TYPE_CHECKING:
     from .graphs import SignedGraph
@@ -44,10 +44,6 @@ def document(kind: str, digest: str, payload: dict) -> dict:
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def signs_text(signs) -> str:
-    return "".join("+" if s == 1 else "-" for s in signs)
 
 
 def verdict_dict(v: RankClassVerdict) -> dict:

@@ -99,6 +99,11 @@ def serialize_graph(g: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def signs_text(signs) -> str:
+    """A sign sequence as '+'/'-' tokens, as the balance witness prints it."""
+    return "".join("+" if s == 1 else "-" for s in signs)
+
+
 def to_dot(g: SignedGraph) -> str:
     """DOT text; negative edges are dashed, signs appear as edge attributes."""
     lines = ["graph {"]

@@ -7,6 +7,12 @@ a single vertex.  The rewiring and contraction require the path's two edges
 to carry signs (-1, +1); ``normalize_special_path`` reaches that pattern by
 switching, which never changes the nullity either.
 
+Each transformation has one private core, ``_delete_pair`` or
+``_contract``, which trusts its arguments; the public functions check them
+once and call it.  The lemma2.5 sweep calls the cores directly, on the
+pendant pairs and special paths it found on the class graph, which every
+switching class of that graph shares.
+
 ``reduce`` records each pendant-pair deletion it makes in a replayable
 trace so reduction chains can be audited.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import SignedGraph, compaction_map, induced_subgraph, switch
+from .graphs import SignedGraph, compaction_map, switch
 
 SwitchingFunction = tuple[int, ...]
 
@@ -46,9 +52,21 @@ def find_pendants(g: SignedGraph) -> list[tuple[int, int]]:
 
 def delete_pendant_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
     """Delete pendant v and its neighbor u; the nullity does not change."""
-    if not (0 <= v < g.order) or g.degree(v) != 1 or g.neighbors(v)[0] != u:
+    if not (0 <= v < g.order and g._sorted_neighbors[v] == (u,)):
         raise ValueError(f"({v},{u}) is not a pendant pair")
-    return induced_subgraph(g, (w for w in range(g.order) if w != v and w != u))
+    return _delete_pair(g, v, u)
+
+
+def _delete_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
+    """g without the two distinct vertices v and u, the others compacted
+    order-preservingly; a relabeling that keeps order keeps the edges sorted."""
+    lo, hi = (v, u) if v < u else (u, v)
+    edges = tuple(
+        (a - (a > lo) - (a > hi), b - (b > lo) - (b > hi), s)
+        for a, b, s in g.edges
+        if a != lo and a != hi and b != lo and b != hi
+    )
+    return SignedGraph._trusted(g.order - 2, edges)
 
 
 def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
@@ -85,17 +103,20 @@ def normalize_special_path(g: SignedGraph, p: SpecialPath) -> tuple[SignedGraph,
     if not is_special_path(g, p):
         raise ValueError(f"{p} is not a special path")
     theta = [1] * g.order
-    if g.sign_of(p.v1, p.v2) == 1:
-        theta[p.v1] = -1
-    if g.sign_of(p.v2, p.v3) == -1:
-        theta[p.v3] = -1
+    theta[p.v1], theta[p.v3] = _normalizing_flips(g, p)
     return switch(g, theta), tuple(theta)
+
+
+def _normalizing_flips(g: SignedGraph, p: SpecialPath) -> tuple[int, int]:
+    """The switching signs at v1 and at v3 that give a special path the signs (-1, +1)."""
+    return -g._edge_sign(p.v1, p.v2), g._edge_sign(p.v2, p.v3)
 
 
 def _require_normalized(g: SignedGraph, p: SpecialPath) -> None:
     if not is_special_path(g, p):
         raise ValueError(f"{p} is not a special path")
-    if g.sign_of(p.v1, p.v2) != -1 or g.sign_of(p.v2, p.v3) != 1:
+    # the path's ids are in range and its edges exist, so no accessor is needed
+    if g._edge_sign(p.v1, p.v2) != -1 or g._edge_sign(p.v2, p.v3) != 1:
         raise ValueError("special path is not normalized to signs (-1, +1)")
 
 
@@ -110,7 +131,7 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     # share no neighbor but v2, so the edge vv3 is never there yet
     if v == p.v2 or v not in g._sorted_neighbors[p.v1]:
         raise ValueError(f"vertex {v} is not an eligible neighbor of {p.v1}")
-    s = g.sign_of(v, p.v1)
+    s = g._edge_sign(v, p.v1)
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]
     edges.append((min(v, p.v3), max(v, p.v3), s))
     edges.sort()
@@ -126,22 +147,33 @@ def contract_special_path(g: SignedGraph, p: SpecialPath) -> SignedGraph:
     order-preservingly.
     """
     _require_normalized(g, p)
-    v1, v2, v3 = p.v1, p.v2, p.v3
-    merged_old = min(v1, v2, v3)
-    removed = {v1, v2, v3} - {merged_old}
-    relabel = compaction_map(g.order, removed)
+    return _contract(g, p)
+
+
+def _contract(g: SignedGraph, p: SpecialPath) -> SignedGraph:
+    """Normalize the special path p of g as :func:`normalize_special_path`
+    does, then contract it as :func:`contract_special_path` does, in one pass.
+
+    Switching at v1 or v3 flips the signs of that vertex's edges; on a path
+    that is normalized already, nothing flips.
+    """
+    v1, v2, v3 = p
+    merged, lo, hi = sorted(p)
+    t1, t3 = _normalizing_flips(g, p)
     edges = []
-    for u, v, s in g.edges:
-        if u in (v1, v2, v3) and v in (v1, v2, v3):
+    for a, b, s in g.edges:
+        if a == v2 or b == v2:  # the two path edges, the only edges of v2
             continue
-        if u in (v1, v3):
-            u = merged_old
-        if v in (v1, v3):
-            v = merged_old
-        a, b = relabel[u], relabel[v]
-        if a > b:
-            a, b = b, a
-        edges.append((a, b, s))
+        # v1 and v3 are not adjacent, so at most one end is either of them
+        if a == v1 or a == v3:
+            s *= t1 if a == v1 else t3
+            a = merged
+        elif b == v1 or b == v3:
+            s *= t1 if b == v1 else t3
+            b = merged
+        a -= (a > lo) + (a > hi)
+        b -= (b > lo) + (b > hi)
+        edges.append((a, b, s) if a < b else (b, a, s))
     edges.sort()
     return SignedGraph._trusted(g.order - 2, tuple(edges))
 
@@ -160,4 +192,4 @@ def reduce(g: SignedGraph) -> tuple[SignedGraph, ReductionTrace]:
             return current, ReductionTrace(tuple(steps))
         v, u = pendants[0]
         steps.append(PendantDeletion(v, u, compaction_map(current.order, (v, u))))
-        current = delete_pendant_pair(current, v, u)
+        current = _delete_pair(current, v, u)

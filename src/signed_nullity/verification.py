@@ -39,13 +39,13 @@ from .recognizers import (
     recognize_rank2,
     recognize_rank3,
 )
-from .reductions import (
-    contract_special_path,
-    delete_pendant_pair,
-    find_pendants,
-    find_special_paths,
-    normalize_special_path,
-)
+from .reductions import _contract, _delete_pair, find_pendants, find_special_paths
+
+
+class UsageError(ValueError):
+    """An argument a sweep or a catalog refuses before any work: an unknown
+    theorem id, an order outside the accepted range, or fewer than one
+    worker.  The CLI exits 2 on it and 4 on any other error."""
 
 
 class Violation(NamedTuple):
@@ -86,32 +86,30 @@ def _classes_by_order(
     (McKay's isomorph-free generation by extension); its docstring shows
     that no class is lost.
 
-    With ``keep``, a class (the root included) whose canonical graph fails
-    it is dropped and grows no further; each verdict is recorded by code, so
-    a class met from several parents is tested once.  A catalog passes a
-    rank test, which is exact for it: a bicyclic class grows by leaves only,
-    so every class on the way to an order-n class H, the canonical parents
-    included, is an induced subgraph of H.  Every cycle of H lies in its
-    2-core, which those subgraphs share, so a switching class of H restricts
-    to a switching class of each of them, and a principal submatrix has at
-    most the rank of the whole matrix: if H has a switching class of rank
-    k, each class on its way has one of rank at most k.
+    With ``keep``, a class (the root included) that fails it is dropped and
+    grows no further.  The test runs on each graph before it is canonized,
+    so it must depend on the isomorphism class alone, and a dropped graph is
+    never canonized.  A catalog passes a rank test, which is exact for it: a
+    bicyclic class grows by leaves only, so every class on the way to an
+    order-n class H, the canonical parents included, is an induced subgraph
+    of H.  Every cycle of H lies in its 2-core, which those subgraphs share,
+    so a switching class of H restricts to a switching class of each of
+    them, and a principal submatrix has at most the rank of the whole
+    matrix: if H has a switching class of rank k, each class on its way has
+    one of rank at most k.
     """
-    code, canon, reps = _canonize(root)
-    level = {code: (canon, reps)} if keep is None or keep(canon) else {}
+    level: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
+    if keep is None or keep(root):
+        code, canon, reps = _canonize(root)
+        level[code] = (canon, reps)
     yield {code: canon for code, (canon, _) in level.items()}
     for _ in range(root.order, max_n):
         grown: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
-        dropped: set[str] = set()
         for g, reps in level.values():
             for h in _extensions(g, reps, leaves_only):
-                code, canon, orbit_reps = _canonize(h)
-                if code in grown or code in dropped:
-                    continue
-                if keep is None or keep(canon):
-                    grown[code] = (canon, orbit_reps)
-                else:
-                    dropped.add(code)
+                if keep is None or keep(h):
+                    code, canon, orbit_reps = _canonize(h)
+                    grown.setdefault(code, (canon, orbit_reps))
         level = grown
         yield {code: canon for code, (canon, _) in level.items()}
 
@@ -175,16 +173,16 @@ def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
 
 
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
-# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 36-45 s
-# at n <= 12, and the largest catalog, n = 12 and k = 12 (6,627 entries),
-# takes 7-11 s.
+# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 24-25 s
+# at n <= 12 (theorem3.1 and corollary2.9 about 8 s), and the largest
+# catalog, n = 12 and k = 12 (6,627 entries), takes 10 s.
 _BICYCLIC_MAX_N = 12
 
 
 def _bicyclic_shapes(n: int) -> list[BaseShape]:
     """The 2-core shapes of the bicyclic classes of order n, once n is checked."""
     if not 4 <= n <= _BICYCLIC_MAX_N:
-        raise ValueError(
+        raise UsageError(
             f"bicyclic classes have orders 4 up to {_BICYCLIC_MAX_N} (their ceiling), got {n}"
         )
     return bicyclic_base_shapes(n)
@@ -336,6 +334,8 @@ def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
 
 def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
     for g in _shape_classes(shape, max_n):
+        # every representative has g's underlying graph, so each pendant pair
+        # and special path of g is one of rep's, and the cores need no checks
         pendants = find_pendants(g)
         paths = find_special_paths(g)
         for rep in signature_representatives(g):
@@ -343,12 +343,12 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
             details = tuple(
                 f"pendant deletion ({v},{u}) changed the nullity"
                 for v, u in pendants
-                if nullity(delete_pendant_pair(rep, v, u)) != eta
+                if nullity(_delete_pair(rep, v, u)) != eta
             )
             details += tuple(
                 f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
                 for p in paths
-                if nullity(contract_special_path(normalize_special_path(rep, p)[0], p)) != eta
+                if nullity(_contract(rep, p)) != eta
             )
             yield rep, details
 
@@ -483,7 +483,7 @@ def _sweep_chunk(task: tuple[str, tuple]) -> tuple[int, list[Violation]]:
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
     """``fn`` over every task, in order; on a process pool when workers > 1."""
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise UsageError(f"workers must be at least 1, got {workers}")
     if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only pool users pay for the import
@@ -502,7 +502,7 @@ def _resolve_theorem(theorem_id: str) -> str:
     key = _ALIASES.get(key, key)
     if key not in _SWEEPS:
         known = ", ".join(sorted(_SWEEPS))
-        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
+        raise UsageError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
     return key
 
 
@@ -511,7 +511,7 @@ def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremRepo
     key = _resolve_theorem(theorem_id)
     sweep = _SWEEPS[key]
     if not sweep.min_n <= max_n <= sweep.max_n:
-        raise ValueError(
+        raise UsageError(
             f"sweep {key} needs max_n >= {sweep.min_n} and accepts max_n up to "
             f"{sweep.max_n} (its ceiling), got {max_n}"
         )
@@ -621,7 +621,7 @@ def catalog_nullity_classes(
     before any work.
     """
     if not 3 <= k <= n:
-        raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
+        raise UsageError(f"need 3 <= k <= n, got k={k}, n={n}")
     tasks = [(shape, n, k, balanced_only) for shape in _bicyclic_shapes(n)]
     chunks = _run_tasks(_catalog_chunk, tasks, workers)
     entries = sorted((entry for chunk in chunks for entry in chunk), key=lambda e: e.code)

@@ -231,6 +231,23 @@ class TestVerifyCommand:
     def test_usage_error_exits_2(self, capsys):
         assert main(["verify", "--max-n", "5"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--theorem", "theorem3.1", "--max-n", "4"],
+        ["catalog", "--n", "5", "--k", "4"],
+    ], ids=["verify", "catalog"])
+    def test_value_error_inside_a_check_exits_4_with_traceback(self, capsys, monkeypatch, command):
+        # only a refused argument is a usage error; a fault in the work is internal
+        from signed_nullity import verification
+
+        def fail(g):
+            raise ValueError("fault inside a check")
+
+        monkeypatch.setattr(verification, "nullity", fail)
+        assert main(command) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "ValueError: fault inside a check" in captured.err
+
     def test_byte_identical_documents(self, capsys):
         main(["verify", "--theorem", "lemma2.1ii", "--max-n", "12"])
         first = capsys.readouterr().out
@@ -292,6 +309,41 @@ class TestVerifyCommand:
         assert "theorems" in out and "--list" not in out
 
 
+class TestRefusedArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify", "--theorem", "nope", "--max-n", "5"],
+                "unknown theorem id 'nope'; known ids: corollary2.6, corollary2.9, "
+                "lemma2.1i, lemma2.1ii, lemma2.5, theorem2.3, theorem2.4, theorem3.1",
+            ),
+            (
+                ["verify", "--theorem", "lemma2.5", "--max-n", "13"],
+                "sweep lemma2.5 needs max_n >= 4 and accepts max_n up to 12 (its ceiling), got 13",
+            ),
+            (
+                ["verify", "--theorem", "theorem2.3", "--max-n", "0"],
+                "sweep theorem2.3 needs max_n >= 1 and accepts max_n up to 8 (its ceiling), got 0",
+            ),
+            (
+                ["verify", "--theorem", "lemma2.1ii", "--max-n", "4", "--workers", "0"],
+                "workers must be at least 1, got 0",
+            ),
+            (["catalog", "--n", "5", "--k", "2"], "need 3 <= k <= n, got k=2, n=5"),
+            (["catalog", "--n", "5", "--k", "6"], "need 3 <= k <= n, got k=6, n=5"),
+            (
+                ["catalog", "--n", "13", "--k", "4"],
+                "bicyclic classes have orders 4 up to 12 (their ceiling), got 13",
+            ),
+            (["catalog", "--n", "4", "--k", "3", "--workers", "-3"], "workers must be at least 1, got -3"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestWorkersOption:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_below_one_exits_2(self, capsys, workers):
@@ -320,7 +372,7 @@ class TestImport:
         [
             (["nullity"], []),
             (["convert", "--to", "dot"], []),
-            (["balance"], ["documents"]),
+            (["balance"], []),
             (["classify"], ["documents", "recognizers"]),
             (["reduce"], ["documents", "reductions"]),
         ],

@@ -6,19 +6,22 @@ import pytest
 
 from signed_nullity import (
     SpecialPath,
+    bicyclic_underlying,
     build_graph,
     canonical_code,
     contract_special_path,
     delete_pendant_pair,
     find_pendants,
     find_special_paths,
+    induced_subgraph,
     normalize_special_path,
     nullity,
     reduce,
     rewire_special_path,
+    signature_representatives,
     switch,
 )
-from signed_nullity.reductions import is_special_path
+from signed_nullity.reductions import _contract, _delete_pair, is_special_path
 from oracles import cycle_graph, path_graph, star_graph
 
 
@@ -255,6 +258,36 @@ class TestContractSpecialPath:
             assert normalized._sorted_neighbors is rep._sorted_neighbors
             contract_special_path(normalized, p)
             assert set(vars(normalized)) == {"order", "edges", "_sorted_neighbors"}
+
+
+class TestCores:
+    """The lemma2.5 sweep runs ``_delete_pair`` and ``_contract`` unchecked,
+    on the pendant pairs and special paths it finds on the class graph."""
+
+    def test_equal_the_public_functions_on_every_bicyclic_switching_class_to_order_8(self):
+        deletions = contractions = 0
+        for n in range(4, 9):
+            for g in bicyclic_underlying(n):
+                pendants, paths = find_pendants(g), find_special_paths(g)
+                for rep in signature_representatives(g):
+                    for v, u in pendants:
+                        kept = induced_subgraph(rep, set(range(n)) - {v, u})
+                        assert _delete_pair(rep, v, u) == delete_pendant_pair(rep, v, u) == kept
+                        deletions += 1
+                    for p in paths:
+                        normalized, _ = normalize_special_path(rep, p)
+                        assert _contract(rep, p) == contract_special_path(normalized, p)
+                        contractions += 1
+        assert (deletions, contractions) == (2416, 2608)
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_contract_switches_each_path_end_as_normalization_does(self, signs):
+        # the ends' other edges carry the flips: 0-3 at v1 = 0, 2-4 at v3 = 2
+        g = build_graph(5, [(0, 1, signs[0]), (1, 2, signs[1]), (0, 3, 1), (2, 4, -1)])
+        p = SpecialPath(0, 1, 2)
+        normalized, theta = normalize_special_path(g, p)
+        assert _contract(g, p) == contract_special_path(normalized, p)
+        assert _contract(g, p) == build_graph(3, [(0, 1, theta[0]), (0, 2, -theta[2])])
 
 
 class TestReduce:

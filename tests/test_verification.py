@@ -37,6 +37,7 @@ from signed_nullity.verification import (
     CatalogEntry,
     NullityCatalog,
     TheoremReport,
+    UsageError,
     _classes_by_order,
     _connected_classes,
     _extensions,
@@ -173,18 +174,31 @@ _BROKEN_SWEEPS = [
             r"contraction of special path \(\d+,\d+,\d+\) changed the nullity",
         ],
     ),
+    # the edgeless graph of order n-2 has nullity n-2, above any bicyclic one
+    (
+        "lemma2.5",
+        6,
+        {"_delete_pair": lambda g, v, u: SignedGraph(g.order - 2, ())},
+        [r"pendant deletion \(\d+,\d+\) changed the nullity"],
+    ),
+    (
+        "lemma2.5",
+        6,
+        {"_contract": lambda g, p: SignedGraph(g.order - 2, ())},
+        [r"contraction of special path \(\d+,\d+,\d+\) changed the nullity"],
+    ),
 ]
 
 
 class TestVerifyTheorem:
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown theorem id"):
+        with pytest.raises(UsageError, match="unknown theorem id"):
             verify_theorem("theorem9.9", 5)
 
     def test_ceiling_enforced(self, monkeypatch, no_chunks):
         # the cap is the sweep's own; the variable that once raised it is ignored
         monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "12")
-        with pytest.raises(ValueError, match=r"up to 8 \(its ceiling\), got 9"):
+        with pytest.raises(UsageError, match=r"up to 8 \(its ceiling\), got 9"):
             verify_theorem("theorem2.3", 9)
 
     @pytest.mark.parametrize("theorem, min_n, max_n", SWEEP_ORDERS)
@@ -193,9 +207,9 @@ class TestVerifyTheorem:
     ):
         sweep = verification._SWEEPS[theorem]
         assert (sweep.min_n, sweep.max_n) == (min_n, max_n)
-        with pytest.raises(ValueError, match="ceiling"):
+        with pytest.raises(UsageError, match="ceiling"):
             verify_theorem(theorem, max_n + 1)
-        with pytest.raises(ValueError, match=f"needs max_n >= {min_n}"):
+        with pytest.raises(UsageError, match=f"needs max_n >= {min_n}"):
             verify_theorem(theorem, min_n - 1)
 
     def test_every_sweep_has_a_pinned_range(self):
@@ -208,11 +222,11 @@ class TestVerifyTheorem:
         assert report.instances_checked == 36  # lengths 3..20, two classes each
 
     def test_bicyclic_sweep_needs_order_4(self):
-        with pytest.raises(ValueError, match="needs max_n >= 4"):
+        with pytest.raises(UsageError, match="needs max_n >= 4"):
             verify_theorem("theorem3.1", 3)
 
     def test_cycle_sweep_has_its_own_cap(self):
-        with pytest.raises(ValueError, match="up to 128"):
+        with pytest.raises(UsageError, match="up to 128"):
             verify_theorem("lemma2.1ii", 200)
 
     def test_aliases_resolve(self):
@@ -305,9 +319,9 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(UsageError, match="workers"):
             verify_theorem("lemma2.1ii", 4, workers=workers)
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(UsageError, match="workers"):
             catalog_nullity_classes(4, 3, workers=workers)
 
     def test_report_shape(self):
@@ -603,9 +617,10 @@ class TestRankPrunedCatalogs:
             assert catalog == expected
 
     def test_canonizer_calls_at_order_9(self, canonize_calls):
-        # bicyclic_classes(9) takes 1,270 calls (pinned above)
+        # bicyclic_classes(9) takes 1,270 calls (pinned above); the rank test
+        # runs before the canonizer, so a dropped graph is never canonized
         assert len(catalog_nullity_classes(9, 4).entries) == 10
-        assert len(canonize_calls) == 139
+        assert len(canonize_calls) == 77
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_keep_changes_nothing_when_k_is_at_least_n_minus_1(self, n):
@@ -619,13 +634,18 @@ class TestRankPrunedCatalogs:
                         _classes_by_order(root, n, True)
                     )
 
+    def test_only_kept_graphs_are_canonized(self, canonize_calls):
+        catalog_nullity_classes(9, 4)
+        keep = _rank_at_most(9, 4, False)
+        assert canonize_calls and all(keep(g) for g in canonize_calls)
+
     def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
         # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
         # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
         bowtie = base_graph(("infinity", 3, 3, 1))
         levels = _classes_by_order(bowtie, 8, True, _rank_at_most(8, 3, False))
         assert [len(level) for level in levels] == [0, 0, 0, 0]
-        assert len(canonize_calls) == 1
+        assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
         levels = _classes_by_order(k23, 8, True, _rank_at_most(8, 3, True))
         assert [len(level) for level in levels] == [1, 0, 0, 0]
@@ -688,17 +708,17 @@ class TestCatalogs:
         assert a == b == c
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             catalog_nullity_classes(5, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             catalog_nullity_classes(5, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             catalog_nullity_classes(3, 3)
 
     def test_ceiling_enforced(self, no_chunks):
-        with pytest.raises(ValueError, match=r"4 up to 12 \(their ceiling\), got 13"):
+        with pytest.raises(UsageError, match=r"4 up to 12 \(their ceiling\), got 13"):
             catalog_nullity_classes(13, 4)
-        with pytest.raises(ValueError, match="ceiling"):
+        with pytest.raises(UsageError, match="ceiling"):
             bicyclic_classes(13)
 
     @pytest.mark.parametrize("workers", [1, 2])
