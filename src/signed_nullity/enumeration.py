@@ -1,17 +1,20 @@
-"""Exhaustive generators: labeled trees, bicyclic cores, switching classes.
+"""Exhaustive generators: labeled trees, rooted trees, bicyclic classes,
+switching classes.
 
-Connected and bicyclic graphs are not streamed here.  The bicyclic 2-core
-shapes and their base graphs are: from them, and from K1,
-:mod:`signed_nullity.verification` builds one canonical graph per
-isomorphism class, order by order, for the sweeps and the catalogs alike.
-All streams are in a fixed deterministic order.  No order is capped here:
-the caps of the sweeps and the catalogs live in the sweep table of
-:mod:`signed_nullity.verification`.
+The bicyclic classes are constructed here, one 2-core shape at a time, with
+no canonizer: :func:`hung_classes` hangs rooted trees on the core and keeps
+one assignment per orbit of the core's automorphisms.  The bicyclic sweeps
+of :mod:`signed_nullity.verification` read them from it.  The connected
+classes and the catalogs' rank-pruned bicyclic classes are grown there by
+canonical extension instead.  All streams are in a fixed deterministic
+order.  No order is capped here: the caps of the sweeps and the catalogs
+live in the sweep table of :mod:`signed_nullity.verification`.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product
+from operator import itemgetter
 from typing import Iterator
 
 from .graphs import SignedGraph, _spanning_forest
@@ -117,6 +120,163 @@ def base_graph(shape: BaseShape) -> SignedGraph:
         chains = [chain(u, v, length) for length in (p, q, l)]
     edges = sorted((min(a, b), max(a, b), 1) for c in chains for a, b in zip(c, c[1:]))
     return SignedGraph._trusted(n, tuple(edges))
+
+
+RootedTree = tuple  # the sorted tuple of the root's subtrees; a lone root is ()
+
+
+def rooted_trees(max_size: int) -> list[list[RootedTree]]:
+    """Every rooted tree with s vertices up to isomorphism, sorted, at index
+    s = 0..max_size (none at 0).
+
+    A rooted tree is the multiset of its root's subtrees, so each tree of
+    size s is met once by choosing subtrees of total size s-1 in
+    non-increasing position, sizes first, among the trees listed so far.
+    No isomorphism test is made (the counts are OEIS A000081; Beyer and
+    Hedetniemi, "Constant time generation of rooted trees", SIAM J. Comput.
+    9, 1980, generate the same trees as level sequences).
+    """
+    trees: list[list[RootedTree]] = [[], [()]][: max_size + 1]
+    listed: list[tuple[int, RootedTree]] = [(1, ())] if max_size >= 1 else []
+
+    def multisets(budget: int, top: int) -> Iterator[tuple[RootedTree, ...]]:
+        if budget == 0:
+            yield ()
+            return
+        for i in range(top):
+            size, tree = listed[i]
+            if size > budget:
+                break
+            for rest in multisets(budget - size, i + 1):
+                yield (tree, *rest)
+
+    for s in range(2, max_size + 1):
+        trees.append(sorted(tuple(sorted(children)) for children in multisets(s - 1, len(listed))))
+        listed += [(s, tree) for tree in trees[s]]
+    return trees
+
+
+def _tree_layout(tree: RootedTree) -> tuple[tuple[int, ...], int]:
+    """The parent of each non-root vertex of ``tree`` and its automorphism count.
+
+    Vertices are numbered in post-order, so every vertex comes before its
+    parent and the root, last, is left out: a tree of size s gives s-1
+    parents in 0..s-1.  Each subtree's automorphisms fix the root, and so
+    does swapping equal subtrees: the count is the product over the
+    subtrees, times c! for each subtree that occurs c times.
+    """
+    parents: list[int] = []
+    roots = []
+    automorphisms = 1
+    for i, child in enumerate(tree):
+        below, count = _tree_layout(child)
+        offset = len(parents)
+        parents += [offset + p for p in below]
+        roots.append(len(parents))
+        parents.append(-1)
+        # the k-th of k equal subtrees in a row adds a factor k
+        run = 1
+        while run <= i and tree[i - run] == child:
+            run += 1
+        automorphisms *= count * run
+    for r in roots:
+        parents[r] = len(parents)
+    return tuple(parents), automorphisms
+
+
+def _automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
+    """Every automorphism of g's underlying graph, as the tuple of images.
+
+    A backtracking search places vertices 0, 1, ... in turn, each on an
+    unused vertex of its degree whose adjacency to the images placed so
+    far matches; meant for the small cores of the bicyclic shapes, where
+    a vertex after the first of its chain has a placed neighbor.
+    """
+    nbrs = [set(ns) for ns in g._sorted_neighbors]
+    image = [-1] * g.order
+    used = [False] * g.order
+    found = []
+
+    def place(v: int) -> None:
+        if v == g.order:
+            found.append(tuple(image))
+            return
+        for w in range(g.order):
+            if not used[w] and len(nbrs[w]) == len(nbrs[v]) and all(
+                (u in nbrs[v]) == (image[u] in nbrs[w]) for u in range(v)
+            ):
+                image[v], used[w] = w, True
+                place(v + 1)
+                used[w] = False
+
+    place(0)
+    return found
+
+
+def hung_classes(
+    shape: BaseShape, max_n: int, min_n: int = 0
+) -> Iterator[tuple[SignedGraph, int]]:
+    """One graph per isomorphism class whose 2-core is ``shape``, order by
+    order from min_n (or the core's order) up to max_n, each with the
+    order of its automorphism group.  No canonizer is called.
+
+    Such a graph is its core with a rooted tree hung on each core vertex,
+    and an isomorphism maps core onto core.  So the classes are the orbits
+    of Aut(core) on the assignments of rooted trees to core vertices, and
+    an assignment is kept only if it is the least in its orbit.  Its
+    stabilizer is the image of Aut(G) in Aut(core), and the automorphisms
+    that fix the core pointwise are those of the trees, so |Aut(G)| is the
+    stabilizer's order times the trees' automorphism counts.
+
+    The graph is labeled leaves up: the tree vertices come first, each
+    before its parent (post-order, tree by tree), and the core takes the
+    highest labels, in :func:`base_graph`'s layout.  The rank kernel
+    eliminates the trees first then, and runs faster on these labels than
+    with the core first.
+    """
+    core = base_graph(shape)
+    k = core.order
+    permuted = [itemgetter(*sigma) for sigma in _automorphisms(core)]
+    # a tree's position in ``layouts`` names its class in the orbit test
+    layouts: list[tuple[tuple[int, ...], int]] = []
+    ids_of_size = []
+    for trees in rooted_trees(max_n - k + 1):
+        ids_of_size.append(range(len(layouts), len(layouts) + len(trees)))
+        layouts += map(_tree_layout, trees)
+
+    def assignments(vertices: int, budget: int) -> Iterator[tuple[int, ...]]:
+        # the tree ids of ``vertices`` core vertices with ``budget`` non-root vertices in all
+        if vertices == 1:
+            yield from ((i,) for i in ids_of_size[budget + 1])
+            return
+        for extra in range(budget + 1):
+            for i in ids_of_size[extra + 1]:
+                for rest in assignments(vertices - 1, budget - extra):
+                    yield (i, *rest)
+
+    for n in range(max(k, min_n), max_n + 1):
+        t = n - k
+        core_edges = tuple((t + u, t + v, 1) for u, v, _ in core.edges)
+        for assigned in assignments(k, t):
+            stabilizer = 0
+            for permute in permuted:
+                image = permute(assigned)
+                if image < assigned:
+                    break
+                stabilizer += image == assigned
+            else:
+                edges = []
+                automorphisms = stabilizer
+                for c, i in enumerate(assigned):
+                    parents, count = layouts[i]
+                    root = len(parents)
+                    offset = len(edges)
+                    edges += [
+                        (offset + j, offset + p if p < root else t + c, 1)
+                        for j, p in enumerate(parents)
+                    ]
+                    automorphisms *= count
+                yield SignedGraph._trusted(n, (*edges, *core_edges)), automorphisms
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:

@@ -3,13 +3,16 @@
 Each sweep checks one classification statement over every enumerated
 instance and reports the violations (an empty list is the expected
 outcome).  Work is split into independent chunks -- one per tree order or
-Pruefer prefix, or one per root of the class builder -- so sweeps and
-catalogs can run on a process pool; results are merged commutatively and
-sorted, which makes them byte-identical regardless of the worker count.
-Graphs with cycles come from one class builder that keeps one canonical
-graph per isomorphism class and builds each order once from its root: K1
-for the connected graphs, a 2-core shape's base graph for the bicyclic
-ones.  The checks then take each class once per switching class.
+Pruefer prefix, one per 2-core shape, or one for the connected build -- so
+sweeps and catalogs can run on a process pool; results are merged
+commutatively and sorted, which makes them byte-identical regardless of the
+worker count.  Graphs with cycles come from two class builders.  The
+bicyclic sweeps take each class from :func:`hung_classes`, which
+constructs it from its 2-core and calls no canonizer.  The connected
+sweeps, and the catalogs, which prune by rank as they grow, take canonical
+graphs from :func:`_classes_by_order`, which grows each order from the one
+below: from K1, or from a 2-core shape's base graph by leaves.  The checks
+then take each class once per switching class.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .enumeration import (
     BaseShape,
     base_graph,
     bicyclic_base_shapes,
+    hung_classes,
     prufer_graph,
     prufer_pairs,
     prufer_sequences,
@@ -38,6 +42,7 @@ from .recognizers import (
     low_rank_neighborhood_check,
     recognize_rank2,
     recognize_rank3,
+    shape_order,
 )
 from .reductions import _contract, _delete_pair, find_pendants, find_special_paths
 
@@ -69,7 +74,8 @@ class TheoremReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# graph classes: one builder for the connected and the bicyclic graphs
+# graph classes grown by canonical extension: the connected ones, and the
+# bicyclic ones of the rank-pruned catalogs
 
 
 def _classes_by_order(
@@ -166,16 +172,11 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
         yield from level.values()
 
 
-def _shape_classes(shape: BaseShape, max_n: int) -> Iterator[SignedGraph]:
-    """One canonical graph per class whose 2-core is ``shape``, order by order up to max_n."""
-    for level in _classes_by_order(base_graph(shape), max_n, True):
-        yield from level.values()
-
-
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
-# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 24-25 s
-# at n <= 12 (theorem3.1 and corollary2.9 about 8 s), and the largest
-# catalog, n = 12 and k = 12 (6,627 entries), takes 10 s.
+# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 20-21 s
+# at n <= 12 (theorem3.1 2.6-3.5 s, corollary2.9 3.6-4.0 s), and the largest
+# catalog, n = 12 and k = 12 (6,627 entries), takes 8-9 s.  The classes
+# themselves are constructed to order 14 in 8 s: the checks set the cap.
 _BICYCLIC_MAX_N = 12
 
 
@@ -191,13 +192,15 @@ def _bicyclic_shapes(n: int) -> list[BaseShape]:
 def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
     """Canonical code -> canonical graph for every bicyclic class of order n, in code order.
 
-    Each 2-core shape grows its own classes by leaves; a leaf never changes
-    the 2-core, so no code comes from two shapes.
+    Each 2-core shape constructs its own classes (:func:`hung_classes`),
+    and each is canonized once; no code comes from two shapes, since an
+    isomorphism maps 2-core onto 2-core.
     """
     classes: dict[str, SignedGraph] = {}
     for shape in _bicyclic_shapes(n):
-        *_, top = _classes_by_order(base_graph(shape), n, True)
-        classes.update(top)
+        for g, _ in hung_classes(shape, n, n):
+            code, canon, _ = _canonize(g)
+            classes[code] = canon
     return dict(sorted(classes.items()))
 
 
@@ -301,9 +304,12 @@ def _check_pendant_bound(max_n: int) -> Checked:
 
 
 def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
-    for g in _shape_classes(shape, max_n):
+    k = shape_order(*shape)
+    for g, _ in hung_classes(shape, max_n):
         n = g.order
-        base = bicyclic_base(g)  # signs do not change the 2-core
+        # the construction gives the 2-core the highest labels, and signs do
+        # not change it; bicyclic_base must agree, which a test checks
+        base = BicyclicBase(*shape, tuple(range(n - k, n)))
         for rep in signature_representatives(g):
             # the representatives fix a spanning tree positive, so the one
             # balanced pattern is the one with every non-tree edge positive
@@ -320,7 +326,7 @@ def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
 
 
 def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
-    for g in _shape_classes(shape, max_n):
+    for g, _ in hung_classes(shape, max_n):
         reasons = ()
         if find_special_paths(g):
             reasons += ("special path present but nullity exceeds n-4",)
@@ -333,7 +339,7 @@ def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
 
 
 def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
-    for g in _shape_classes(shape, max_n):
+    for g, _ in hung_classes(shape, max_n):
         # every representative has g's underlying graph, so each pendant pair
         # and special path of g is one of rep's, and the cores need no checks
         pendants = find_pendants(g)
@@ -577,6 +583,14 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     have rank above k, since none of its descendants can reach nullity n-k
     (see :func:`_classes_by_order`).  The base and the fundamental cycles
     are computed only for a class with a switching class at nullity n-k.
+
+    Catalogs stay on this leaf builder, not on :func:`hung_classes`, since
+    they need canonical codes and it prunes after every leaf.  A
+    construction pruned by the same rank test, by a depth-first search over
+    the core vertices, gave the same bytes for every n = 4..10, k and
+    ``balanced_only``, but it prunes only between core vertices: it made the
+    perfbench ``catalog-n9`` set 1.9x slower (0.096 -> 0.183 s, median of
+    20 runs on 2 vCPUs, Python 3.11.7).
     """
     shape, n, k, balanced_only = task
     *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(n, k, balanced_only))

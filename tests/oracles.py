@@ -10,7 +10,9 @@ edge list.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
+from math import comb
 
 from signed_nullity import SignedGraph
 from signed_nullity.canonical import _refined_classes
@@ -79,12 +81,14 @@ def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return False
 
 
-def automorphism_count(g: SignedGraph) -> int:
-    """Number of vertex permutations that map the underlying edge set onto itself."""
+def automorphism_count(g: SignedGraph, fixed: tuple[int, ...] = ()) -> int:
+    """Number of vertex permutations that map the underlying edge set onto
+    itself and fix each vertex of ``fixed``."""
     edges = {frozenset((u, v)) for u, v, _ in g.edges}
     return sum(
         all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges)
         for perm in permutations(range(g.order))
+        if all(perm[v] == v for v in fixed)
     )
 
 
@@ -196,6 +200,21 @@ def connected_labeled_graphs(n: int, edge_count: int | None = None) -> list[Sign
 def brute_bicyclic_underlying(n: int) -> list[SignedGraph]:
     """Every connected n-vertex graph with n+1 edges, from raw edge subsets."""
     return connected_labeled_graphs(n, n + 1)
+
+
+@cache
+def connected_labeled_count(n: int, m: int) -> int:
+    """Connected graphs on n labeled vertices with m edges, in exact
+    integers; for m = n+1 these are Wright's bicyclic counts.  Every labeled
+    graph with m edges is counted, less those in which the component of
+    vertex 0 has k < n vertices and j edges."""
+    total = comb(comb(n, 2), m)
+    for k in range(1, n):
+        for j in range(m + 1):
+            total -= (
+                comb(n - 1, k - 1) * connected_labeled_count(k, j) * comb(comb(n - k, 2), m - j)
+            )
+    return total
 
 
 def path_graph(n: int, signs: list[int] | None = None) -> SignedGraph:

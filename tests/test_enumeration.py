@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from signed_nullity import (
+    SignedGraph,
     bicyclic_base,
     bicyclic_underlying,
     build_graph,
@@ -16,11 +17,21 @@ from signed_nullity import (
     switching_equivalent,
 )
 from signed_nullity.enumeration import (
+    _automorphisms,
+    _tree_layout,
     base_graph,
     bicyclic_base_shapes,
+    hung_classes,
+    rooted_trees,
 )
 from signed_nullity.recognizers import shape_order
-from oracles import brute_bicyclic_underlying, connected_labeled_graphs, cycle_graph, path_graph
+from oracles import (
+    automorphism_count,
+    brute_bicyclic_underlying,
+    connected_labeled_graphs,
+    cycle_graph,
+    path_graph,
+)
 
 
 class TestLabeledTrees:
@@ -168,6 +179,61 @@ class TestSignatureRepresentatives:
             for rep in signature_representatives(g):
                 assert rep._sorted_neighbors is g._sorted_neighbors
                 assert rep._sorted_neighbors == build_graph(rep.order, rep.edges)._sorted_neighbors
+
+
+class TestRootedTrees:
+    def test_counts_are_oeis_a000081(self):
+        counts = [len(trees) for trees in rooted_trees(12)]
+        assert counts == [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+    def test_each_tree_once_and_sorted(self):
+        for trees in rooted_trees(9):
+            assert trees == sorted(set(trees))
+            for tree in trees:
+                assert tree == tuple(sorted(tree))
+
+    def test_layout_lists_each_vertex_before_its_parent(self):
+        for size, trees in enumerate(rooted_trees(8)):
+            for tree in trees:
+                parents, _ = _tree_layout(tree)
+                assert len(parents) == size - 1
+                assert all(v < p <= size - 1 for v, p in enumerate(parents))
+
+    def test_automorphism_counts_match_the_oracle(self):
+        # the automorphisms of a rooted tree are those of its graph that fix the root
+        for trees in rooted_trees(7):
+            for tree in trees:
+                parents, count = _tree_layout(tree)
+                root = len(parents)
+                g = build_graph(root + 1, [(v, p, 1) for v, p in enumerate(parents)])
+                assert count == automorphism_count(g, fixed=(root,)), tree
+
+
+class TestHungClasses:
+    def test_core_automorphisms_match_the_oracle(self):
+        for shape in bicyclic_base_shapes(8):
+            core = base_graph(shape)
+            found = _automorphisms(core)
+            assert len(set(found)) == len(found) == automorphism_count(core), shape
+            edges = {(u, v) for u, v, _ in core.edges}
+            for sigma in found:
+                assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+
+    def test_at_most_12_core_automorphisms_to_order_16(self):
+        counts = {shape: len(_automorphisms(base_graph(shape))) for shape in bicyclic_base_shapes(16)}
+        assert max(counts.values()) == counts[("theta", 5, 5, 5)] == 12
+
+    def test_graphs_are_labeled_leaves_up_with_the_core_last(self):
+        for shape in bicyclic_base_shapes(8):
+            core = base_graph(shape)
+            k = core.order
+            for g, _ in hung_classes(shape, 8):
+                t = g.order - k
+                assert len(g.edges) == g.order + 1 and is_connected(g)
+                assert SignedGraph(g.order, g.edges) == g  # the checks _trusted skips
+                assert g.edges[t:] == tuple((t + u, t + v, 1) for u, v, _ in core.edges)
+                # every tree vertex has one edge to a later label, its parent
+                assert [u for u, _, _ in g.edges[:t]] == list(range(t))
 
 
 class TestConnectedLabeledGraphs:

@@ -26,6 +26,7 @@ from signed_nullity.canonical import _canonize, canonical_form
 from signed_nullity.enumeration import (
     base_graph,
     bicyclic_base_shapes,
+    hung_classes,
     prufer_graph,
     prufer_pairs,
     prufer_sequences,
@@ -42,7 +43,6 @@ from signed_nullity.verification import (
     _connected_classes,
     _extensions,
     _rank_at_most,
-    _shape_classes,
     available_theorems,
     bicyclic_classes,
     bicyclic_underlying,
@@ -54,6 +54,7 @@ from oracles import (
     brute_bicyclic_underlying,
     brute_matching_number,
     connected_components,
+    connected_labeled_count,
     connected_labeled_graphs,
 )
 
@@ -451,22 +452,41 @@ class TestBicyclicClasses:
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
     def test_canonizer_calls_at_order_9(self, canonize_calls):
-        # leaves hang from one vertex per orbit and pass the degree test
-        # before canonizing; every leaf from every vertex made 2,545 calls
+        # the classes are constructed, then each is canonized once; growing
+        # them by leaves made 1,270 calls, and 2,545 before the anchors
+        # were pruned by orbit and degree
         assert len(bicyclic_classes(9)) == 797
-        assert len(canonize_calls) == 1270
+        assert len(canonize_calls) == 797
 
     def test_sweep_stream_is_the_class_list_of_each_order(self):
-        # a sweep chunk walks one 2-core shape through every order up to max_n
+        # a sweep chunk walks one 2-core shape through every order up to
+        # max_n; its graphs are not canonical, so their codes are compared
         by_order: dict = {}
         for shape in bicyclic_base_shapes(7):
-            for g in _shape_classes(shape, 7):
-                by_order.setdefault(g.order, []).append(g)
+            for g, _ in hung_classes(shape, 7):
+                by_order.setdefault(g.order, []).append(_canonize(g)[0])
         assert sorted(by_order) == [4, 5, 6, 7]
-        for n, graphs in by_order.items():
-            classes = bicyclic_classes(n)
-            assert len(graphs) == len(classes)
-            assert set(graphs) == set(classes.values())
+        for n, codes in by_order.items():
+            assert sorted(codes) == list(bicyclic_classes(n))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_construction_gives_the_leaf_builder_classes(self, n):
+        # two routes to the classes of each shape: the construction, with
+        # no canonizer, and the leaf builder, which canonizes every graph
+        for shape in bicyclic_base_shapes(n):
+            *_, grown = _classes_by_order(base_graph(shape), n, leaves_only=True)
+            codes = sorted(_canonize(g)[0] for g, _ in hung_classes(shape, n, n))
+            assert codes == sorted(grown), shape  # each class once, none missing
+
+    def test_bicyclic_sweeps_call_no_canonizer(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a sweep canonized a graph")
+
+        monkeypatch.setattr(verification, "_canonize", refuse)
+        expected = {"theorem3.1": 984, "corollary2.9": 1272, "lemma2.5": 1312}
+        for theorem, count in expected.items():
+            report = verify_theorem(theorem, 8)
+            assert report.ok and report.instances_checked == count, theorem
 
 
 class TestConnectedClasses:
@@ -536,7 +556,9 @@ class TestExtensions:
     def test_matches_the_filter_over_every_join(self, leaves_only):
         # the connected classes to order 6 and the bicyclic ones of orders 4..8
         graphs = list(_connected_classes(6))
-        graphs += [g for shape in bicyclic_base_shapes(8) for g in _shape_classes(shape, 8)]
+        for shape in bicyclic_base_shapes(8):
+            for level in _classes_by_order(base_graph(shape), 8, leaves_only=True):
+                graphs += level.values()
         for g in graphs:
             _, canon, orbit_reps = _canonize(g)
             assert canon == g
@@ -566,11 +588,20 @@ class TestCountingCertificate:
         assert [switching[n] for n in range(1, 7)] == [1, 1, 5, 78, 3453, 436944]
         assert sum(switching.values()) == 440482  # the instances of the old labeled sweeps
 
-    def test_bicyclic_streams(self):
-        # Wright's counts of connected labeled graphs with n+1 edges
-        graphs = [g for shape in bicyclic_base_shapes(7) for g in _shape_classes(shape, 7)]
-        labeled = self._labeled_sums(graphs)
-        assert [labeled[n] for n in range(4, 8)] == [6, 205, 5700, 156555]
+    def test_bicyclic_construction(self):
+        # |Aut| comes with each constructed class, with no search; the sums
+        # must be Wright's counts of connected labeled graphs with n+1 edges
+        labeled: dict[int, int] = {}
+        for shape in bicyclic_base_shapes(12):
+            for g, automorphisms in hung_classes(shape, 12):
+                labeled[g.order] = labeled.get(g.order, 0) + factorial(g.order) // automorphisms
+        assert labeled == {n: connected_labeled_count(n, n + 1) for n in range(4, 13)}
+        assert [labeled[n] for n in (4, 5, 12)] == [6, 205, 5720327205120]
+
+    def test_bicyclic_automorphism_counts(self):
+        for shape in bicyclic_base_shapes(7):
+            for g, automorphisms in hung_classes(shape, 7):
+                assert automorphisms == automorphism_count(g), g
 
 
 def _unpruned_catalogs(n: int) -> dict[tuple[int, bool], NullityCatalog]:
