@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from itertools import product
+from operator import index
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .canonical import _canonize
@@ -49,8 +50,21 @@ from .reductions import _contract, _delete_pair, find_pendants, find_special_pat
 
 class UsageError(ValueError):
     """An argument a sweep or a catalog refuses before any work: an unknown
-    theorem id, an order outside the accepted range, or fewer than one
-    worker.  The CLI exits 2 on it and 4 on any other error."""
+    theorem id, an order, k or worker count that is not an integer, an
+    order outside the accepted range, or fewer than one worker.  The CLI
+    exits 2 on it and 4 on any other error."""
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int through ``operator.index``, as :func:`rank` reads
+    its entries, so a numpy integer is accepted; a bool, float, fraction or
+    string is refused with UsageError."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 class Violation(NamedTuple):
@@ -196,6 +210,7 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
     and each is canonized once; no code comes from two shapes, since an
     isomorphism maps 2-core onto 2-core.
     """
+    n = _integer("n", n)
     classes: dict[str, SignedGraph] = {}
     for shape in _bicyclic_shapes(n):
         for g, _ in hung_classes(shape, n, n):
@@ -237,20 +252,56 @@ def _leaf_matching(n: int, pairs: list[tuple[int, int]]) -> int:
     return count
 
 
+def _tree_sides(n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """The side, 0 or 1, of each vertex in the two-colouring of a tree given
+    as :func:`prufer_pairs` yields it, with vertex n-1 on side 0.
+
+    The pairs are walked backwards from the last one, which joins n-1: a
+    leaf's neighbor comes off after the leaf, or is n-1, so it already has
+    its side when the walk reaches the leaf.
+    """
+    side = [0] * n
+    for leaf, neighbor in reversed(pairs):
+        side[leaf] = 1 - side[neighbor]
+    return side
+
+
+def _tree_block(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """The biadjacency block of a tree given as :func:`prufer_pairs` yields
+    it: a row per vertex of side 0 and a column per vertex of side 1 (see
+    :func:`_tree_sides`), each in label order, and a 1 for each edge.  K1
+    gives a 1x0 block."""
+    side = _tree_sides(n, pairs)
+    where = [0] * n
+    sizes = [0, 0]
+    for v in range(n):
+        s = side[v]
+        where[v] = sizes[s]
+        sizes[s] += 1
+    block = [[0] * sizes[1] for _ in range(sizes[0])]
+    for u, v in pairs:
+        if side[u]:
+            u, v = v, u
+        block[where[u]][where[v]] = 1
+    return block
+
+
 def _check_trees(n: int, *prefix: int) -> Checked:
     """Labeled trees of order n, or those whose Pruefer code starts with ``prefix``.
 
     One decoding gives both routes their input: the formula side matches
-    along the removal order, and the rank kernel gets the adjacency matrix.
-    Neither reads the other's result, and the tree's graph is built only as
-    the witness of a violation.
+    along the removal order, and the rank kernel gets the tree's
+    biadjacency block B, whose sides the removal order also gives (see
+    :func:`_tree_sides`).  A tree is bipartite, so up to a permutation its
+    adjacency matrix is [[0, B], [B^T, 0]], of rank 2*rank(B) (Cvetkovic
+    and Gutman, Mat. Vesnik 9, 1972): block algebra, not matching theory,
+    and a block of about half the order.  Neither route reads the other's
+    result, and the tree's graph is built only as the witness of a
+    violation.
     """
     for seq in prufer_sequences(n, prefix):
         pairs = prufer_pairs(n, seq)
-        matrix = [[0] * n for _ in range(n)]
-        for u, v in pairs:
-            matrix[u][v] = matrix[v][u] = 1
-        if n - 2 * _leaf_matching(n, pairs) == n - _eliminate(matrix):
+        if n - 2 * _leaf_matching(n, pairs) == n - 2 * _eliminate(_tree_block(n, pairs)):
             yield None, ()
         else:
             yield prufer_graph(n, seq), ("tree nullity formula disagrees with rank kernel",)
@@ -514,6 +565,7 @@ def _resolve_theorem(theorem_id: str) -> str:
 
 def verify_theorem(theorem_id: str, max_n: int, workers: int = 1) -> TheoremReport:
     """Run one exhaustive sweep up to order (or cycle length) ``max_n``."""
+    max_n, workers = _integer("max_n", max_n), _integer("workers", workers)
     key = _resolve_theorem(theorem_id)
     sweep = _SWEEPS[key]
     if not sweep.min_n <= max_n <= sweep.max_n:
@@ -632,8 +684,9 @@ def catalog_nullity_classes(
     when ``balanced_only``), since rank never falls as leaves are added; so
     a catalog for small k builds a small fraction of the classes of order n.
     Orders below 4 and above 12, the bicyclic sweeps' cap, are refused
-    before any work.
+    before any work, and so is an argument that is not an integer.
     """
+    n, k, workers = _integer("n", n), _integer("k", k), _integer("workers", workers)
     if not 3 <= k <= n:
         raise UsageError(f"need 3 <= k <= n, got k={k}, n={n}")
     tasks = [(shape, n, k, balanced_only) for shape in _bicyclic_shapes(n)]

@@ -149,6 +149,31 @@ def test_adjacency_symmetric_with_zero_diagonal(g):
             assert m[i][j] in (-1, 0, 1)
 
 
+@st.composite
+def signed_bipartite_graphs(draw, max_order=12):
+    """A signed graph with every edge between two drawn sides, connected or not."""
+    n = draw(st.integers(1, max_order))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = [
+        (u, v, draw(st.sampled_from((1, -1))))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if side[u] != side[v] and draw(st.booleans())
+    ]
+    return build_graph(n, edges), side
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_bipartite_graphs())
+def test_bipartite_rank_is_twice_the_biadjacency_rank(pair):
+    # up to a permutation the adjacency matrix is [[0, B], [B^T, 0]]
+    g, side = pair
+    a = adjacency_matrix(g)
+    xs = [v for v in range(g.order) if not side[v]]
+    ys = [v for v in range(g.order) if side[v]]
+    assert rank(a) == 2 * rank([[a[x][y] for y in ys] for x in xs])
+
+
 @settings(max_examples=80, deadline=None)
 @given(signed_graphs(max_order=6), signed_graphs(max_order=6))
 def test_nullity_additive_over_disjoint_union(g1, g2):

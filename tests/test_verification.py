@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -13,11 +14,13 @@ import pytest
 from signed_nullity import (
     RankClassVerdict,
     SignedGraph,
+    adjacency_matrix,
     documents,
     is_connected,
     matching_number,
     nullity,
     parse_graph,
+    rank,
     recognize_rank2,
     recognize_rank3,
 )
@@ -101,6 +104,16 @@ def _order(g: SignedGraph) -> int:
     return g.order
 
 
+class _Index:
+    """An integer that is not an int, as numpy's are: it has only ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 def _flipped(recognize):
     return lambda g: RankClassVerdict(matches=not recognize(g).matches)
 
@@ -118,6 +131,12 @@ _BROKEN_SWEEPS = [
         "lemma2.1i",
         4,
         {"_leaf_matching": lambda n, pairs: 0},
+        [r"tree nullity formula disagrees with rank kernel"],
+    ),
+    (
+        "lemma2.1i",
+        4,
+        {"_tree_block": lambda n, pairs: [[0] * n]},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -281,6 +300,22 @@ class TestVerifyTheorem:
                 if n <= 6:
                     assert found == brute_matching_number(g), (n, seq)
 
+    def test_tree_block_has_half_the_rank_of_the_adjacency_matrix(self):
+        # the full-matrix kernel is the oracle for the block route
+        trees = 0
+        for n in range(1, 8):
+            for seq in prufer_sequences(n):
+                pairs = prufer_pairs(n, seq)
+                side = verification._tree_sides(n, pairs)
+                assert all(side[u] != side[v] for u, v in pairs), (n, seq)
+                block = verification._tree_block(n, pairs)
+                assert (len(block), len(block[0])) == (side.count(0), side.count(1))
+                assert sum(map(sum, block)) == n - 1, (n, seq)
+                full = rank(adjacency_matrix(prufer_graph(n, seq)))
+                assert 2 * verification._eliminate(block) == full, (n, seq)
+                trees += 1
+        assert trees == 18249
+
     def test_parallel_results_identical(self):
         from signed_nullity import documents
 
@@ -324,6 +359,18 @@ class TestVerifyTheorem:
             verify_theorem("lemma2.1ii", 4, workers=workers)
         with pytest.raises(UsageError, match="workers"):
             catalog_nullity_classes(4, 3, workers=workers)
+
+    @pytest.mark.parametrize("bad", [5.0, Fraction(5), "5", True])
+    def test_non_integer_arguments_refused_before_any_work(self, no_chunks, bad):
+        with pytest.raises(UsageError, match="max_n must be an integer"):
+            verify_theorem("lemma2.1i", bad)
+        with pytest.raises(UsageError, match="workers must be an integer"):
+            verify_theorem("lemma2.1i", 5, workers=bad)
+
+    def test_integer_like_arguments_run_as_ints(self):
+        report = verify_theorem("lemma2.1i", _Index(5), workers=_Index(2))
+        assert report == verify_theorem("lemma2.1i", 5)._replace(elapsed=report.elapsed)
+        assert report.orders_checked == (1, 2, 3, 4, 5)
 
     def test_report_shape(self):
         report = verify_theorem("theorem3.1", 5)
@@ -745,6 +792,24 @@ class TestCatalogs:
             catalog_nullity_classes(5, 6)
         with pytest.raises(UsageError):
             catalog_nullity_classes(3, 3)
+
+    @pytest.mark.parametrize("bad", [4.0, Fraction(4), "4", True])
+    def test_non_integer_arguments_refused_before_any_work(self, no_chunks, bad):
+        with pytest.raises(UsageError, match="k must be an integer"):
+            catalog_nullity_classes(6, bad)
+        with pytest.raises(UsageError, match="n must be an integer"):
+            catalog_nullity_classes(bad, 4)
+        with pytest.raises(UsageError, match="workers must be an integer"):
+            catalog_nullity_classes(6, 4, workers=bad)
+        with pytest.raises(UsageError, match="n must be an integer"):
+            bicyclic_classes(bad)
+
+    def test_integer_like_arguments_give_the_int_document(self):
+        catalog = catalog_nullity_classes(_Index(6), _Index(4), workers=_Index(1))
+        assert type(catalog.k) is int and type(catalog.nullity) is int
+        assert documents.dumps(documents.catalog_document(catalog)) == documents.dumps(
+            documents.catalog_document(catalog_nullity_classes(6, 4))
+        )
 
     def test_ceiling_enforced(self, no_chunks):
         with pytest.raises(UsageError, match=r"4 up to 12 \(their ceiling\), got 13"):
