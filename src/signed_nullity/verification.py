@@ -50,9 +50,9 @@ from .reductions import _contract, _delete_pair, find_pendants, find_special_pat
 
 class UsageError(ValueError):
     """An argument a sweep or a catalog refuses before any work: an unknown
-    theorem id, an order, k or worker count that is not an integer, an
-    order outside the accepted range, or fewer than one worker.  The CLI
-    exits 2 on it and 4 on any other error."""
+    or non-string theorem id, a non-integer order, k or worker count, a
+    non-bool ``balanced_only``, an order outside the accepted range, or
+    fewer than one worker.  The CLI exits 2 on it and 4 on any other error."""
 
 
 def _integer(name: str, value: object) -> int:
@@ -109,14 +109,14 @@ def _classes_by_order(
     With ``keep``, a class (the root included) that fails it is dropped and
     grows no further.  The test runs on each graph before it is canonized,
     so it must depend on the isomorphism class alone, and a dropped graph is
-    never canonized.  A catalog passes a rank test, which is exact for it: a
-    bicyclic class grows by leaves only, so every class on the way to an
-    order-n class H, the canonical parents included, is an induced subgraph
-    of H.  Every cycle of H lies in its 2-core, which those subgraphs share,
-    so a switching class of H restricts to a switching class of each of
-    them, and a principal submatrix has at most the rank of the whole
-    matrix: if H has a switching class of rank k, each class on its way has
-    one of rank at most k.
+    never canonized.  A catalog passes one rank test for every order above
+    k, which is exact for it: a bicyclic class grows by leaves only, so
+    every class on the way to an order-n class H, the canonical parents
+    included, is an induced subgraph of H.  Every cycle of H lies in its
+    2-core, which those subgraphs share, so a switching class of H restricts
+    to a switching class of each of them, and a principal submatrix has at
+    most the rank of the whole matrix: if H has a switching class of rank k,
+    each class on its way, H itself included, has one of rank at most k.
     """
     level: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
     if keep is None or keep(root):
@@ -555,6 +555,8 @@ def available_theorems() -> list[tuple[str, str]]:
 
 
 def _resolve_theorem(theorem_id: str) -> str:
+    if not isinstance(theorem_id, str):
+        raise UsageError(f"theorem id must be a string, got {theorem_id!r}")
     key = theorem_id.strip().lower().replace(" ", "")
     key = _ALIASES.get(key, key)
     if key not in _SWEEPS:
@@ -611,16 +613,15 @@ class NullityCatalog(NamedTuple):
 
 
 def _rank_at_most(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
-    """The catalog's ``keep`` test for :func:`_classes_by_order`: whether a
-    class of order m below n has a switching class of rank at most k (only
-    the balanced one, all-positive up to switching, when ``balanced_only``).
-
-    Classes of order n pass untested, since the catalog decides them
-    exactly, and so do orders m <= k, where no rank exceeds k.
+    """The ``keep`` test of the order-n catalog for :func:`_classes_by_order`,
+    one rule at every order: whether a class has a switching class of rank
+    at most k (only the balanced one, all-positive up to switching, when
+    ``balanced_only``), untested at orders up to k, where no rank exceeds k.
+    It is exact at order n too, since an entry needs rank exactly k.
     """
 
     def keep(g: SignedGraph) -> bool:
-        if g.order <= k or g.order == n:
+        if g.order <= k:
             return True
         reps = (g,) if balanced_only else signature_representatives(g)
         return any(rep.order - nullity(rep) <= k for rep in reps)
@@ -631,10 +632,10 @@ def _rank_at_most(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph]
 def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]:
     """The entries for the classes of order n whose 2-core is ``shape``.
 
-    The build drops every class below order n whose switching classes all
-    have rank above k, since none of its descendants can reach nullity n-k
-    (see :func:`_classes_by_order`).  The base and the fundamental cycles
-    are computed only for a class with a switching class at nullity n-k.
+    The build drops every class above order k whose switching classes all
+    have rank above k, the top order included (see :func:`_rank_at_most`),
+    so each class left at order n is read in one pass: its switching classes
+    at rank k, then, if there are any, its cycles, profiles and base.
 
     Catalogs stay on this leaf builder, not on :func:`hung_classes`, since
     they need canonical codes and it prunes after every leaf.  A
@@ -648,25 +649,22 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(n, k, balanced_only))
     entries = []
     for code, canon in level.items():
-        cycles = None
-        achieved: list[tuple[BalanceProfile, SignedGraph]] = []
-        for rep in (canon,) if balanced_only else signature_representatives(canon):
-            if nullity(rep) != n - k:
-                continue
-            if cycles is None:
-                c1, c2 = cycles = fundamental_cycles(canon)
-                edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in cycles)
-                union_len = len(edges1 ^ edges2)
+        reps = (canon,) if balanced_only else signature_representatives(canon)
+        achieved = [rep for rep in reps if nullity(rep) == n - k]
+        if not achieved:
+            continue
+        c1, c2 = fundamental_cycles(canon)
+        edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
+        union_len = len(edges1 ^ edges2)
+        profiles = set()
+        for rep in achieved:
             s1, s2 = cycle_sign(rep, c1), cycle_sign(rep, c2)
-            profile = tuple(sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2))))
-            achieved.append((profile, rep))
-        if achieved:
-            base = bicyclic_base(canon)
-            assert base is not None
-            profiles = tuple(sorted({profile for profile, _ in achieved}))
-            # a fresh witness, free of the neighbor table rep shares with canon
-            witness = SignedGraph._trusted(n, achieved[0][1].edges)
-            entries.append(CatalogEntry(code, base, profiles, len(achieved), witness))
+            profiles.add(tuple(sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2)))))
+        base = bicyclic_base(canon)
+        assert base is not None
+        # a fresh witness, free of the neighbor table rep shares with canon
+        witness = SignedGraph._trusted(n, achieved[0].edges)
+        entries.append(CatalogEntry(code, base, tuple(sorted(profiles)), len(achieved), witness))
     return entries
 
 
@@ -684,9 +682,11 @@ def catalog_nullity_classes(
     when ``balanced_only``), since rank never falls as leaves are added; so
     a catalog for small k builds a small fraction of the classes of order n.
     Orders below 4 and above 12, the bicyclic sweeps' cap, are refused
-    before any work, and so is an argument that is not an integer.
+    before any work, and so is an argument of the wrong type.
     """
     n, k, workers = _integer("n", n), _integer("k", k), _integer("workers", workers)
+    if not isinstance(balanced_only, bool):
+        raise UsageError(f"balanced_only must be True or False, got {balanced_only!r}")
     if not 3 <= k <= n:
         raise UsageError(f"need 3 <= k <= n, got k={k}, n={n}")
     tasks = [(shape, n, k, balanced_only) for shape in _bicyclic_shapes(n)]

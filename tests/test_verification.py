@@ -215,6 +215,11 @@ class TestVerifyTheorem:
         with pytest.raises(UsageError, match="unknown theorem id"):
             verify_theorem("theorem9.9", 5)
 
+    @pytest.mark.parametrize("bad", [5, None, b"lemma2.1i"])
+    def test_non_string_id_refused_before_any_work(self, no_chunks, bad):
+        with pytest.raises(UsageError, match="theorem id must be a string"):
+            verify_theorem(bad, 5)
+
     def test_ceiling_enforced(self, monkeypatch, no_chunks):
         # the cap is the sweep's own; the variable that once raised it is ignored
         monkeypatch.setenv("SIGNED_NULLITY_MAX_N", "12")
@@ -698,19 +703,47 @@ class TestRankPrunedCatalogs:
         # bicyclic_classes(9) takes 1,270 calls (pinned above); the rank test
         # runs before the canonizer, so a dropped graph is never canonized
         assert len(catalog_nullity_classes(9, 4).entries) == 10
-        assert len(canonize_calls) == 77
+        assert len(canonize_calls) == 39
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_keep_changes_nothing_when_k_is_at_least_n_minus_1(self, n):
-        # every order below n is at most k, so the test never runs a rank
-        for k in (n - 1, n):
-            for balanced in (False, True):
-                keep = _rank_at_most(n, k, balanced)
-                for shape in bicyclic_base_shapes(n):
-                    root = base_graph(shape)
-                    assert list(_classes_by_order(root, n, True, keep)) == list(
-                        _classes_by_order(root, n, True)
-                    )
+    def test_keep_changes_nothing_when_k_is_n(self, n, monkeypatch):
+        # every order is at most k, so the test never runs a rank
+        def no_rank(g):
+            raise AssertionError("the keep test ran a rank")
+
+        monkeypatch.setattr(verification, "nullity", no_rank)
+        for balanced in (False, True):
+            keep = _rank_at_most(n, n, balanced)
+            for shape in bicyclic_base_shapes(n):
+                root = base_graph(shape)
+                assert list(_classes_by_order(root, n, True, keep)) == list(
+                    _classes_by_order(root, n, True)
+                )
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_top_level_is_the_unpruned_one_cut_to_rank_at_most_k(self, n):
+        # one rule at every order above k, the top one included: a class of
+        # order n stays exactly when a switching class (the balanced one,
+        # all-positive, when balanced_only) has rank at most k
+        for shape in bicyclic_base_shapes(n):
+            root = base_graph(shape)
+            *_, top = _classes_by_order(root, n, True)
+            ranks = {
+                code: [
+                    (n - nullity(rep), rep.is_all_positive())
+                    for rep in signature_representatives(canon)
+                ]
+                for code, canon in top.items()
+            }
+            for k in range(3, n + 1):
+                for balanced in (False, True):
+                    *_, kept = _classes_by_order(root, n, True, _rank_at_most(n, k, balanced))
+                    expected = {
+                        code: canon
+                        for code, canon in top.items()
+                        if any(r <= k for r, positive in ranks[code] if positive or not balanced)
+                    }
+                    assert kept == expected, (shape, k, balanced)
 
     def test_only_kept_graphs_are_canonized(self, canonize_calls):
         catalog_nullity_classes(9, 4)
@@ -803,6 +836,29 @@ class TestCatalogs:
             catalog_nullity_classes(6, 4, workers=bad)
         with pytest.raises(UsageError, match="n must be an integer"):
             bicyclic_classes(bad)
+
+    @pytest.mark.parametrize("bad", ["no", "", None, 1, 0])
+    def test_non_bool_balanced_only_refused_before_any_work(self, no_chunks, bad):
+        with pytest.raises(UsageError, match="balanced_only must be True or False"):
+            catalog_nullity_classes(6, 4, balanced_only=bad)
+
+    def test_numpy_bool_balanced_only_refused(self, no_chunks):
+        np = pytest.importorskip("numpy")
+        for bad in (np.bool_(True), np.bool_(False)):
+            with pytest.raises(UsageError, match="balanced_only must be True or False"):
+                catalog_nullity_classes(6, 4, balanced_only=bad)
+
+    def test_bool_balanced_only_keeps_its_bytes(self):
+        expected = _unpruned_catalogs(6)
+        for balanced in (False, True):
+            text = documents.dumps(
+                documents.catalog_document(catalog_nullity_classes(6, 5, balanced_only=balanced))
+            )
+            assert text == documents.dumps(documents.catalog_document(expected[(5, balanced)]))
+            assert f'"balanced_only": {str(balanced).lower()},' in text
+            if balanced:
+                golden = Path(__file__).parent / "golden" / "balanced_nullity_n6_k5.json"
+                assert text.encode() == golden.read_bytes()
 
     def test_integer_like_arguments_give_the_int_document(self):
         catalog = catalog_nullity_classes(_Index(6), _Index(4), workers=_Index(1))
