@@ -66,7 +66,7 @@ _EXPORTS = {
     "verification": (
         "NullityCatalog",
         "TheoremReport",
-        "bicyclic_underlying",
+        "bicyclic_classes",
         "catalog_nullity_classes",
         "verify_theorem",
     ),

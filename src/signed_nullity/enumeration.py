@@ -21,14 +21,14 @@ from .graphs import SignedGraph, _spanning_forest
 from .recognizers import shape_order
 
 
-def prufer_sequences(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Every Pruefer sequence of the labeled trees on n vertices that starts
-    with ``prefix``, in lexicographic order; K1's is the empty sequence."""
+def prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """Every Pruefer sequence of the labeled trees on n vertices, in
+    lexicographic order; K1's is the empty sequence."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return iter([()])
-    return (prefix + rest for rest in product(range(n), repeat=n - 2 - len(prefix)))
+    return product(range(n), repeat=n - 2)
 
 
 def prufer_pairs(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:

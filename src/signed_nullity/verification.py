@@ -3,8 +3,8 @@
 Each sweep checks one classification statement over every enumerated
 instance and reports the violations (an empty list is the expected
 outcome).  Work is split into independent chunks -- one per tree order or
-Pruefer prefix, one per 2-core shape, or one for the connected build -- so
-sweeps and catalogs can run on a process pool; results are merged
+pair of Pruefer symbols, one per 2-core shape, or one for the connected
+build -- so sweeps and catalogs can run on a process pool; results are merged
 commutatively and sorted, which makes them byte-identical regardless of the
 worker count.  Graphs with cycles come from two class builders.  The
 bicyclic sweeps take each class from :func:`hung_classes`, which
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from itertools import product
+from math import gcd
 from operator import index
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -30,7 +31,6 @@ from .enumeration import (
     hung_classes,
     prufer_graph,
     prufer_pairs,
-    prufer_sequences,
     signature_representatives,
 )
 from .graphs import SignedGraph, build_graph, cycle_sign, fundamental_cycles
@@ -208,7 +208,8 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
 
     Each 2-core shape constructs its own classes (:func:`hung_classes`),
     and each is canonized once; no code comes from two shapes, since an
-    isomorphism maps 2-core onto 2-core.
+    isomorphism maps 2-core onto 2-core.  Orders below 4 and above 12, the
+    bicyclic sweeps' cap, are refused.
     """
     n = _integer("n", n)
     classes: dict[str, SignedGraph] = {}
@@ -217,15 +218,6 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
             code, canon, _ = _canonize(g)
             classes[code] = canon
     return dict(sorted(classes.items()))
-
-
-def bicyclic_underlying(n: int) -> Iterator[SignedGraph]:
-    """One all-positive canonical graph per isomorphism class of connected
-    graphs with n vertices and n+1 edges, in code order.
-
-    Orders below 4 and above 12, the bicyclic sweeps' cap, are rejected.
-    """
-    return iter(bicyclic_classes(n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +278,135 @@ def _tree_block(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
     return block
 
 
-def _check_trees(n: int, *prefix: int) -> Checked:
-    """Labeled trees of order n, or those whose Pruefer code starts with ``prefix``.
+def _null_supports(m: list[list[int]]) -> tuple[set[int], set[int]]:
+    """The supports of the left and right null spaces of an integer matrix,
+    which it leaves unchanged: the rows i where some y with y m = 0 has
+    y[i] != 0, and the columns j where some v with m v = 0 has v[j] != 0.
 
-    One decoding gives both routes their input: the formula side matches
-    along the removal order, and the rank kernel gets the tree's
-    biadjacency block B, whose sides the removal order also gives (see
+    Gauss-Jordan elimination brings a copy of m to reduced form, dividing
+    each updated row by the gcd of its entries.  Each row carries the unit
+    row it started as, so the rows that reduce to zero end as a basis of
+    the left null space.  The right null space has a basis with one vector
+    per free (pivot-less) column f: 1 at f, nonzero at each pivot column
+    whose row is nonzero at f, 0 elsewhere.  So its support is the free
+    columns and the pivot columns whose rows reach one.  The row space is
+    the orthogonal complement of the right null space, so appending the
+    unit row e_j to m raises its rank exactly when j is in the right
+    support; so does the unit column e_i when i is in the left.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    work = []
+    for i, row in enumerate(m):
+        row = list(row) + [0] * rows
+        row[cols + i] = 1
+        work.append(row)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if work[i][c]:
+                break
+        else:
+            continue
+        pivot_row = work[i]
+        work[i] = work[r]
+        work[r] = pivot_row
+        p = pivot_row[c]
+        for i in range(rows):
+            row = work[i]
+            f = row[c]
+            if f and i != r:
+                row = [x * p - f * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    free = set(range(cols)).difference(pivots)
+    right = free.union(c for c, row in zip(pivots, work) if any(row[f] for f in free))
+    left = {i for row in work[r:] for i in range(rows) if row[cols + i]}
+    return left, right
+
+
+def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Block ranks of the trees made by joining one new leaf to a tree that
+    spans every vertex but that leaf, given as :func:`prufer_pairs` yields
+    it: entry s is the rank when the leaf hangs from s.
+
+    The missing vertex m is on side 0 of :func:`_tree_sides`, a zero row of
+    the smaller tree's block B.  Hung from s on side 1, m is the row e_s;
+    hung from s on side 0, m moves to side 1 as the column e_s.  Either way
+    the rank of B grows by one exactly when s is in the support of B's
+    right, or left, null space (:func:`_null_supports`).  Entry m means
+    nothing.
+    """
+    side = _tree_sides(n, pairs)
+    block = _tree_block(n, pairs)
+    supports = _null_supports(block)  # indexed by side: rows, then columns
+    base = _eliminate(block)
+    ranks = [base] * n
+    seen = [0, 0]
+    for v, s in enumerate(side):
+        if seen[s] in supports[s]:
+            ranks[v] += 1
+        seen[s] += 1
+    return ranks
+
+
+_TREE_DISAGREES = "tree nullity formula disagrees with rank kernel"
+
+
+def _check_tree(n: int, seq: tuple[int, ...]) -> tuple[Optional[SignedGraph], tuple[str, ...]]:
+    """One labeled tree, from its own decoding, block and matching."""
+    pairs = prufer_pairs(n, seq)
+    if n - 2 * _leaf_matching(n, pairs) == n - 2 * _eliminate(_tree_block(n, pairs)):
+        return None, ()
+    return prufer_graph(n, seq), (_TREE_DISAGREES,)
+
+
+def _check_trees(n: int, *prefix: int) -> Checked:
+    """Labeled trees of order n, or those whose Pruefer code continues its
+    first symbol with ``prefix``.
+
+    Both routes start from the removal order of the Pruefer decoding: the
+    formula side matches along it, and the rank kernel gets the tree's
+    biadjacency block B, whose sides it also gives (see
     :func:`_tree_sides`).  A tree is bipartite, so up to a permutation its
     adjacency matrix is [[0, B], [B^T, 0]], of rank 2*rank(B) (Cvetkovic
     and Gutman, Mat. Vesnik 9, 1972): block algebra, not matching theory,
-    and a block of about half the order.  Neither route reads the other's
-    result, and the tree's graph is built only as the witness of a
-    violation.
+    and a block of about half the order.
+
+    The n trees with one suffix sigma after the first symbol s share all
+    but one leaf.  Let m be the least vertex missing from sigma.  For every
+    s != m the decoding of (s,) + sigma is (m, s) followed by the pairs of
+    the tree on the other n-1 vertices that sigma decodes to, so those are
+    decoded, blocked and ranked once per suffix (:func:`_leaf_ranks`); the
+    matching runs over each tree's own pairs.  The tree with s = m, and the
+    trees of order at most 2, are checked one by one.  Neither route reads
+    the other's result, and a tree's graph is built only as the witness of
+    a violation.
     """
-    for seq in prufer_sequences(n, prefix):
-        pairs = prufer_pairs(n, seq)
-        if n - 2 * _leaf_matching(n, pairs) == n - 2 * _eliminate(_tree_block(n, pairs)):
-            yield None, ()
-        else:
-            yield prufer_graph(n, seq), ("tree nullity formula disagrees with rank kernel",)
+    if n <= 2:
+        yield _check_tree(n, ())
+        return
+    for rest in product(range(n), repeat=n - 3 - len(prefix)):
+        sigma = prefix + rest
+        # sigma misses at least three vertices, so m < n-1, and the pairs
+        # of (n-1,) + sigma are (m, n-1) and then those of sigma's tree
+        pairs = prufer_pairs(n, (n - 1,) + sigma)
+        m = pairs[0][0]
+        ranks = _leaf_ranks(n, pairs[1:])
+        for s in range(n):
+            if s == m:
+                yield _check_tree(n, (s,) + sigma)
+                continue
+            pairs[0] = (m, s)
+            if n - 2 * _leaf_matching(n, pairs) == n - 2 * ranks[s]:
+                yield None, ()
+            else:
+                yield prufer_graph(n, (s,) + sigma), (_TREE_DISAGREES,)
 
 
 def _check_cycles(length: int) -> Checked:
@@ -428,7 +530,8 @@ class Sweep(NamedTuple):
 def _tree_tasks(max_n: int) -> list[tuple]:
     tasks: list[tuple] = []
     for n in range(1, max_n + 1):
-        # from order 7 on, one chunk per two-symbol Pruefer prefix: n^2 equal
+        # from order 7 on, one chunk per second and third Pruefer symbol (the
+        # first two of the suffix that _check_trees decodes once): n^2 equal
         # chunks, where n chunks would split 4:3 on two workers at n=7
         prefixes = [()] if n <= 6 else product(range(n), repeat=2)
         tasks.extend((n, *prefix) for prefix in prefixes)

@@ -7,7 +7,7 @@ import pytest
 from signed_nullity import (
     SignedGraph,
     bicyclic_base,
-    bicyclic_underlying,
+    bicyclic_classes,
     build_graph,
     canonical_code,
     is_balanced,
@@ -59,18 +59,18 @@ class TestLabeledTrees:
 
 class TestBicyclicUnderlying:
     def test_n4_single_class(self):
-        classes = {canonical_code(g) for g in bicyclic_underlying(4)}
+        classes = {canonical_code(g) for g in bicyclic_classes(4).values()}
         assert len(classes) == 1
 
     @pytest.mark.parametrize("n,count", [(4, 1), (5, 5), (6, 19)])
     def test_class_counts_match_brute_force(self, n, count):
         brute = {canonical_code(g) for g in brute_bicyclic_underlying(n)}
-        gen = {canonical_code(g) for g in bicyclic_underlying(n)}
+        gen = {canonical_code(g) for g in bicyclic_classes(n).values()}
         assert gen == brute
         assert len(gen) == count
 
     def test_every_emitted_graph_is_bicyclic(self):
-        for g in bicyclic_underlying(6):
+        for g in bicyclic_classes(6).values():
             assert g.order == 6
             assert len(g.edges) == 7
             assert is_connected(g)
@@ -78,7 +78,7 @@ class TestBicyclicUnderlying:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            list(bicyclic_underlying(3))
+            bicyclic_classes(3)
 
 
 class TestBaseShapes:
@@ -160,7 +160,7 @@ class TestSignatureRepresentatives:
     def test_only_the_all_positive_representative_is_balanced(self):
         # a spanning tree is fixed positive, so the non-tree signs are the
         # fundamental cycle signs: balanced exactly when all are positive
-        graphs = [g for n in range(4, 8) for g in bicyclic_underlying(n)]
+        graphs = [g for n in range(4, 8) for g in bicyclic_classes(n).values()]
         graphs += connected_labeled_graphs(5)
         for g in graphs:
             balanced = [rep for rep in signature_representatives(g) if is_balanced(rep).balanced]
@@ -173,7 +173,7 @@ class TestSignatureRepresentatives:
             list(signature_representatives(g))
 
     def test_representatives_share_the_sign_free_neighbor_table(self):
-        graphs = [g for n in range(4, 8) for g in bicyclic_underlying(n)]
+        graphs = [g for n in range(4, 8) for g in bicyclic_classes(n).values()]
         graphs += connected_labeled_graphs(5)
         for g in graphs:
             for rep in signature_representatives(g):

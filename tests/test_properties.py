@@ -37,6 +37,8 @@ from signed_nullity import (
     switch,
     switching_equivalent,
 )
+from signed_nullity.rank import _eliminate
+from signed_nullity.verification import _null_supports
 
 
 @st.composite
@@ -172,6 +174,41 @@ def test_bipartite_rank_is_twice_the_biadjacency_rank(pair):
     xs = [v for v in range(g.order) if not side[v]]
     ys = [v for v in range(g.order) if side[v]]
     assert rank(a) == 2 * rank([[a[x][y] for y in ys] for x in xs])
+
+
+@st.composite
+def integer_matrices(draw, max_size=8):
+    """An integer matrix with entries in -3..3 and up to 8 rows and columns,
+    some rows and columns copied, negated or zeroed so that it drops rank."""
+    rows = draw(st.integers(1, max_size))
+    cols = draw(st.integers(1, max_size))
+    entry = st.integers(-3, 3)
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.sampled_from((1, -1, 0)))
+        if draw(st.booleans()):
+            target, source = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            m[target] = [factor * x for x in m[source]]
+        else:
+            target, source = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+            for row in m:
+                row[target] = factor * row[source]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
+    # rank [m; e_j] = rank m + [e_j outside the row space, the null space's complement]
+    left, right = _null_supports(m)
+    base = _eliminate([row[:] for row in m])
+    for matrix, support in ((m, right), ([list(col) for col in zip(*m)], left)):
+        cols = len(matrix[0])
+        assert support <= set(range(cols))
+        for j in range(cols):
+            unit = [int(k == j) for k in range(cols)]
+            grown = _eliminate([row[:] for row in matrix] + [unit])
+            assert grown == base + (j in support), (matrix, j, support)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from signed_nullity import (
     SpecialPath,
-    bicyclic_underlying,
+    bicyclic_classes,
     build_graph,
     canonical_code,
     contract_special_path,
@@ -267,7 +267,7 @@ class TestCores:
     def test_equal_the_public_functions_on_every_bicyclic_switching_class_to_order_8(self):
         deletions = contractions = 0
         for n in range(4, 9):
-            for g in bicyclic_underlying(n):
+            for g in bicyclic_classes(n).values():
                 pendants, paths = find_pendants(g), find_special_paths(g)
                 for rep in signature_representatives(g):
                     for v, u in pendants:
@@ -358,11 +358,11 @@ def _contract_via_rewiring(g, p):
 
 class TestRewireDeleteEqualsContract:
     def test_exact_equality_over_small_bicyclic_enumeration(self):
-        from signed_nullity import bicyclic_underlying, signature_representatives
+        from signed_nullity import bicyclic_classes, signature_representatives
 
         checked = 0
         for n in (5, 6, 7):
-            for underlying in bicyclic_underlying(n):
+            for underlying in bicyclic_classes(n).values():
                 paths = find_special_paths(underlying)
                 if not paths:
                     continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -48,7 +49,6 @@ from signed_nullity.verification import (
     _rank_at_most,
     available_theorems,
     bicyclic_classes,
-    bicyclic_underlying,
     catalog_nullity_classes,
     verify_theorem,
 )
@@ -137,6 +137,12 @@ _BROKEN_SWEEPS = [
         "lemma2.1i",
         4,
         {"_tree_block": lambda n, pairs: [[0] * n]},
+        [r"tree nullity formula disagrees with rank kernel"],
+    ),
+    (
+        "lemma2.1i",
+        4,
+        {"_null_supports": lambda m: (set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -283,18 +289,51 @@ class TestVerifyTheorem:
         assert report.theorem == "lemma2.5"
         assert report.ok
 
-    def test_tree_chunks_are_two_symbol_prefixes_from_order_7(self):
+    def test_tree_chunks_fix_the_second_and_third_pruefer_symbols_from_order_7(self, monkeypatch):
         tasks = verification._tree_tasks(7)
         assert tasks[:6] == [(n,) for n in range(1, 7)]
         prefixes = sorted(args[1:] for args in tasks[6:])
         assert prefixes == [(a, b) for a in range(7) for b in range(7)]
-        counts = [verification._sweep_chunk(("lemma2.1i", args))[0] for args in tasks]
+        # every matched tree, as the Pruefer code its pairs spell
+        matched: list[tuple[int, ...]] = []
+        matching = verification._leaf_matching
+
+        def recorded(n, pairs):
+            matched.append(tuple(neighbor for _, neighbor in pairs[:-1]))
+            return matching(n, pairs)
+
+        monkeypatch.setattr(verification, "_leaf_matching", recorded)
+        counts = []
+        for args in tasks:
+            matched.clear()
+            counts.append(verification._sweep_chunk(("lemma2.1i", args))[0])
+            n, key = args[0], args[1:]
+            assert sorted(matched) == [seq for seq in prufer_sequences(n) if seq[1 : 1 + len(key)] == key]
+        monkeypatch.undo()
         assert counts[6:] == [7**3] * 49
         assert sum(counts) == sum(n ** (n - 2) for n in range(2, 8)) + 1 == 18249
         serial, pooled = (verify_theorem("lemma2.1i", 7, workers=w) for w in (1, 2))
         assert documents.dumps(documents.verification_document(serial)) == documents.dumps(
             documents.verification_document(pooled)
         )
+
+    def test_codes_with_one_suffix_are_its_tree_plus_a_leaf_ranked_off_its_null_space(self):
+        # for s != m, the least vertex missing from sigma, (s,) + sigma decodes
+        # to (m, s) and then the pairs of the tree sigma spans without m; the
+        # full-matrix kernel is the oracle for the ranks read off that tree
+        trees = 0
+        for n in range(3, 8):
+            for sigma in product(range(n), repeat=n - 3):
+                m = min(set(range(n)).difference(sigma))
+                rest = prufer_pairs(n, (n - 1,) + sigma)[1:]
+                ranks = verification._leaf_ranks(n, rest)
+                for s in range(n):
+                    if s != m:
+                        assert prufer_pairs(n, (s,) + sigma) == [(m, s)] + rest, (n, s, sigma)
+                        full = rank(adjacency_matrix(prufer_graph(n, (s,) + sigma)))
+                        assert 2 * ranks[s] == full, (n, s, sigma)
+                        trees += 1
+        assert trees == sum(n ** (n - 3) * (n - 1) for n in range(3, 8)) == 15600
 
     def test_leaf_order_matching_is_the_matching_number(self):
         for n in range(1, 8):
@@ -402,7 +441,7 @@ class TestVerifyTheorem:
         )
 
         residues = 0
-        for underlying in (*bicyclic_underlying(6), *bicyclic_underlying(7)):
+        for underlying in (*bicyclic_classes(6).values(), *bicyclic_classes(7).values()):
             for rep in signature_representatives(underlying):
                 residue, _ = reduce(rep)
                 if not fundamental_cycles(residue):
@@ -489,7 +528,7 @@ class TestBicyclicClasses:
     def test_one_canonical_graph_per_class(self, n):
         # with the pinned class counts, distinct valid classes are all of them
         codes = []
-        for g in bicyclic_underlying(n):
+        for g in bicyclic_classes(n).values():
             assert g.order == n and len(g.edges) == n + 1
             assert is_connected(g)
             code, canon = canonical_form(g)
