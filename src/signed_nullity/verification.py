@@ -35,7 +35,7 @@ from .enumeration import (
 )
 from .graphs import SignedGraph, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
-from .rank import _eliminate, cycle_nullity_formula, nullity
+from .rank import cycle_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -258,16 +258,14 @@ def _tree_sides(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     return side
 
 
-def _tree_block(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
+def _tree_block(side: list[int], pairs: list[tuple[int, int]]) -> list[list[int]]:
     """The biadjacency block of a tree given as :func:`prufer_pairs` yields
-    it: a row per vertex of side 0 and a column per vertex of side 1 (see
-    :func:`_tree_sides`), each in label order, and a 1 for each edge.  K1
-    gives a 1x0 block."""
-    side = _tree_sides(n, pairs)
-    where = [0] * n
+    it, with ``side`` its two-colouring (:func:`_tree_sides`): a row per
+    vertex of side 0 and a column per vertex of side 1, each in label order,
+    and a 1 for each edge.  K1 gives a 1x0 block."""
+    where = [0] * len(side)
     sizes = [0, 0]
-    for v in range(n):
-        s = side[v]
+    for v, s in enumerate(side):
         where[v] = sizes[s]
         sizes[s] += 1
     block = [[0] * sizes[1] for _ in range(sizes[0])]
@@ -278,21 +276,22 @@ def _tree_block(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
     return block
 
 
-def _null_supports(m: list[list[int]]) -> tuple[set[int], set[int]]:
-    """The supports of the left and right null spaces of an integer matrix,
-    which it leaves unchanged: the rows i where some y with y m = 0 has
-    y[i] != 0, and the columns j where some v with m v = 0 has v[j] != 0.
+def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int]]:
+    """The rank of an integer matrix, which it leaves unchanged, and the
+    supports of its left and right null spaces: the rows i where some y
+    with y m = 0 has y[i] != 0, and the columns j where some v with m v = 0
+    has v[j] != 0.
 
     Gauss-Jordan elimination brings a copy of m to reduced form, dividing
-    each updated row by the gcd of its entries.  Each row carries the unit
-    row it started as, so the rows that reduce to zero end as a basis of
-    the left null space.  The right null space has a basis with one vector
-    per free (pivot-less) column f: 1 at f, nonzero at each pivot column
-    whose row is nonzero at f, 0 elsewhere.  So its support is the free
-    columns and the pivot columns whose rows reach one.  The row space is
-    the orthogonal complement of the right null space, so appending the
-    unit row e_j to m raises its rank exactly when j is in the right
-    support; so does the unit column e_i when i is in the left.
+    each updated row by the gcd of its entries; its pivots count the rank.
+    Each row carries the unit row it started as, so the rows that reduce to
+    zero end as a basis of the left null space.  The right null space has a
+    basis with one vector per free (pivot-less) column f: 1 at f, nonzero
+    at each pivot column whose row is nonzero at f, 0 elsewhere.  So its
+    support is the free columns and the pivot columns whose rows reach one.
+    The row space is the orthogonal complement of the right null space, so
+    appending the unit row e_j to m raises its rank exactly when j is in
+    the right support; so does the unit column e_i when i is in the left.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -327,7 +326,7 @@ def _null_supports(m: list[list[int]]) -> tuple[set[int], set[int]]:
     free = set(range(cols)).difference(pivots)
     right = free.union(c for c, row in zip(pivots, work) if any(row[f] for f in free))
     left = {i for row in work[r:] for i in range(rows) if row[cols + i]}
-    return left, right
+    return r, left, right
 
 
 def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
@@ -339,13 +338,11 @@ def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     the smaller tree's block B.  Hung from s on side 1, m is the row e_s;
     hung from s on side 0, m moves to side 1 as the column e_s.  Either way
     the rank of B grows by one exactly when s is in the support of B's
-    right, or left, null space (:func:`_null_supports`).  Entry m means
-    nothing.
+    right, or left, null space.  One pass of :func:`_null_supports` gives
+    the rank and both supports.  Entry m means nothing.
     """
     side = _tree_sides(n, pairs)
-    block = _tree_block(n, pairs)
-    supports = _null_supports(block)  # indexed by side: rows, then columns
-    base = _eliminate(block)
+    base, *supports = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
     ranks = [base] * n
     seen = [0, 0]
     for v, s in enumerate(side):
@@ -356,14 +353,6 @@ def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
 
 
 _TREE_DISAGREES = "tree nullity formula disagrees with rank kernel"
-
-
-def _check_tree(n: int, seq: tuple[int, ...]) -> tuple[Optional[SignedGraph], tuple[str, ...]]:
-    """One labeled tree, from its own decoding, block and matching."""
-    pairs = prufer_pairs(n, seq)
-    if n - 2 * _leaf_matching(n, pairs) == n - 2 * _eliminate(_tree_block(n, pairs)):
-        return None, ()
-    return prufer_graph(n, seq), (_TREE_DISAGREES,)
 
 
 def _check_trees(n: int, *prefix: int) -> Checked:
@@ -379,31 +368,42 @@ def _check_trees(n: int, *prefix: int) -> Checked:
     and a block of about half the order.
 
     The n trees with one suffix sigma after the first symbol s share all
-    but one leaf.  Let m be the least vertex missing from sigma.  For every
-    s != m the decoding of (s,) + sigma is (m, s) followed by the pairs of
-    the tree on the other n-1 vertices that sigma decodes to, so those are
-    decoded, blocked and ranked once per suffix (:func:`_leaf_ranks`); the
-    matching runs over each tree's own pairs.  The tree with s = m, and the
-    trees of order at most 2, are checked one by one.  Neither route reads
-    the other's result, and a tree's graph is built only as the witness of
-    a violation.
+    but one leaf.  Let m < m2 be the two least vertices missing from sigma.
+    For every s != m the decoding of (s,) + sigma is (m, s) followed by the
+    pairs of the tree on the other n-1 vertices that sigma decodes to, the
+    first of them (m2, x).  So that tree is decoded, blocked and ranked once
+    per suffix, and each tree's rank read off it (:func:`_leaf_ranks`).
+    The code (m,) + sigma decodes to (m2, m), (m, x) and the same later
+    pairs: the tree of s = m2 with m and m2 swapped, so of the same rank.
+    The matching runs over each tree's own pairs.  Neither route reads the
+    other's result, and a tree's graph is built only as the witness of a
+    violation.  K1 and K2, which have no suffix, are checked on their own.
     """
     if n <= 2:
-        yield _check_tree(n, ())
+        pairs = prufer_pairs(n, ())
+        rank = _null_supports(_tree_block(_tree_sides(n, pairs), pairs))[0]
+        if n - 2 * _leaf_matching(n, pairs) == n - 2 * rank:
+            yield None, ()
+        else:
+            yield prufer_graph(n, ()), (_TREE_DISAGREES,)
         return
     for rest in product(range(n), repeat=n - 3 - len(prefix)):
         sigma = prefix + rest
-        # sigma misses at least three vertices, so m < n-1, and the pairs
-        # of (n-1,) + sigma are (m, n-1) and then those of sigma's tree
+        # sigma misses at least three vertices, so m < m2 < n-1, and the
+        # pairs of (n-1,) + sigma are (m, n-1) and then those of sigma's tree
         pairs = prufer_pairs(n, (n - 1,) + sigma)
         m = pairs[0][0]
+        first = pairs[1]
+        m2, x = first
         ranks = _leaf_ranks(n, pairs[1:])
         for s in range(n):
             if s == m:
-                yield _check_tree(n, (s,) + sigma)
-                continue
-            pairs[0] = (m, s)
-            if n - 2 * _leaf_matching(n, pairs) == n - 2 * ranks[s]:
+                pairs[0], pairs[1] = (m2, m), (m, x)
+                rank = ranks[m2]
+            else:
+                pairs[0], pairs[1] = (m, s), first
+                rank = ranks[s]
+            if n - 2 * _leaf_matching(n, pairs) == n - 2 * rank:
                 yield None, ()
             else:
                 yield prufer_graph(n, (s,) + sigma), (_TREE_DISAGREES,)
@@ -715,12 +715,12 @@ class NullityCatalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
 
 
-def _rank_at_most(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
-    """The ``keep`` test of the order-n catalog for :func:`_classes_by_order`,
+def _rank_at_most(k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
+    """The ``keep`` test of a rank-k catalog for :func:`_classes_by_order`,
     one rule at every order: whether a class has a switching class of rank
     at most k (only the balanced one, all-positive up to switching, when
     ``balanced_only``), untested at orders up to k, where no rank exceeds k.
-    It is exact at order n too, since an entry needs rank exactly k.
+    It is exact at the catalog's order too, since an entry needs rank k.
     """
 
     def keep(g: SignedGraph) -> bool:
@@ -749,7 +749,7 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     20 runs on 2 vCPUs, Python 3.11.7).
     """
     shape, n, k, balanced_only = task
-    *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(n, k, balanced_only))
+    *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(k, balanced_only))
     entries = []
     for code, canon in level.items():
         reps = (canon,) if balanced_only else signature_representatives(canon)

@@ -200,8 +200,8 @@ def integer_matrices(draw, max_size=8):
 @given(integer_matrices())
 def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
     # rank [m; e_j] = rank m + [e_j outside the row space, the null space's complement]
-    left, right = _null_supports(m)
-    base = _eliminate([row[:] for row in m])
+    base, left, right = _null_supports(m)
+    assert base == _eliminate([row[:] for row in m]), m
     for matrix, support in ((m, right), ([list(col) for col in zip(*m)], left)):
         cols = len(matrix[0])
         assert support <= set(range(cols))

@@ -37,6 +37,7 @@ from signed_nullity.enumeration import (
     signature_representatives,
 )
 from signed_nullity.graphs import cycle_sign, fundamental_cycles
+from signed_nullity.rank import _eliminate
 from signed_nullity.recognizers import bicyclic_base
 from signed_nullity.verification import (
     CatalogEntry,
@@ -46,6 +47,7 @@ from signed_nullity.verification import (
     _classes_by_order,
     _connected_classes,
     _extensions,
+    _null_supports,
     _rank_at_most,
     available_theorems,
     bicyclic_classes,
@@ -124,7 +126,7 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_eliminate": lambda m: 0},
+        {"_null_supports": lambda m: (0, set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -136,13 +138,13 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_tree_block": lambda n, pairs: [[0] * n]},
+        {"_tree_block": lambda side, pairs: [[0] * len(side)]},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
         "lemma2.1i",
         4,
-        {"_null_supports": lambda m: (set(), set())},
+        {"_null_supports": lambda m: (_null_supports(m)[0], set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -294,12 +296,12 @@ class TestVerifyTheorem:
         assert tasks[:6] == [(n,) for n in range(1, 7)]
         prefixes = sorted(args[1:] for args in tasks[6:])
         assert prefixes == [(a, b) for a in range(7) for b in range(7)]
-        # every matched tree, as the Pruefer code its pairs spell
-        matched: list[tuple[int, ...]] = []
+        # every matched tree, as the pairs the matching reads
+        matched: list[list[tuple[int, int]]] = []
         matching = verification._leaf_matching
 
         def recorded(n, pairs):
-            matched.append(tuple(neighbor for _, neighbor in pairs[:-1]))
+            matched.append(list(pairs))
             return matching(n, pairs)
 
         monkeypatch.setattr(verification, "_leaf_matching", recorded)
@@ -308,7 +310,8 @@ class TestVerifyTheorem:
             matched.clear()
             counts.append(verification._sweep_chunk(("lemma2.1i", args))[0])
             n, key = args[0], args[1:]
-            assert sorted(matched) == [seq for seq in prufer_sequences(n) if seq[1 : 1 + len(key)] == key]
+            expected = [prufer_pairs(n, seq) for seq in prufer_sequences(n) if seq[1 : 1 + len(key)] == key]
+            assert sorted(matched) == sorted(expected)
         monkeypatch.undo()
         assert counts[6:] == [7**3] * 49
         assert sum(counts) == sum(n ** (n - 2) for n in range(2, 8)) + 1 == 18249
@@ -319,21 +322,28 @@ class TestVerifyTheorem:
 
     def test_codes_with_one_suffix_are_its_tree_plus_a_leaf_ranked_off_its_null_space(self):
         # for s != m, the least vertex missing from sigma, (s,) + sigma decodes
-        # to (m, s) and then the pairs of the tree sigma spans without m; the
-        # full-matrix kernel is the oracle for the ranks read off that tree
+        # to (m, s) and then the pairs of the tree sigma spans without m, the
+        # first (m2, x); (m,) + sigma decodes to (m2, m), (m, x) and the rest,
+        # the tree of s = m2 with m and m2 swapped; the full-matrix kernel is
+        # the oracle for the ranks read off the tree sigma spans
         trees = 0
         for n in range(3, 8):
             for sigma in product(range(n), repeat=n - 3):
-                m = min(set(range(n)).difference(sigma))
+                m, m2 = sorted(set(range(n)).difference(sigma))[:2]
                 rest = prufer_pairs(n, (n - 1,) + sigma)[1:]
+                assert rest[0][0] == m2, (n, sigma)
+                x = rest[0][1]
                 ranks = verification._leaf_ranks(n, rest)
                 for s in range(n):
-                    if s != m:
-                        assert prufer_pairs(n, (s,) + sigma) == [(m, s)] + rest, (n, s, sigma)
-                        full = rank(adjacency_matrix(prufer_graph(n, (s,) + sigma)))
-                        assert 2 * ranks[s] == full, (n, s, sigma)
-                        trees += 1
-        assert trees == sum(n ** (n - 3) * (n - 1) for n in range(3, 8)) == 15600
+                    pairs = prufer_pairs(n, (s,) + sigma)
+                    if s == m:
+                        assert pairs == [(m2, m), (m, x)] + rest[1:], (n, sigma)
+                    else:
+                        assert pairs == [(m, s)] + rest, (n, s, sigma)
+                    full = rank(adjacency_matrix(prufer_graph(n, (s,) + sigma)))
+                    assert 2 * ranks[m2 if s == m else s] == full, (n, s, sigma)
+                    trees += 1
+        assert trees == sum(n ** (n - 2) for n in range(3, 8)) == 18247
 
     def test_leaf_order_matching_is_the_matching_number(self):
         for n in range(1, 8):
@@ -352,11 +362,11 @@ class TestVerifyTheorem:
                 pairs = prufer_pairs(n, seq)
                 side = verification._tree_sides(n, pairs)
                 assert all(side[u] != side[v] for u, v in pairs), (n, seq)
-                block = verification._tree_block(n, pairs)
+                block = verification._tree_block(side, pairs)
                 assert (len(block), len(block[0])) == (side.count(0), side.count(1))
                 assert sum(map(sum, block)) == n - 1, (n, seq)
                 full = rank(adjacency_matrix(prufer_graph(n, seq)))
-                assert 2 * verification._eliminate(block) == full, (n, seq)
+                assert 2 * _eliminate(block) == full, (n, seq)
                 trees += 1
         assert trees == 18249
 
@@ -471,7 +481,7 @@ class TestVerifyTheorem:
 
         clean = verify_theorem("lemma2.1i", 5)
         # a broken kernel: every tree with an edge now disagrees with the formula
-        monkeypatch.setattr(verification, "_eliminate", lambda m: 0)
+        monkeypatch.setattr(verification, "_null_supports", lambda m: (0, set(), set()))
         report = verify_theorem("lemma2.1i", 5)
         assert report.instances_checked == clean.instances_checked
         assert len(report.violations) == report.instances_checked - 1
@@ -752,7 +762,7 @@ class TestRankPrunedCatalogs:
 
         monkeypatch.setattr(verification, "nullity", no_rank)
         for balanced in (False, True):
-            keep = _rank_at_most(n, n, balanced)
+            keep = _rank_at_most(n, balanced)
             for shape in bicyclic_base_shapes(n):
                 root = base_graph(shape)
                 assert list(_classes_by_order(root, n, True, keep)) == list(
@@ -776,7 +786,7 @@ class TestRankPrunedCatalogs:
             }
             for k in range(3, n + 1):
                 for balanced in (False, True):
-                    *_, kept = _classes_by_order(root, n, True, _rank_at_most(n, k, balanced))
+                    *_, kept = _classes_by_order(root, n, True, _rank_at_most(k, balanced))
                     expected = {
                         code: canon
                         for code, canon in top.items()
@@ -786,18 +796,18 @@ class TestRankPrunedCatalogs:
 
     def test_only_kept_graphs_are_canonized(self, canonize_calls):
         catalog_nullity_classes(9, 4)
-        keep = _rank_at_most(9, 4, False)
+        keep = _rank_at_most(4, False)
         assert canonize_calls and all(keep(g) for g in canonize_calls)
 
     def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
         # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
         # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
         bowtie = base_graph(("infinity", 3, 3, 1))
-        levels = _classes_by_order(bowtie, 8, True, _rank_at_most(8, 3, False))
+        levels = _classes_by_order(bowtie, 8, True, _rank_at_most(3, False))
         assert [len(level) for level in levels] == [0, 0, 0, 0]
         assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
-        levels = _classes_by_order(k23, 8, True, _rank_at_most(8, 3, True))
+        levels = _classes_by_order(k23, 8, True, _rank_at_most(3, True))
         assert [len(level) for level in levels] == [1, 0, 0, 0]
 
 
