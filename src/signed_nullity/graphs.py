@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from operator import index
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 Sign = int  # restricted to +1 / -1 at every construction boundary
@@ -20,6 +21,18 @@ Cycle = tuple[int, ...]  # vertex sequence, closed implicitly
 def _check_sign(s: int) -> None:
     if s != 1 and s != -1:
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` through ``operator.index``, as :func:`rank` reads its
+    entries, so a numpy integer becomes a Python int; a bool, float or
+    string raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _refuse(message: str) -> NoReturn:
@@ -48,16 +61,18 @@ class SignedGraph:
     __match_args__ = ("order", "edges")
 
     def __init__(self, order: int, edges: tuple[Edge, ...]) -> None:
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        # ids are Python ints (no bool, float or numpy integer), so they
+        # serialize as the file format writes them
+        if type(order) is not int or order < 0:
+            raise ValueError(f"order must be a non-negative integer, got {order!r}")
         prev: Optional[tuple[int, int]] = None
         for u, v, s in edges:
+            if not (type(u) is int and type(v) is int and 0 <= u < order and 0 <= v < order):
+                raise ValueError(f"edge ({u!r},{v!r}) out of range for order {order} (ids are ints)")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
-            if not (0 <= u and v < order):
-                raise ValueError(f"edge ({u},{v}) out of range for order {order}")
             _check_sign(s)
             # strictly increasing pairs are both sorted and unique
             if prev is not None and prev >= (u, v):
@@ -126,8 +141,8 @@ class SignedGraph:
     # loops read the neighbor table and ``_edge_sign`` directly.
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.order:
-            raise ValueError(f"vertex {v} out of range for order {self.order}")
+        if type(v) is not int or not 0 <= v < self.order:
+            raise ValueError(f"vertex {v!r} out of range for order {self.order} (ids are ints)")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -165,11 +180,13 @@ def build_graph(order: int, edges: Iterable[tuple[int, int, int]]) -> SignedGrap
     """Build a normalized SignedGraph from an arbitrary edge list.
 
     Endpoint order within an edge does not matter; duplicates (even with a
-    different sign) and self-loops are rejected by the constructor.
+    different sign) and self-loops are rejected by the constructor.  The
+    order and the endpoints are read through :func:`_integer`, so numpy
+    integers are stored as Python ints and a bool, float or string is refused.
     """
-    normalized = [(v, u, s) if u > v else (u, v, s) for u, v, s in edges]
-    normalized.sort(key=lambda e: e[:2])
-    return SignedGraph(order, tuple(normalized))
+    ids = [(_integer("vertex id", u), _integer("vertex id", v), s) for u, v, s in edges]
+    normalized = sorted(((min(u, v), max(u, v), s) for u, v, s in ids), key=lambda e: e[:2])
+    return SignedGraph(_integer("order", order), tuple(normalized))
 
 
 def adjacency_matrix(g: SignedGraph) -> list[list[int]]:

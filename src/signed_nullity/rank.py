@@ -100,18 +100,15 @@ def cycle_nullity_formula(length: int, balanced: bool) -> int:
 def matching_number(g: SignedGraph) -> int:
     """Maximum matching size of a forest, by leaves-up greedy matching.
 
-    One depth-first pass records each vertex's parent in visiting order and
-    rejects any edge that reaches a visited vertex other than the parent.
-    Walking that order backwards meets every vertex after all of its
-    descendants; matching each unmatched vertex to its parent while the
-    parent is free is exact on forests, because some maximum matching always
-    contains a leaf edge.
+    One depth-first pass over the graph's neighbor table records each
+    vertex's parent in visiting order and rejects any edge that reaches a
+    visited vertex other than the parent.  Walking that order backwards
+    meets every vertex after all of its descendants; matching each unmatched
+    vertex to its parent while the parent is free is exact on forests,
+    because some maximum matching always contains a leaf edge.
     """
     n = g.order
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g._sorted_neighbors
     parent = [-2] * n  # -2 = unvisited, -1 = root
     preorder: list[int] = []
     for root in range(n):

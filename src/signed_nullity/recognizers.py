@@ -161,20 +161,24 @@ class BicyclicBase(_BicyclicBaseFields):
 
 
 def _two_core(g: SignedGraph) -> list[int]:
-    adj = [set(nbrs) for nbrs in g._sorted_neighbors]
-    degree = [len(nbrs) for nbrs in adj]
-    queue = [v for v in range(g.order) if degree[v] == 1]
-    removed = [False] * g.order
+    """The vertices left, ascending, once every vertex of degree at most 1
+    is deleted until none is left (a forest leaves none).
+
+    Leaves are peeled on a count, per vertex, of its neighbors not yet
+    deleted, read off the neighbor table; a deleted vertex's count is 0.
+    """
+    neighbors = g._sorted_neighbors
+    degree = [len(nbrs) for nbrs in neighbors]
+    queue = [v for v, d in enumerate(degree) if d == 1]
     while queue:
         v = queue.pop()
-        removed[v] = True
-        for u in adj[v]:
-            adj[u].discard(v)
-            degree[u] -= 1
-            if degree[u] == 1:
-                queue.append(u)
-        adj[v].clear()
-    return [v for v in range(g.order) if not removed[v]]
+        degree[v] = 0
+        for u in neighbors[v]:
+            if degree[u]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    queue.append(u)
+    return [v for v, d in enumerate(degree) if d]
 
 
 def _walk_chain(adj: dict[int, list[int]], start: int, first: int) -> tuple[int, int]:

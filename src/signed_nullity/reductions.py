@@ -83,14 +83,18 @@ def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
 
 
 def find_special_paths(g: SignedGraph) -> list[SpecialPath]:
-    """Every special path, both orientations, in lexicographic order."""
+    """Every special path, both orientations, in lexicographic order.
+
+    :func:`is_special_path` is symmetric in the path's ends, so each vertex
+    of degree 2 is tested in one orientation and gives both or neither.
+    """
     found = []
     for v2, nbrs in enumerate(g._sorted_neighbors):
         if len(nbrs) == 2:
             a, b = nbrs
-            paths = (SpecialPath(a, v2, b), SpecialPath(b, v2, a))
-            found += [p for p in paths if is_special_path(g, p)]
-    found.sort(key=lambda p: (p.v1, p.v2, p.v3))
+            if is_special_path(g, SpecialPath(a, v2, b)):
+                found += [SpecialPath(a, v2, b), SpecialPath(b, v2, a)]
+    found.sort()
     return found
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from itertools import product
 from math import gcd
-from operator import index
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .canonical import _canonize
@@ -33,7 +32,7 @@ from .enumeration import (
     prufer_pairs,
     signature_representatives,
 )
-from .graphs import SignedGraph, build_graph, cycle_sign, fundamental_cycles
+from .graphs import SignedGraph, _integer as _graph_integer, build_graph, cycle_sign, fundamental_cycles
 from .graphio import serialize_graph
 from .rank import cycle_nullity_formula, nullity
 from .recognizers import (
@@ -56,15 +55,13 @@ class UsageError(ValueError):
 
 
 def _integer(name: str, value: object) -> int:
-    """``value`` as an int through ``operator.index``, as :func:`rank` reads
-    its entries, so a numpy integer is accepted; a bool, float, fraction or
-    string is refused with UsageError."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)  # type: ignore[arg-type]
-        except TypeError:
-            pass
-    raise UsageError(f"{name} must be an integer, got {value!r}")
+    """``value`` as an int by the graph layer's rule for orders and vertex
+    ids, so a numpy integer is accepted; a bool, float, fraction or string
+    is refused with UsageError."""
+    try:
+        return _graph_integer(name, value)
+    except ValueError as error:
+        raise UsageError(*error.args) from None
 
 
 class Violation(NamedTuple):
@@ -93,10 +90,7 @@ class TheoremReport(NamedTuple):
 
 
 def _classes_by_order(
-    root: SignedGraph,
-    max_n: int,
-    leaves_only: bool,
-    keep: Optional[Callable[[SignedGraph], bool]] = None,
+    root: SignedGraph, max_n: int, keep: Optional[Callable[[SignedGraph], bool]] = None
 ) -> Iterator[dict[str, SignedGraph]]:
     """Canonical code -> canonical graph of every class grown from ``root``,
     one dict per order from the root's up to max_n.
@@ -104,7 +98,9 @@ def _classes_by_order(
     Each order is every class of the order before plus one new vertex, in
     each way :func:`_extensions` keeps, de-duplicated by canonical code
     (McKay's isomorph-free generation by extension); its docstring shows
-    that no class is lost.
+    that no class is lost.  The root decides which joins: a connected root
+    with a cycle, a 2-core shape's base graph, grows by leaves only, and
+    K1, with none, by every join.
 
     With ``keep``, a class (the root included) that fails it is dropped and
     grows no further.  The test runs on each graph before it is canonized,
@@ -118,6 +114,7 @@ def _classes_by_order(
     most the rank of the whole matrix: if H has a switching class of rank k,
     each class on its way, H itself included, has one of rank at most k.
     """
+    leaves_only = len(root.edges) >= root.order
     level: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
     if keep is None or keep(root):
         code, canon, reps = _canonize(root)
@@ -182,7 +179,7 @@ def _extensions(
 
 def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
     """One canonical graph per class of connected graphs, order by order from K1 up to max_n."""
-    for level in _classes_by_order(SignedGraph._trusted(1, ()), max_n, False):
+    for level in _classes_by_order(SignedGraph._trusted(1, ()), max_n):
         yield from level.values()
 
 
@@ -738,7 +735,9 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     The build drops every class above order k whose switching classes all
     have rank above k, the top order included (see :func:`_rank_at_most`),
     so each class left at order n is read in one pass: its switching classes
-    at rank k, then, if there are any, its cycles, profiles and base.
+    at rank k, then, if there are any, its base, cycles and profiles.  The
+    base's three cycle lengths are those of the two fundamental cycles and
+    of their edge-set sum, so the third is read off them.
 
     Catalogs stay on this leaf builder, not on :func:`hung_classes`, since
     they need canonical codes and it prunes after every leaf.  A
@@ -749,22 +748,20 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     20 runs on 2 vCPUs, Python 3.11.7).
     """
     shape, n, k, balanced_only = task
-    *_, level = _classes_by_order(base_graph(shape), n, True, _rank_at_most(k, balanced_only))
+    *_, level = _classes_by_order(base_graph(shape), n, _rank_at_most(k, balanced_only))
     entries = []
     for code, canon in level.items():
         reps = (canon,) if balanced_only else signature_representatives(canon)
         achieved = [rep for rep in reps if nullity(rep) == n - k]
         if not achieved:
             continue
+        base = bicyclic_base(canon)
         c1, c2 = fundamental_cycles(canon)
-        edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
-        union_len = len(edges1 ^ edges2)
+        union_len = sum(base.cycle_lengths()) - len(c1) - len(c2)  # type: ignore[union-attr]
         profiles = set()
         for rep in achieved:
             s1, s2 = cycle_sign(rep, c1), cycle_sign(rep, c2)
             profiles.add(tuple(sorted(((len(c1), s1), (len(c2), s2), (union_len, s1 * s2)))))
-        base = bicyclic_base(canon)
-        assert base is not None
         # a fresh witness, free of the neighbor table rep shares with canon
         witness = SignedGraph._trusted(n, achieved[0].edges)
         entries.append(CatalogEntry(code, base, tuple(sorted(profiles)), len(achieved), witness))

@@ -5,7 +5,7 @@ Laplace-expansion minors (or sympy's rational elimination for larger
 matrices), matchings from subset enumeration, isomorphism, automorphisms
 and canonical forms from raw permutation search, multipartite parts from
 complement components, connected components from a plain traversal of the
-edge list.
+edge list.  ``IndexOnly`` stands in for a numpy integer as a test input.
 """
 
 from __future__ import annotations
@@ -274,3 +274,13 @@ def two_core(g: SignedGraph) -> tuple[int, ...]:
         if not low:
             return tuple(sorted(alive))
         alive -= low
+
+
+class IndexOnly:
+    """An integer that is not an int, as numpy's are: it has only ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value

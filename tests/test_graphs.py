@@ -24,15 +24,17 @@ from signed_nullity import (
     is_connected,
     labeled_trees,
     normalize_special_path,
+    parse_graph,
     recognize_rank3,
     rewire_special_path,
+    serialize_graph,
     signature_representatives,
     switch,
     switching_equivalent,
 )
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
 from signed_nullity.verification import _connected_classes, _extensions, bicyclic_classes
-from oracles import connected_labeled_graphs, cycle_graph, path_graph
+from oracles import IndexOnly, connected_labeled_graphs, cycle_graph, path_graph
 
 
 class TestBuildGraph:
@@ -345,6 +347,62 @@ class TestVertexIds:
         k222 = build_graph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
         assert recognize_rank3(k222).matches
         assert set(vars(k222)) <= {"order", "edges", "_sorted_neighbors"}
+
+
+class TestIntegerIds:
+    # each of these was accepted: True equaled 1 but serialized as "True",
+    # 1.5 broke nullity with a TypeError, and order 2.0 wrote the header "2.0 1"
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1"])
+    def test_build_graph_refuses_an_endpoint_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            build_graph(3, [(0, bad, 1), (1, 2, 1)])
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            build_graph(3, [(0, 2, 1), (bad, 2, -1)])
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2", IndexOnly(2)])
+    def test_an_order_that_is_not_an_int_is_refused(self, bad):
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            SignedGraph(bad, ())
+        if not isinstance(bad, IndexOnly):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                build_graph(bad, [])
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", IndexOnly(1)])
+    def test_the_constructor_takes_python_ints_only(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            SignedGraph(3, ((0, bad, 1),))
+        with pytest.raises(ValueError, match="out of range"):
+            SignedGraph(3, ((bad, 2, 1),))
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", IndexOnly(1)])
+    def test_every_accessor_refuses_an_id_that_is_not_an_int(self, bad):
+        # sign_of(0, 1.0) used to return 1
+        g = cycle_graph(5)
+        accessors = [
+            lambda: g.neighbors(bad),
+            lambda: g.degree(bad),
+            lambda: g.has_edge(bad, 0),
+            lambda: g.has_edge(0, bad),
+            lambda: g.sign_of(bad, 0),
+            lambda: g.sign_of(0, bad),
+        ]
+        for call in accessors:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
+
+    def test_index_integers_are_stored_as_python_ints(self):
+        g = build_graph(IndexOnly(3), [(IndexOnly(2), IndexOnly(0), -1), (1, IndexOnly(2), 1)])
+        assert g == build_graph(3, [(0, 2, -1), (1, 2, 1)])
+        assert type(g.order) is int and all(type(x) is int for e in g.edges for x in e)
+        assert serialize_graph(g) == "3 2\n0 2 -\n1 2 +\n"
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        g = build_graph(np.int64(3), [(np.int64(2), np.int32(0), 1)])
+        assert type(g.order) is int and all(type(x) is int for x in g.edges[0][:2])
+        assert parse_graph(serialize_graph(g)) == g == build_graph(3, [(0, 2, 1)])
+        with pytest.raises(ValueError):
+            build_graph(3, [(np.bool_(True), 2, 1)])
 
 
 class TestUncheckedConstruction:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signed_nullity import (
+    SpecialPath,
     adjacency_matrix,
     build_graph,
     canonical_code,
@@ -38,7 +39,9 @@ from signed_nullity import (
     switching_equivalent,
 )
 from signed_nullity.rank import _eliminate
+from signed_nullity.reductions import is_special_path
 from signed_nullity.verification import _null_supports
+from oracles import IndexOnly
 
 
 @st.composite
@@ -231,6 +234,57 @@ def test_nullity_bounds(g):
 @given(signed_graphs())
 def test_graph_file_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+# values that only look like a vertex id or an order
+_NOT_INTEGERS = st.one_of(
+    st.booleans(), st.integers(0, 8).map(float), st.floats(allow_nan=False), st.integers(0, 8).map(str)
+)
+
+
+@st.composite
+def loose_graph_inputs(draw):
+    """A graph, and an order and edge list that describe it as a caller may:
+    endpoints in either order, some ids as index-only integers, and maybe
+    one id or the order replaced by a value that is not an integer."""
+    g = draw(signed_graphs(max_order=6))
+    edges = []
+    for u, v, s in g.edges:
+        ends = [v, u] if draw(st.booleans()) else [u, v]
+        edges.append([IndexOnly(x) if draw(st.booleans()) else x for x in ends] + [s])
+    order = IndexOnly(g.order) if draw(st.booleans()) else g.order
+    loose = draw(st.none() | st.tuples(st.integers(0, 2 * len(edges)), _NOT_INTEGERS))
+    if loose is not None:
+        slot, value = loose
+        if slot == 0:
+            order = value
+        else:
+            edges[(slot - 1) // 2][(slot - 1) % 2] = value
+    return g, order, [tuple(e) for e in edges], loose is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_graph_inputs())
+def test_build_graph_accepts_integer_ids_only_and_its_graphs_round_trip(case):
+    g, order, edges, loose = case
+    if loose:
+        with pytest.raises(ValueError):
+            build_graph(order, edges)
+        return
+    h = build_graph(order, edges)
+    text = serialize_graph(h)
+    # equal graphs serialize to the same text, which parses back to them
+    assert h == g and text == serialize_graph(g)
+    assert parse_graph(text) == h
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_graphs())
+def test_special_paths_are_every_special_ordered_triple(g):
+    triples = [SpecialPath(*t) for t in permutations(range(g.order), 3)]
+    assert find_special_paths(g) == [p for p in triples if is_special_path(g, p)]
+    for a, v, b in triples:
+        assert is_special_path(g, SpecialPath(a, v, b)) == is_special_path(g, SpecialPath(b, v, a))
 
 
 @settings(max_examples=60, deadline=None)

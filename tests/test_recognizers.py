@@ -25,6 +25,7 @@ from signed_nullity import (
     unbalanced_bicyclic_verdict,
 )
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, hung_classes
+from signed_nullity.recognizers import _two_core
 from oracles import complement_parts, cycle_graph, path_graph, two_core
 
 
@@ -284,6 +285,27 @@ class TestBicyclicBase:
                 base = bicyclic_base(h)
                 assert (base.kind, base.p, base.q, base.l) == shape, (shape, h)
                 assert base.base_vertices == tuple(sorted(perm[v] for v in core))
+
+    def test_two_core_is_the_strip_on_random_connected_graphs(self):
+        # the strip deletes every vertex of degree at most 1 until none is
+        # left, so a tree, K2 included, has an empty core
+        rng = random.Random(2012)
+        trees = 0
+        for _ in range(600):
+            n = rng.randint(2, 10)
+            pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a random tree
+            extra = rng.choice((0, 0, 1, 2, 3, n))
+            while len(pairs) < min(n - 1 + extra, n * (n - 1) // 2):
+                pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = build_graph(n, [(perm[u], perm[v], rng.choice((1, -1))) for u, v in pairs])
+            core = _two_core(g)
+            assert tuple(core) == two_core(g), g
+            if len(pairs) == n - 1:
+                assert core == []
+                trees += 1
+        assert trees > 150
 
     def test_counts_reconstruct(self):
         g = build_graph(

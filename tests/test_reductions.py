@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from signed_nullity import (
@@ -97,6 +99,20 @@ class TestFindSpecialPaths:
     def test_sorted_lexicographically(self):
         paths = find_special_paths(cycle_graph(6))
         assert paths == sorted(paths, key=lambda p: (p.v1, p.v2, p.v3))
+
+    def test_every_special_triple_on_every_bicyclic_class_to_order_8(self):
+        # each middle vertex is tested in one orientation, which is exact
+        # because a path is special exactly when its reverse is
+        found = 0
+        for n in range(4, 9):
+            for g in bicyclic_classes(n).values():
+                triples = [SpecialPath(*t) for t in permutations(range(n), 3)]
+                special = [p for p in triples if is_special_path(g, p)]
+                assert find_special_paths(g) == special, g
+                for a, v, b in triples:
+                    assert is_special_path(g, SpecialPath(a, v, b)) == is_special_path(g, SpecialPath(b, v, a))
+                found += len(special)
+        assert found == 652
 
 
 class TestNormalizeSpecialPath:

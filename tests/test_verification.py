@@ -55,6 +55,7 @@ from signed_nullity.verification import (
     verify_theorem,
 )
 from oracles import (
+    IndexOnly,
     automorphism_count,
     brute_bicyclic_underlying,
     brute_matching_number,
@@ -104,16 +105,6 @@ SWEEP_ORDERS = [
 
 def _order(g: SignedGraph) -> int:
     return g.order
-
-
-class _Index:
-    """An integer that is not an int, as numpy's are: it has only ``__index__``."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
 
 
 def _flipped(recognize):
@@ -422,7 +413,7 @@ class TestVerifyTheorem:
             verify_theorem("lemma2.1i", 5, workers=bad)
 
     def test_integer_like_arguments_run_as_ints(self):
-        report = verify_theorem("lemma2.1i", _Index(5), workers=_Index(2))
+        report = verify_theorem("lemma2.1i", IndexOnly(5), workers=IndexOnly(2))
         assert report == verify_theorem("lemma2.1i", 5)._replace(elapsed=report.elapsed)
         assert report.orders_checked == (1, 2, 3, 4, 5)
 
@@ -548,7 +539,7 @@ class TestBicyclicClasses:
         per_shape = [
             code
             for shape in bicyclic_base_shapes(n)
-            for code in list(_classes_by_order(base_graph(shape), n, leaves_only=True))[-1]
+            for code in list(_classes_by_order(base_graph(shape), n))[-1]
         ]
         assert sorted(per_shape) == codes  # no class comes from two 2-core shapes
 
@@ -575,7 +566,7 @@ class TestBicyclicClasses:
         # two routes to the classes of each shape: the construction, with
         # no canonizer, and the leaf builder, which canonizes every graph
         for shape in bicyclic_base_shapes(n):
-            *_, grown = _classes_by_order(base_graph(shape), n, leaves_only=True)
+            *_, grown = _classes_by_order(base_graph(shape), n)
             codes = sorted(_canonize(g)[0] for g, _ in hung_classes(shape, n, n))
             assert codes == sorted(grown), shape  # each class once, none missing
 
@@ -593,7 +584,7 @@ class TestBicyclicClasses:
 class TestConnectedClasses:
     def test_class_counts(self):
         # OEIS A001349, from one build through every order
-        levels = _classes_by_order(SignedGraph(1, ()), 7, leaves_only=False)
+        levels = _classes_by_order(SignedGraph(1, ()), 7)
         assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
 
     def test_canonizer_calls_at_order_7(self, canonize_calls):
@@ -609,7 +600,7 @@ class TestConnectedClasses:
         for g in connected_labeled_graphs(n):
             code, canon = canonical_form(g)
             expected.setdefault(code, canon)
-        *_, level = _classes_by_order(SignedGraph(1, ()), n, leaves_only=False)
+        *_, level = _classes_by_order(SignedGraph(1, ()), n)
         assert level == expected
 
     def test_one_canonical_connected_graph_per_class(self):
@@ -658,7 +649,7 @@ class TestExtensions:
         # the connected classes to order 6 and the bicyclic ones of orders 4..8
         graphs = list(_connected_classes(6))
         for shape in bicyclic_base_shapes(8):
-            for level in _classes_by_order(base_graph(shape), 8, leaves_only=True):
+            for level in _classes_by_order(base_graph(shape), 8):
                 graphs += level.values()
         for g in graphs:
             _, canon, orbit_reps = _canonize(g)
@@ -765,8 +756,8 @@ class TestRankPrunedCatalogs:
             keep = _rank_at_most(n, balanced)
             for shape in bicyclic_base_shapes(n):
                 root = base_graph(shape)
-                assert list(_classes_by_order(root, n, True, keep)) == list(
-                    _classes_by_order(root, n, True)
+                assert list(_classes_by_order(root, n, keep)) == list(
+                    _classes_by_order(root, n)
                 )
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -776,7 +767,7 @@ class TestRankPrunedCatalogs:
         # all-positive, when balanced_only) has rank at most k
         for shape in bicyclic_base_shapes(n):
             root = base_graph(shape)
-            *_, top = _classes_by_order(root, n, True)
+            *_, top = _classes_by_order(root, n)
             ranks = {
                 code: [
                     (n - nullity(rep), rep.is_all_positive())
@@ -786,7 +777,7 @@ class TestRankPrunedCatalogs:
             }
             for k in range(3, n + 1):
                 for balanced in (False, True):
-                    *_, kept = _classes_by_order(root, n, True, _rank_at_most(k, balanced))
+                    *_, kept = _classes_by_order(root, n, _rank_at_most(k, balanced))
                     expected = {
                         code: canon
                         for code, canon in top.items()
@@ -803,11 +794,11 @@ class TestRankPrunedCatalogs:
         # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
         # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
         bowtie = base_graph(("infinity", 3, 3, 1))
-        levels = _classes_by_order(bowtie, 8, True, _rank_at_most(3, False))
+        levels = _classes_by_order(bowtie, 8, _rank_at_most(3, False))
         assert [len(level) for level in levels] == [0, 0, 0, 0]
         assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
-        levels = _classes_by_order(k23, 8, True, _rank_at_most(3, True))
+        levels = _classes_by_order(k23, 8, _rank_at_most(3, True))
         assert [len(level) for level in levels] == [1, 0, 0, 0]
 
 
@@ -828,6 +819,15 @@ class TestCatalogs:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_no_nullity_n_minus_3_beyond_order_4(self, n):
         assert catalog_nullity_classes(n, 3).entries == ()
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_third_cycle_length_is_read_off_the_base(self, n):
+        # a catalog takes the length of the edge-set sum of the two
+        # fundamental cycles from the base's three cycle lengths
+        for g in bicyclic_classes(n).values():
+            c1, c2 = fundamental_cycles(g)
+            edges1, edges2 = ({frozenset(e) for e in zip(c, c[1:] + c[:1])} for c in (c1, c2))
+            assert len(edges1 ^ edges2) == sum(bicyclic_base(g).cycle_lengths()) - len(c1) - len(c2), g
 
     def test_entry_witnesses_revalidate(self):
         catalog = catalog_nullity_classes(6, 4)
@@ -910,7 +910,7 @@ class TestCatalogs:
                 assert text.encode() == golden.read_bytes()
 
     def test_integer_like_arguments_give_the_int_document(self):
-        catalog = catalog_nullity_classes(_Index(6), _Index(4), workers=_Index(1))
+        catalog = catalog_nullity_classes(IndexOnly(6), IndexOnly(4), workers=IndexOnly(1))
         assert type(catalog.k) is int and type(catalog.nullity) is int
         assert documents.dumps(documents.catalog_document(catalog)) == documents.dumps(
             documents.catalog_document(catalog_nullity_classes(6, 4))
