@@ -4,8 +4,9 @@ Data goes to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 verification violations, 2 usage errors (including the arguments that
 ``verify`` and ``catalog`` refuse), 3 input/output errors (files not in
 UTF-8 or announcing more than ``graphio.MAX_FILE_ORDER`` vertices
-included), 4 unexpected internal errors (with a traceback on stderr, or
-one ``error:`` line when a pool worker process crashed).  A file command
+included), 4 unexpected internal errors (with a traceback on stderr, a
+forked worker's own traceback included, or one ``error:`` line when a
+forked worker process died, ``verification.WorkerCrashed``).  A file command
 reports every input error as a ``GraphFormatError``, and ``verify`` and
 ``catalog`` refuse their arguments with a ``verification.UsageError``, so
 any other ``ValueError`` is internal.
@@ -205,15 +206,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:
-        # only verify and catalog refuse arguments, after loading the sweeps;
-        # looking the module up keeps a file command from loading them
+        # only verify and catalog refuse arguments or fork workers, after
+        # loading the sweeps; looking the module up keeps a file command from
+        # loading them
         verification = sys.modules.get(f"{__package__}.verification")
         if verification is not None and isinstance(exc, verification.UsageError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        from concurrent.futures import BrokenExecutor
-
-        if isinstance(exc, BrokenExecutor):  # a pool worker died; its traceback is lost
+        if verification is not None and isinstance(exc, verification.WorkerCrashed):
+            # a forked worker died and left no traceback
             print(f"error: a worker process crashed: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         import traceback

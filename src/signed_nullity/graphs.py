@@ -18,11 +18,6 @@ Edge = tuple[int, int, int]  # (u, v, sign) with u < v
 Cycle = tuple[int, ...]  # vertex sequence, closed implicitly
 
 
-def _check_sign(s: int) -> None:
-    if s != 1 and s != -1:
-        raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
-
-
 def _integer(name: str, value: object) -> int:
     """``value`` through ``operator.index``, as :func:`rank` reads its
     entries, so a numpy integer becomes a Python int; a bool, float or
@@ -33,6 +28,19 @@ def _integer(name: str, value: object) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _sign(value: object) -> int:
+    """``value`` as the int +1 or -1, read as :func:`_integer` reads ids: a
+    numpy integer becomes a Python int, and a bool, float or string raises
+    ValueError, so every matrix the kernel ranks holds ints."""
+    try:
+        s = _integer("edge sign", value)
+    except ValueError:
+        s = 0
+    if s != 1 and s != -1:
+        raise ValueError(f"edge sign must be the int +1 or -1, got {value!r}")
+    return s
 
 
 def _refuse(message: str) -> NoReturn:
@@ -61,8 +69,8 @@ class SignedGraph:
     __match_args__ = ("order", "edges")
 
     def __init__(self, order: int, edges: tuple[Edge, ...]) -> None:
-        # ids are Python ints (no bool, float or numpy integer), so they
-        # serialize as the file format writes them
+        # ids and signs are Python ints (no bool, float or numpy integer), so
+        # they serialize as the file format writes them
         if type(order) is not int or order < 0:
             raise ValueError(f"order must be a non-negative integer, got {order!r}")
         prev: Optional[tuple[int, int]] = None
@@ -73,7 +81,8 @@ class SignedGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized (need u < v)")
-            _check_sign(s)
+            if type(s) is not int or (s != 1 and s != -1):
+                raise ValueError(f"edge sign must be the int +1 or -1, got {s!r}")
             # strictly increasing pairs are both sorted and unique
             if prev is not None and prev >= (u, v):
                 raise ValueError(f"duplicate edge ({u},{v})" if prev == (u, v) else "edge list not sorted")
@@ -181,10 +190,11 @@ def build_graph(order: int, edges: Iterable[tuple[int, int, int]]) -> SignedGrap
 
     Endpoint order within an edge does not matter; duplicates (even with a
     different sign) and self-loops are rejected by the constructor.  The
-    order and the endpoints are read through :func:`_integer`, so numpy
-    integers are stored as Python ints and a bool, float or string is refused.
+    order and the endpoints are read through :func:`_integer` and the signs
+    through :func:`_sign`, so numpy integers are stored as Python ints and a
+    bool, float or string is refused.
     """
-    ids = [(_integer("vertex id", u), _integer("vertex id", v), s) for u, v, s in edges]
+    ids = [(_integer("vertex id", u), _integer("vertex id", v), _sign(s)) for u, v, s in edges]
     normalized = sorted(((min(u, v), max(u, v), s) for u, v, s in ids), key=lambda e: e[:2])
     return SignedGraph(_integer("order", order), tuple(normalized))
 
@@ -217,8 +227,7 @@ def switch(g: SignedGraph, theta: Sequence[int]) -> SignedGraph:
     """Resign every edge uv to ``theta[u] * sign(uv) * theta[v]``."""
     if len(theta) != g.order:
         raise ValueError(f"switching function has length {len(theta)}, graph has order {g.order}")
-    for t in theta:
-        _check_sign(t)
+    theta = [_sign(t) for t in theta]
     return g._resigned(tuple((u, v, theta[u] * s * theta[v]) for u, v, s in g.edges))
 
 

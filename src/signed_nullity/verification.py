@@ -4,15 +4,17 @@ Each sweep checks one classification statement over every enumerated
 instance and reports the violations (an empty list is the expected
 outcome).  Work is split into independent chunks -- one per tree order or
 pair of Pruefer symbols, one per 2-core shape, or one for the connected
-build -- so sweeps and catalogs can run on a process pool; results are merged
-commutatively and sorted, which makes them byte-identical regardless of the
-worker count.  Graphs with cycles come from two class builders.  The
-bicyclic sweeps take each class from :func:`hung_classes`, which
-constructs it from its 2-core and calls no canonizer.  The connected
-sweeps, and the catalogs, which prune by rank as they grow, take canonical
-graphs from :func:`_classes_by_order`, which grows each order from the one
-below: from K1, or from a 2-core shape's base graph by leaves.  The checks
-then take each class once per switching class.
+build.  With N workers, the caller and N - 1 forked children take the
+chunks in order from a shared counter (:func:`_run_tasks`; fork is
+required, so POSIX only); results are merged commutatively and sorted,
+which makes them byte-identical regardless of the worker count.  Graphs
+with cycles come from two class builders.  The bicyclic sweeps take each
+class from :func:`hung_classes`, which constructs it from its 2-core and
+calls no canonizer.  The connected sweeps, and the catalogs, which prune
+by rank as they grow, take canonical graphs from
+:func:`_classes_by_order`, which grows each order from the one below: from
+K1, or from a 2-core shape's base graph by leaves.  The checks then take
+each class once per switching class.
 """
 
 from __future__ import annotations
@@ -637,16 +639,99 @@ def _sweep_chunk(task: tuple[str, tuple]) -> tuple[int, list[Violation]]:
     return checked, violations
 
 
+class WorkerCrashed(RuntimeError):
+    """A forked worker of a sweep or a catalog died before it sent its results."""
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in a forked worker; the
+    caller raises the exception from it, so both tracebacks print."""
+
+
+def _claim(counter, tasks: list, fn: Callable) -> list[tuple[int, object]]:
+    """(index, result) for every task whose index this process takes off the
+    shared counter, until the counter passes the last task."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(tasks):
+            return done
+        done.append((i, fn(tasks[i])))
+
+
+def _child(counter, tasks: list, fn: Callable, sender) -> None:
+    """A forked worker: send its claimed results once, or the exception it
+    raised with its traceback text, after moving the counter past the last
+    task so that the other workers stop claiming."""
+    try:
+        message = (_claim(counter, tasks, fn), None)
+    except BaseException as exc:
+        import traceback
+
+        with counter.get_lock():
+            counter.value = len(tasks)
+        message = (exc, traceback.format_exc().rstrip())
+    try:
+        sender.send(message)
+    except Exception:  # the exception does not pickle; its text still reaches the caller
+        sender.send((RuntimeError("a worker process raised an exception that does not pickle"), message[1]))
+
+
 def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
-    """``fn`` over every task, in order; on a process pool when workers > 1."""
+    """``fn`` over every task, in order.
+
+    With two or more workers and tasks, the caller forks
+    ``min(workers, len(tasks)) - 1`` children, and the caller and the
+    children take task indices in order from a shared counter, so a worker
+    that finishes early takes the next task.  Each child sends its
+    (index, result) pairs once through its own pipe.  The start method is
+    pinned to fork (POSIX only): the children inherit ``fn`` and the tasks,
+    so nothing is pickled on the way in, and the runner does not depend on
+    the default start method, which Python 3.14 changes to forkserver on
+    Linux.  A child's exception is raised here from its traceback text, a
+    child that dies raises :class:`WorkerCrashed`, and every child is
+    joined, or terminated and joined, before this returns or raises.
+    """
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # only pool users pay for the import
+    import multiprocessing  # only parallel runs pay for the import
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("i", 0)
+    children = []
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_child, args=(counter, tasks, fn, sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child holds the only writer, so its death reads as EOF
+        results = [None] * len(tasks)
+        for i, result in _claim(counter, tasks, fn):
+            results[i] = result
+        for child, receiver in children:
+            try:
+                payload, text = receiver.recv()
+            except EOFError:
+                child.join()
+                raise WorkerCrashed(f"pid {child.pid} exited with code {child.exitcode}") from None
+            if text is not None:
+                raise payload from _ChildTraceback(text)
+            for i, result in payload:
+                results[i] = result
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
 
 
 def available_theorems() -> list[tuple[str, str]]:

@@ -284,24 +284,50 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "Traceback" in captured.err and "boom" in captured.err
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the crashing check is patched in and reaches the workers by fork only",
-    )
-    def test_crashed_worker_exits_4_with_one_line(self, capsys, monkeypatch):
+    @staticmethod
+    def _sweep_failing_in_a_child(monkeypatch, fail) -> None:
+        """Register the sweep "fails": two chunks whose check calls ``fail``
+        in a forked worker only.  A barrier makes the caller and the child
+        each take one chunk, so the caller, which runs a share too, never
+        fails."""
         from signed_nullity import verification
 
-        def crash(*args):
-            os._exit(3)
-            yield
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=20)
+        caller = os.getpid()
 
-        sweep = verification.Sweep("crashes its worker", 3, 4, lambda max_n: [(3,), (4,)], crash)
-        monkeypatch.setitem(verification._SWEEPS, "crash", sweep)
-        assert main(["verify", "--theorem", "crash", "--max-n", "4", "--workers", "2"]) == 4
+        def check(*args):
+            barrier.wait()
+            if os.getpid() != caller:
+                fail()
+            yield from ()
+
+        sweep = verification.Sweep("fails in a child", 3, 4, lambda max_n: [(3,), (4,)], check)
+        monkeypatch.setitem(verification._SWEEPS, "fails", sweep)
+
+    def test_crashed_worker_exits_4_with_one_line(self, capsys, monkeypatch):
+        self._sweep_failing_in_a_child(monkeypatch, lambda: os._exit(3))
+        assert main(["verify", "--theorem", "fails", "--max-n", "4", "--workers", "2"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: a worker process crashed")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []
+
+    def test_value_error_in_a_child_exits_4_with_its_traceback(self, capsys, monkeypatch):
+        def fail():
+            raise ValueError("fault inside a forked check")
+
+        self._sweep_failing_in_a_child(monkeypatch, fail)
+        assert main(["verify", "--theorem", "fails", "--max-n", "4", "--workers", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the child's traceback, down to the failing line, then the caller's
+        child, _, caller = captured.err.partition("The above exception was the direct cause")
+        assert child.count("Traceback (most recent call last)") == 1
+        assert 'raise ValueError("fault inside a forked check")' in child
+        assert "in check" in child and "ValueError: fault inside a forked check" in child
+        assert "Traceback" in caller and caller.rstrip().endswith("ValueError: fault inside a forked check")
+        assert multiprocessing.active_children() == []
 
     def test_help_points_to_the_theorems_command(self, capsys):
         assert main(["verify", "--help"]) == 0

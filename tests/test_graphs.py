@@ -405,6 +405,44 @@ class TestIntegerIds:
             build_graph(3, [(np.bool_(True), 2, 1)])
 
 
+
+class TestIntegerSigns:
+    # each of these was accepted: a sign of 1.0 put floats into the matrix
+    # that nullity eliminates with floor divisions, and True stood for +1
+    @pytest.mark.parametrize("bad", [1.0, -1.0, True, False, "+", 2, 0])
+    def test_build_graph_refuses_a_sign_that_is_not_an_int_unit(self, bad):
+        with pytest.raises(ValueError, match="edge sign must be the int"):
+            build_graph(3, [(0, 1, bad), (1, 2, -1)])
+
+    @pytest.mark.parametrize("bad", [1.0, True, IndexOnly(1)])
+    def test_the_constructor_takes_python_int_signs_only(self, bad):
+        with pytest.raises(ValueError, match="edge sign must be the int"):
+            SignedGraph(2, ((0, 1, bad),))
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, True, "1"])
+    def test_switch_refuses_an_entry_that_is_not_an_int_unit(self, bad):
+        with pytest.raises(ValueError, match="edge sign must be the int"):
+            switch(cycle_graph(3), (1, bad, 1))
+
+    def test_integer_like_signs_are_stored_as_python_ints(self):
+        g = build_graph(3, [(0, 1, IndexOnly(1)), (1, 2, IndexOnly(-1))])
+        assert g == build_graph(3, [(0, 1, 1), (1, 2, -1)])
+        assert all(type(s) is int for *_, s in g.edges)
+        h = switch(g, (IndexOnly(-1), 1, 1))
+        assert h == build_graph(3, [(0, 1, -1), (1, 2, -1)])
+        assert all(type(s) is int for *_, s in h.edges)
+
+    def test_numpy_signs_are_stored_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        g = build_graph(3, [(0, 1, np.int64(1)), (1, 2, np.int8(-1))])
+        assert all(type(s) is int for *_, s in g.edges)
+        assert serialize_graph(g) == "3 2\n0 1 +\n1 2 -\n"
+        assert all(type(s) is int for *_, s in switch(g, np.array([1, -1, 1])).edges)
+        with pytest.raises(ValueError, match="edge sign must be the int"):
+            build_graph(2, [(0, 1, np.float64(1.0))])
+        with pytest.raises(ValueError, match="edge sign must be the int"):
+            build_graph(2, [(0, 1, np.bool_(True))])
+
 class TestUncheckedConstruction:
     """Graphs built inside the package skip the constructor's check, so each
     one must pass the public validating path unchanged."""

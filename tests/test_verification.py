@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -77,6 +80,30 @@ def canonize_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(verification, "_canonize", counted)
     return calls
+
+
+@pytest.fixture
+def forks(monkeypatch) -> tuple[list, list]:
+    """The pids of the worker processes started from here on, and of those
+    joined after they exited."""
+    from multiprocessing.process import BaseProcess
+
+    started: list = []
+    joined: list = []
+    start, join = BaseProcess.start, BaseProcess.join
+
+    def counted_start(self):
+        start(self)
+        started.append(self.pid)
+
+    def counted_join(self, timeout=None):
+        join(self, timeout)
+        if self.exitcode is not None:
+            joined.append(self.pid)
+
+    monkeypatch.setattr(BaseProcess, "start", counted_start)
+    monkeypatch.setattr(BaseProcess, "join", counted_join)
+    return started, joined
 
 
 @pytest.fixture
@@ -373,30 +400,16 @@ class TestVerifyTheorem:
             documents.verification_document(parallel)
         )
 
-    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_never_larger_than_the_chunk_count(self, forks):
+        # the caller is one of the workers, so a run forks one child fewer
+        started, _ = forks
         report = verify_theorem("lemma2.1ii", 4, workers=8)  # lengths 3 and 4: two chunks
         assert report.instances_checked == 4
+        assert len(started) == 1
         assert catalog_nullity_classes(5, 3, workers=64).entries == ()  # four base shapes
+        assert len(started) == 1 + 3
         assert verify_theorem("theorem2.4", 4, workers=8).ok  # one chunk, the build from K1
-        assert sizes == [2, 4]
+        assert len(started) == 1 + 3 + 0
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -506,6 +519,132 @@ class TestVerifyTheorem:
         assert ids == sorted(ids)
         assert "theorem3.1" in ids and "lemma2.5" in ids
 
+
+
+def _no_child_left(started: list, joined: list) -> bool:
+    return multiprocessing.active_children() == [] and set(joined) == set(started)
+
+
+class TestForkJoinRunner:
+    """``_run_tasks`` at two or more workers: the caller and its forked
+    children claim tasks from one counter.  A barrier of one party per
+    worker makes every worker hold one of the first tasks at once, so each
+    test sees the caller and every child run a task."""
+
+    @staticmethod
+    def _barrier(parties: int):
+        return multiprocessing.get_context("fork").Barrier(parties, timeout=20)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_task_runs_once_and_lands_at_its_index(self, forks, workers):
+        # 3 workers exceed 2 cores; a lost update of the counter would run a
+        # task twice or never
+        barrier = self._barrier(workers)
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+
+        def run(t):
+            if t < workers:
+                barrier.wait()
+            with calls.get_lock():
+                calls.value += 1
+            return t, os.getpid()
+
+        tasks = list(range(500))
+        results = verification._run_tasks(run, tasks, workers)
+        assert [t for t, _ in results] == tasks and calls.value == len(tasks)
+        pids = {pid for _, pid in results[:workers]}
+        assert len(pids) == workers and os.getpid() in pids
+        assert len(forks[0]) == workers - 1 and _no_child_left(*forks)
+
+    def test_a_child_exception_is_raised_with_its_traceback(self, forks):
+        barrier, caller = self._barrier(2), os.getpid()
+
+        def run(t):
+            barrier.wait()
+            if os.getpid() != caller:
+                raise ValueError(f"fault in task {t}")
+            return t
+
+        with pytest.raises(ValueError, match="fault in task") as info:
+            verification._run_tasks(run, [0, 1], 2)
+        remote = str(info.value.__cause__)
+        assert remote.startswith("Traceback") and 'raise ValueError(f"fault in task {t}")' in remote
+        assert _no_child_left(*forks)
+
+    def test_an_exception_that_does_not_pickle_still_sends_its_traceback(self, forks):
+        barrier, caller = self._barrier(2), os.getpid()
+
+        def run(t):
+            barrier.wait()
+            if os.getpid() != caller:
+                error = ValueError("fault with a local function attached")
+                error.hook = lambda: None  # a local function does not pickle
+                raise error
+            return t
+
+        with pytest.raises(RuntimeError, match="does not pickle") as info:
+            verification._run_tasks(run, [0, 1], 2)
+        assert "ValueError: fault with a local function attached" in str(info.value.__cause__)
+        assert _no_child_left(*forks)
+
+    def test_a_dead_child_raises_worker_crashed(self, forks):
+        barrier, caller = self._barrier(2), os.getpid()
+
+        def run(t):
+            barrier.wait()
+            if os.getpid() != caller:
+                os._exit(3)
+            return t
+
+        with pytest.raises(verification.WorkerCrashed, match="exited with code 3"):
+            verification._run_tasks(run, [0, 1], 2)
+        assert _no_child_left(*forks)
+
+    def test_the_callers_exception_stops_every_child(self, forks):
+        barrier, caller = self._barrier(3), os.getpid()
+
+        def run(t):
+            barrier.wait()
+            if os.getpid() == caller:
+                raise RuntimeError("fault in the caller's share")
+            time.sleep(60)  # the runner terminates the children
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="caller's share"):
+            verification._run_tasks(run, [0, 1, 2], 3)
+        assert time.perf_counter() - start < 30
+        assert len(forks[0]) == 2 and _no_child_left(*forks)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "theorem, max_n",
+        [
+            ("lemma2.1i", 7),
+            ("lemma2.1ii", 8),
+            ("theorem2.3", 5),
+            ("theorem2.4", 5),
+            ("corollary2.6", 5),
+            ("corollary2.9", 7),
+            ("theorem3.1", 7),
+            ("lemma2.5", 7),
+        ],
+    )
+    def test_sweep_documents_identical_to_serial(self, forks, theorem, max_n, workers):
+        def document(w: int) -> str:
+            return documents.dumps(documents.verification_document(verify_theorem(theorem, max_n, workers=w)))
+
+        assert document(workers) == document(1)
+        assert _no_child_left(*forks)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_order_6_catalogs_identical_to_serial(self, forks, workers):
+        for k, balanced in product(range(3, 7), (False, True)):
+            serial, parallel = (
+                documents.dumps(documents.catalog_document(catalog_nullity_classes(6, k, balanced, workers=w)))
+                for w in (1, workers)
+            )
+            assert parallel == serial, (k, balanced)
+        assert forks[0] and _no_child_left(*forks)
 
 class TestBicyclicClasses:
     @pytest.mark.parametrize(
