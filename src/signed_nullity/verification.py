@@ -11,10 +11,10 @@ which makes them byte-identical regardless of the worker count.  Graphs
 with cycles come from two class builders.  The bicyclic sweeps take each
 class from :func:`hung_classes`, which constructs it from its 2-core and
 calls no canonizer.  The connected sweeps, and the catalogs, which prune
-by rank as they grow, take canonical graphs from
-:func:`_classes_by_order`, which grows each order from the one below: from
-K1, or from a 2-core shape's base graph by leaves.  The checks then take
-each class once per switching class.
+by rank as they grow, reading each child's ranks off its parent's, take
+canonical graphs from :func:`_classes_by_order`, which grows each order
+from the one below: from K1, or from a 2-core shape's base graph by
+leaves.  The checks then take each class once per switching class.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from itertools import product
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .canonical import _canonize
 from .enumeration import (
@@ -34,7 +34,14 @@ from .enumeration import (
     prufer_pairs,
     signature_representatives,
 )
-from .graphs import SignedGraph, _integer as _graph_integer, build_graph, cycle_sign, fundamental_cycles
+from .graphs import (
+    SignedGraph,
+    _integer as _graph_integer,
+    adjacency_matrix,
+    build_graph,
+    cycle_sign,
+    fundamental_cycles,
+)
 from .graphio import serialize_graph
 from .rank import cycle_nullity_formula, nullity
 from .recognizers import (
@@ -91,8 +98,11 @@ class TheoremReport(NamedTuple):
 # bicyclic ones of the rank-pruned catalogs
 
 
+Join = tuple[int, ...]  # the old vertices that a new vertex is joined to
+
+
 def _classes_by_order(
-    root: SignedGraph, max_n: int, keep: Optional[Callable[[SignedGraph], bool]] = None
+    root: SignedGraph, max_n: int, keep: Optional[Callable[[SignedGraph, list[Join]], list[Join]]] = None
 ) -> Iterator[dict[str, SignedGraph]]:
     """Canonical code -> canonical graph of every class grown from ``root``,
     one dict per order from the root's up to max_n.
@@ -104,43 +114,37 @@ def _classes_by_order(
     with a cycle, a 2-core shape's base graph, grows by leaves only, and
     K1, with none, by every join.
 
-    With ``keep``, a class (the root included) that fails it is dropped and
-    grows no further.  The test runs on each graph before it is canonized,
-    so it must depend on the isomorphism class alone, and a dropped graph is
-    never canonized.  A catalog passes one rank test for every order above
-    k, which is exact for it: a bicyclic class grows by leaves only, so
-    every class on the way to an order-n class H, the canonical parents
-    included, is an induced subgraph of H.  Every cycle of H lies in its
-    2-core, which those subgraphs share, so a switching class of H restricts
-    to a switching class of each of them, and a principal submatrix has at
-    most the rank of the whole matrix: if H has a switching class of rank k,
-    each class on its way, H itself included, has one of rank at most k.
+    With ``keep``, each class g below max_n that has joins is passed to it
+    once, in its canonical labeling, with those joins, before any child of g
+    is made; it returns the joins whose children stay.  A dropped child is
+    never built or canonized and grows no further.  The root always stays:
+    a caller that prunes tests it first.  A catalog's hook
+    (:func:`_catalog_keep`) reads the rank of each leaf child off the
+    parent's switching classes, with no elimination per child.
     """
     leaves_only = len(root.edges) >= root.order
-    level: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
-    if keep is None or keep(root):
-        code, canon, reps = _canonize(root)
-        level[code] = (canon, reps)
-    yield {code: canon for code, (canon, _) in level.items()}
+    code, canon, reps = _canonize(root)
+    level = {code: (canon, reps)}
+    yield {code: canon}
     for _ in range(root.order, max_n):
         grown: dict[str, tuple[SignedGraph, tuple[int, ...]]] = {}
         for g, reps in level.values():
-            for h in _extensions(g, reps, leaves_only):
-                if keep is None or keep(h):
-                    code, canon, orbit_reps = _canonize(h)
-                    grown.setdefault(code, (canon, orbit_reps))
+            joins = _extensions(g, reps, leaves_only)
+            if keep is not None and joins:
+                joins = keep(g, joins)
+            for join in joins:
+                code, canon, orbit_reps = _canonize(_grown(g, join))
+                grown.setdefault(code, (canon, orbit_reps))
         level = grown
         yield {code: canon for code, (canon, _) in level.items()}
 
 
-def _extensions(
-    g: SignedGraph, orbit_reps: tuple[int, ...], leaves_only: bool
-) -> Iterator[SignedGraph]:
-    """g plus one new vertex, joined by positive edges to each set of old
-    vertices that can make the grown graph a canonical child of g: one
-    vertex of ``orbit_reps`` (one per orbit of Aut(g)) that passes a degree
-    test, then, unless ``leaves_only``, every set of two or more vertices
-    that holds all of g's leaves.
+def _extensions(g: SignedGraph, orbit_reps: tuple[int, ...], leaves_only: bool) -> list[Join]:
+    """The sets of old vertices that a new vertex, joined to them by
+    positive edges, can join to make a canonical child of g
+    (:func:`_grown`): one vertex of ``orbit_reps`` (one per orbit of
+    Aut(g)) that passes a degree test, then, unless ``leaves_only``, every
+    set of two or more vertices that holds all of g's leaves.
 
     No class is lost.  Let H be a class one order up.  If H has a leaf:
     refinement starts from degrees and only splits classes, so H's canonical
@@ -165,18 +169,23 @@ def _extensions(
     degree = [len(nbrs) for nbrs in g._sorted_neighbors]
     leaves = find_pendants(g)
     joins = [
-        ((u, new, 1),)
+        (u,)
         for u in orbit_reps
         if all(degree[w] > degree[u] for v, w in leaves if u != v and u != w)
     ]
     if not leaves_only:
-        wide = [tuple((v, new, 1) for v, _ in leaves)]
+        wide = [tuple(v for v, _ in leaves)]
         for u in range(new):
             if degree[u] != 1:
-                wide += [join + ((u, new, 1),) for join in wide]
+                wide += [join + (u,) for join in wide]
         joins += [join for join in wide if len(join) >= 2]
-    for join in joins:
-        yield SignedGraph._trusted(new + 1, tuple(sorted(g.edges + join)))
+    return joins
+
+
+def _grown(g: SignedGraph, join: Join) -> SignedGraph:
+    """g plus a new vertex joined by positive edges to the old vertices ``join``."""
+    new = g.order
+    return SignedGraph._trusted(new + 1, tuple(sorted(g.edges + tuple((v, new, 1) for v in join))))
 
 
 def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
@@ -188,8 +197,10 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
 # workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 20-21 s
 # at n <= 12 (theorem3.1 2.6-3.5 s, corollary2.9 3.6-4.0 s), and the largest
-# catalog, n = 12 and k = 12 (6,627 entries), takes 8-9 s.  The classes
-# themselves are constructed to order 14 in 8 s: the checks set the cap.
+# catalog, n = 12 and k = 12 (6,627 entries), takes 4.3-5.0 s (6.3-6.6 s
+# in alternating runs when each grown graph was ranked on its own).  The
+# classes themselves are constructed to order 14 in 8 s: the checks set the
+# cap.
 _BICYCLIC_MAX_N = 12
 
 
@@ -275,11 +286,13 @@ def _tree_block(side: list[int], pairs: list[tuple[int, int]]) -> list[list[int]
     return block
 
 
-def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int]]:
-    """The rank of an integer matrix, which it leaves unchanged, and the
+def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int], set[int]]:
+    """The rank of an integer matrix, which it leaves unchanged, the
     supports of its left and right null spaces: the rows i where some y
     with y m = 0 has y[i] != 0, and the columns j where some v with m v = 0
-    has v[j] != 0.
+    has v[j] != 0; and, for a symmetric m, the columns c outside the right
+    support where the solution y of m y = e_c has y[c] != 0 (a set that
+    means nothing for other m).
 
     Gauss-Jordan elimination brings a copy of m to reduced form, dividing
     each updated row by the gcd of its entries; its pivots count the rank.
@@ -291,6 +304,13 @@ def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int]]:
     The row space is the orthogonal complement of the right null space, so
     appending the unit row e_j to m raises its rank exactly when j is in
     the right support; so does the unit column e_i when i is in the left.
+
+    Each row is t m for the unit-row combination t it carries.  When m is
+    symmetric, both supports are one; take c outside it.  Then c is a pivot
+    column, e_c lies in the column space, and m y = e_c fixes y[c], since
+    every null vector is 0 at c.  The row of pivot c, with pivot d, is 0 at
+    the free columns, so it reads d y[c] = t e_c: y[c] != 0 exactly when
+    the row's own carried entry at c is.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -323,9 +343,30 @@ def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int]]:
         pivots.append(c)
         r += 1
     free = set(range(cols)).difference(pivots)
-    right = free.union(c for c, row in zip(pivots, work) if any(row[f] for f in free))
+    right = set(free)
+    solved = set()
+    for c, row in zip(pivots, work):
+        if any(row[f] for f in free):
+            right.add(c)
+        elif c < rows and row[cols + c]:
+            solved.add(c)
     left = {i for row in work[r:] for i in range(rows) if row[cols + i]}
-    return r, left, right
+    return r, left, right, solved
+
+
+def _bordered_ranks(m: list[list[int]]) -> list[int]:
+    """Entry u is the rank of the symmetric integer matrix m bordered by the
+    unit row and column e_u with a 0 corner: the matrix of m's graph plus a
+    leaf hung at u.
+
+    With rank rho, it is rho + 2 when e_u is outside m's column space, that
+    is, when u is in the null space's support; otherwise e_u = m y, the
+    Schur complement of m in the bordered matrix is the 1x1 block -y[u],
+    and the rank is rho + 1 when y[u] != 0 and rho when it is 0.  One pass
+    of :func:`_null_supports` gives rho and both tests for every u.
+    """
+    rho, _, support, solved = _null_supports(m)
+    return [rho + 2 if u in support else rho + (u in solved) for u in range(len(m))]
 
 
 def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
@@ -341,7 +382,7 @@ def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     the rank and both supports.  Entry m means nothing.
     """
     side = _tree_sides(n, pairs)
-    base, *supports = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
+    base, *supports, _ = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
     ranks = [base] * n
     seen = [0, 0]
     for v, s in enumerate(side):
@@ -797,19 +838,57 @@ class NullityCatalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
 
 
-def _rank_at_most(k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
-    """The ``keep`` test of a rank-k catalog for :func:`_classes_by_order`,
-    one rule at every order: whether a class has a switching class of rank
-    at most k (only the balanced one, all-positive up to switching, when
-    ``balanced_only``), untested at orders up to k, where no rank exceeds k.
-    It is exact at the catalog's order too, since an entry needs rank k.
+def _switching_classes(g: SignedGraph, balanced_only: bool) -> Iterable[SignedGraph]:
+    """One graph per switching class of g, or g alone, all-positive, when ``balanced_only``."""
+    return (g,) if balanced_only else signature_representatives(g)
+
+
+def _rank_rule(n: int, k: int, order: int) -> Optional[Callable[[int], bool]]:
+    """The test that some switching class of a class of ``order`` must pass,
+    on its rank, for the class to stay in the build of a rank-k catalog of
+    order n: rank exactly k at order n, the entry condition, and at most k
+    at the orders between k and n; None at the orders up to k below n,
+    where no rank exceeds k and every class stays.
+
+    It loses no entry.  A bicyclic class grows by leaves only, so every
+    class on the way to an order-n class H, its canonical parents included,
+    is an induced subgraph of H.  Every cycle of H lies in its 2-core,
+    which those subgraphs share, so a switching class of H restricts to a
+    switching class of each of them, and a principal submatrix has at most
+    the rank of the whole matrix: if H has a switching class of rank k,
+    each class on its way has one of rank at most k.
+    """
+    if order == n:
+        return lambda rank: rank == k
+    if order > k:
+        return lambda rank: rank <= k
+    return None
+
+
+def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph, list[Join]], list[Join]]:
+    """The ``keep`` hook of a rank-k catalog of order n for
+    :func:`_classes_by_order`: of the leaf joins (u,) of a class g, those
+    whose child has a switching class (the balanced one when
+    ``balanced_only``) that passes :func:`_rank_rule`.
+
+    A leaf edge lies on no cycle, so it is positive up to switching, and
+    the child's switching classes are g's, each bordered by the unit row
+    and column e_u.  One :func:`_bordered_ranks` pass per switching class
+    of g gives the rank of each of them, for every u, before any child is
+    built; the passes stop once every join has passed.
     """
 
-    def keep(g: SignedGraph) -> bool:
-        if g.order <= k:
-            return True
-        reps = (g,) if balanced_only else signature_representatives(g)
-        return any(rep.order - nullity(rep) <= k for rep in reps)
+    def keep(g: SignedGraph, joins: list[Join]) -> list[Join]:
+        rule = _rank_rule(n, k, g.order + 1)
+        if rule is None:
+            return joins
+        failing = set(joins)
+        for rep in _switching_classes(g, balanced_only):
+            ranks = _bordered_ranks(adjacency_matrix(rep))
+            failing = {join for join in failing if not rule(ranks[join[0]])}
+            if not failing:
+                break
+        return [join for join in joins if join not in failing]
 
     return keep
 
@@ -817,12 +896,18 @@ def _rank_at_most(k: int, balanced_only: bool) -> Callable[[SignedGraph], bool]:
 def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]:
     """The entries for the classes of order n whose 2-core is ``shape``.
 
-    The build drops every class above order k whose switching classes all
-    have rank above k, the top order included (see :func:`_rank_at_most`),
-    so each class left at order n is read in one pass: its switching classes
-    at rank k, then, if there are any, its base, cycles and profiles.  The
-    base's three cycle lengths are those of the two fundamental cycles and
-    of their edge-set sum, so the third is read off them.
+    The shape's base graph, the root, is ranked by the kernel and dropped
+    at once if it fails :func:`_rank_rule`.  The build then reads each
+    child's ranks off its parent's switching classes (:func:`_catalog_keep`):
+    at most one exact elimination per switching class of a parent, none per
+    child.  So every class left at order n has, by those ranks, a switching
+    class of rank exactly k, and no other class of order n is canonized.
+    Each left is then read in one pass through the kernel, the second
+    route: its switching classes at rank k, then its base, cycles and
+    profiles.  A class where the kernel finds none is a fault of one route,
+    raised as RuntimeError, not skipped.  The base's three cycle lengths are
+    those of the two fundamental cycles and of their edge-set sum, so the
+    third is read off them.
 
     Catalogs stay on this leaf builder, not on :func:`hung_classes`, since
     they need canonical codes and it prunes after every leaf.  A
@@ -833,13 +918,19 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     20 runs on 2 vCPUs, Python 3.11.7).
     """
     shape, n, k, balanced_only = task
-    *_, level = _classes_by_order(base_graph(shape), n, _rank_at_most(k, balanced_only))
+    root = base_graph(shape)
+    rule = _rank_rule(n, k, root.order)
+    if rule and not any(rule(root.order - nullity(rep)) for rep in _switching_classes(root, balanced_only)):
+        return []
+    *_, level = _classes_by_order(root, n, _catalog_keep(n, k, balanced_only))
     entries = []
     for code, canon in level.items():
-        reps = (canon,) if balanced_only else signature_representatives(canon)
-        achieved = [rep for rep in reps if nullity(rep) == n - k]
+        achieved = [rep for rep in _switching_classes(canon, balanced_only) if nullity(rep) == n - k]
         if not achieved:
-            continue
+            raise RuntimeError(
+                f"the bordered ranks keep class {code} of order {n} at rank {k}, "
+                f"but the rank kernel finds no switching class of it with nullity {n - k}"
+            )
         base = bicyclic_base(canon)
         c1, c2 = fundamental_cycles(canon)
         union_len = sum(base.cycle_lengths()) - len(c1) - len(c2)  # type: ignore[union-attr]

@@ -464,6 +464,19 @@ class TestCatalogCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "up to 12 (their ceiling)" in captured.err
 
+    def test_routes_that_disagree_exit_4_with_traceback(self, capsys, monkeypatch):
+        # the kernel reads one nullity too many at the top order, so it
+        # confirms no class that the bordered ranks keep
+        from signed_nullity import verification
+
+        true_nullity = verification.nullity
+        monkeypatch.setattr(verification, "nullity", lambda g: true_nullity(g) + (g.order == 6))
+        assert main(["catalog", "--n", "6", "--k", "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "RuntimeError: the bordered ranks keep class" in captured.err
+
 
 class TestConvertCommand:
     def test_dot_output(self, graph_file, capsys):

@@ -33,7 +33,7 @@ from signed_nullity import (
     switching_equivalent,
 )
 from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
-from signed_nullity.verification import _connected_classes, _extensions, bicyclic_classes
+from signed_nullity.verification import _connected_classes, _extensions, _grown, bicyclic_classes
 from oracles import IndexOnly, connected_labeled_graphs, cycle_graph, path_graph
 
 
@@ -283,7 +283,7 @@ def _generated_graphs():
         yield from labeled_trees(n)
     for g in _connected_classes(5):
         yield g
-        yield from _extensions(g, tuple(g.vertices()), leaves_only=False)
+        yield from (_grown(g, join) for join in _extensions(g, tuple(g.vertices()), leaves_only=False))
     for shape in bicyclic_base_shapes(7):
         yield base_graph(shape)
     for n in (6, 7):

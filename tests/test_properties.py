@@ -40,7 +40,7 @@ from signed_nullity import (
 )
 from signed_nullity.rank import _eliminate
 from signed_nullity.reductions import is_special_path
-from signed_nullity.verification import _null_supports
+from signed_nullity.verification import _bordered_ranks, _null_supports
 from oracles import IndexOnly
 
 
@@ -203,7 +203,7 @@ def integer_matrices(draw, max_size=8):
 @given(integer_matrices())
 def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
     # rank [m; e_j] = rank m + [e_j outside the row space, the null space's complement]
-    base, left, right = _null_supports(m)
+    base, left, right, _ = _null_supports(m)
     assert base == _eliminate([row[:] for row in m]), m
     for matrix, support in ((m, right), ([list(col) for col in zip(*m)], left)):
         cols = len(matrix[0])
@@ -212,6 +212,42 @@ def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
             unit = [int(k == j) for k in range(cols)]
             grown = _eliminate([row[:] for row in matrix] + [unit])
             assert grown == base + (j in support), (matrix, j, support)
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=10):
+    """A symmetric matrix with entries in {0, 1, -1}, the diagonal included,
+    and up to 10 rows; some rows copied, with their columns, up to sign, so
+    that it drops rank."""
+    n = draw(st.integers(1, max_size))
+    entry = st.sampled_from((0, 0, 1, -1))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    for _ in range(draw(st.integers(0, 3))):
+        target, source = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if target != source:
+            factor = draw(st.sampled_from((1, -1)))
+            for j in range(n):
+                m[target][j] = m[j][target] = factor * m[source][j]
+            m[target][target] = m[source][source]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_bordered_ranks_are_the_ranks_of_the_bordered_matrices(m):
+    # bordering by the unit row and column e_u, with a 0 corner, hangs a leaf at u
+    n = len(m)
+    _, left, right, solved = _null_supports(m)
+    assert left == right and not solved & right, m  # y[u] is fixed only off the support
+    ranks = _bordered_ranks(m)
+    assert len(ranks) == n
+    for u in range(n):
+        unit = [int(v == u) for v in range(n)]
+        bordered = [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
+        assert ranks[u] == _eliminate(bordered), (m, u)
 
 
 @settings(max_examples=80, deadline=None)

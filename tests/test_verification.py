@@ -47,11 +47,15 @@ from signed_nullity.verification import (
     NullityCatalog,
     TheoremReport,
     UsageError,
+    _bordered_ranks,
+    _catalog_chunk,
+    _catalog_keep,
     _classes_by_order,
     _connected_classes,
     _extensions,
+    _grown,
     _null_supports,
-    _rank_at_most,
+    _rank_rule,
     available_theorems,
     bicyclic_classes,
     catalog_nullity_classes,
@@ -144,7 +148,7 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_null_supports": lambda m: (0, set(), set())},
+        {"_null_supports": lambda m: (0, set(), set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -162,7 +166,7 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_null_supports": lambda m: (_null_supports(m)[0], set(), set())},
+        {"_null_supports": lambda m: (_null_supports(m)[0], set(), set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -485,7 +489,7 @@ class TestVerifyTheorem:
 
         clean = verify_theorem("lemma2.1i", 5)
         # a broken kernel: every tree with an edge now disagrees with the formula
-        monkeypatch.setattr(verification, "_null_supports", lambda m: (0, set(), set()))
+        monkeypatch.setattr(verification, "_null_supports", lambda m: (0, set(), set(), set()))
         report = verify_theorem("lemma2.1i", 5)
         assert report.instances_checked == clean.instances_checked
         assert len(report.violations) == report.instances_checked - 1
@@ -793,7 +797,7 @@ class TestExtensions:
         for g in graphs:
             _, canon, orbit_reps = _canonize(g)
             assert canon == g
-            grown = sorted(h.edges for h in _extensions(g, orbit_reps, leaves_only))
+            grown = sorted(_grown(g, join).edges for join in _extensions(g, orbit_reps, leaves_only))
             expected = sorted(h.edges for h in _filtered_joins(g, orbit_reps, leaves_only))
             assert grown == expected, g
 
@@ -865,9 +869,48 @@ def _unpruned_catalogs(n: int) -> dict[tuple[int, bool], NullityCatalog]:
     }
 
 
+def _bordered_ranks_against_the_kernel(max_n: int) -> dict[str, int]:
+    """Check :func:`_bordered_ranks` against ``rank`` of the bordered matrix
+    on every switching class of every class of every level of the catalog
+    builder, grown from each 2-core shape's base graph to order ``max_n``,
+    at every anchor u.  Returns the number of checks per branch of the rank."""
+    counts = {"rho": 0, "rho+1": 0, "rho+2": 0}
+    for shape in bicyclic_base_shapes(max_n):
+        for level in _classes_by_order(base_graph(shape), max_n):
+            for g in level.values():
+                for rep in signature_representatives(g):
+                    m = adjacency_matrix(rep)
+                    base = rank(m)
+                    ranks = _bordered_ranks(m)
+                    for u in range(g.order):
+                        unit = [int(v == u) for v in range(g.order)]
+                        bordered = [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
+                        assert ranks[u] == rank(bordered), (rep, u)
+                        counts[("rho", "rho+1", "rho+2")[ranks[u] - base]] += 1
+    return counts
+
+
+class TestBorderedRanks:
+    def test_every_leaf_child_of_the_catalog_builder_to_order_8(self):
+        # every branch is met, so dropping one, or reading y[u] off another
+        # row, fails here
+        counts = _bordered_ranks_against_the_kernel(8)
+        assert counts == {"rho": 5114, "rho+1": 1904, "rho+2": 2982}, counts
+
+    def test_a_leaf_child_has_the_bordered_ranks_of_its_parent(self):
+        # the child's switching classes are the parent's with a positive leaf
+        for g in bicyclic_classes(7).values():
+            ranks = [_bordered_ranks(adjacency_matrix(rep)) for rep in signature_representatives(g)]
+            for u in range(g.order):
+                child = _grown(g, (u,))
+                expected = sorted(child.order - nullity(rep) for rep in signature_representatives(child))
+                assert sorted(r[u] for r in ranks) == expected, (g, u)
+
+
 class TestRankPrunedCatalogs:
-    """The catalog build drops a class once every switching class has rank
-    above k; no entry may be lost, so it must equal the unpruned catalog."""
+    """The catalog build keeps a class of order n only when a switching
+    class has rank k, and one below n only when one has rank at most k; no
+    entry may be lost, so it must equal the unpruned catalog."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_equals_the_unpruned_oracle(self, n):
@@ -879,66 +922,100 @@ class TestRankPrunedCatalogs:
             assert catalog == expected
 
     def test_canonizer_calls_at_order_9(self, canonize_calls):
-        # bicyclic_classes(9) takes 1,270 calls (pinned above); the rank test
-        # runs before the canonizer, so a dropped graph is never canonized
-        assert len(catalog_nullity_classes(9, 4).entries) == 10
-        assert len(canonize_calls) == 39
+        # bicyclic_classes(9) takes 797 calls (pinned above) and the leaf
+        # builder 1,270; the ranks are read off each parent before its
+        # children are built, so a dropped graph is never canonized, and at
+        # order 9 only the graphs of a class with rank exactly k are (k = 5
+        # took 55 calls, 53 balanced, while every rank up to k was kept there)
+        for k, balanced, entries, calls in ((4, False, 10, 39), (5, False, 3, 45), (5, True, 3, 43)):
+            canonize_calls.clear()
+            assert len(catalog_nullity_classes(9, k, balanced_only=balanced).entries) == entries
+            assert len(canonize_calls) == calls, (k, balanced)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_keep_changes_nothing_when_k_is_n(self, n, monkeypatch):
-        # every order is at most k, so the test never runs a rank
-        def no_rank(g):
-            raise AssertionError("the keep test ran a rank")
+    def test_k_equal_to_n_prunes_the_top_order_only(self, n, monkeypatch):
+        # every order below n is at most k, so the hook keeps every child
+        # there with no elimination; only the parents of order n-1 are ranked
+        sizes = []
 
+        def counted(m):
+            sizes.append(len(m))
+            return _null_supports(m)
+
+        def no_rank(g):
+            raise AssertionError("the build ran the rank kernel")
+
+        monkeypatch.setattr(verification, "_null_supports", counted)
         monkeypatch.setattr(verification, "nullity", no_rank)
         for balanced in (False, True):
-            keep = _rank_at_most(n, balanced)
+            keep = _catalog_keep(n, n, balanced)
             for shape in bicyclic_base_shapes(n):
                 root = base_graph(shape)
-                assert list(_classes_by_order(root, n, keep)) == list(
-                    _classes_by_order(root, n)
-                )
+                assert list(_classes_by_order(root, n, keep))[:-1] == list(_classes_by_order(root, n))[:-1]
+        assert set(sizes) <= {n - 1}
+        assert sizes or n == 4
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_top_level_is_the_unpruned_one_cut_to_rank_at_most_k(self, n):
-        # one rule at every order above k, the top one included: a class of
-        # order n stays exactly when a switching class (the balanced one,
-        # all-positive, when balanced_only) has rank at most k
+    def test_each_level_is_the_unpruned_one_cut_by_the_rank_rule(self, n):
+        # the kernel ranks every switching class of every class of the
+        # unpruned build (only the balanced one, all-positive, counts when
+        # balanced_only); a class of order n stays when one has rank k, one
+        # of an order between k and n when one has rank at most k
         for shape in bicyclic_base_shapes(n):
             root = base_graph(shape)
-            *_, top = _classes_by_order(root, n)
+            levels = list(_classes_by_order(root, n))
             ranks = {
                 code: [
-                    (n - nullity(rep), rep.is_all_positive())
-                    for rep in signature_representatives(canon)
+                    (g.order - nullity(rep), rep.is_all_positive()) for rep in signature_representatives(g)
                 ]
-                for code, canon in top.items()
+                for level in levels
+                for code, g in level.items()
             }
             for k in range(3, n + 1):
                 for balanced in (False, True):
-                    *_, kept = _classes_by_order(root, n, _rank_at_most(k, balanced))
-                    expected = {
-                        code: canon
-                        for code, canon in top.items()
-                        if any(r <= k for r, positive in ranks[code] if positive or not balanced)
-                    }
-                    assert kept == expected, (shape, k, balanced)
+                    expected = []
+                    for order, level in enumerate(levels, root.order):
+                        kept = {}
+                        for code, g in level.items():
+                            rs = [r for r, positive in ranks[code] if positive or not balanced]
+                            if k in rs if order == n else order <= k or min(rs) <= k:
+                                kept[code] = g
+                        expected.append(kept)
+                    if expected[0]:
+                        kept_levels = list(_classes_by_order(root, n, _catalog_keep(n, k, balanced)))
+                        assert kept_levels == expected, (shape, k, balanced)
+                    else:
+                        # the root is an induced subgraph of every class, so
+                        # a root that fails the rule drops them all
+                        assert not any(expected), (shape, k, balanced)
+                        assert _catalog_chunk((shape, n, k, balanced)) == [], (shape, k, balanced)
 
     def test_only_kept_graphs_are_canonized(self, canonize_calls):
         catalog_nullity_classes(9, 4)
-        keep = _rank_at_most(4, False)
-        assert canonize_calls and all(keep(g) for g in canonize_calls)
+        assert canonize_calls
+        for g in canonize_calls:
+            rule = _rank_rule(9, 4, g.order)
+            ranks = [g.order - nullity(rep) for rep in signature_representatives(g)]
+            assert rule is None or any(map(rule, ranks)), g
 
     def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
         # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
         # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
-        bowtie = base_graph(("infinity", 3, 3, 1))
-        levels = _classes_by_order(bowtie, 8, _rank_at_most(3, False))
-        assert [len(level) for level in levels] == [0, 0, 0, 0]
+        assert _catalog_chunk((("infinity", 3, 3, 1), 8, 3, False)) == []
         assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
-        levels = _classes_by_order(k23, 8, _rank_at_most(3, True))
+        levels = _classes_by_order(k23, 8, _catalog_keep(8, 3, True))
         assert [len(level) for level in levels] == [1, 0, 0, 0]
+
+    def test_a_class_the_kernel_does_not_confirm_is_an_internal_error(self, monkeypatch):
+        # the bordered ranks keep each class of order 6 with a switching class
+        # of rank 5; a kernel that reads every order-6 nullity one too high
+        # finds none at nullity 1 in a class made by the build
+        true_nullity = verification.nullity
+        monkeypatch.setattr(verification, "nullity", lambda g: true_nullity(g) + (g.order == 6))
+        expected = r"bordered ranks keep class \S+ of order 6 at rank 5, but the rank kernel"
+        with pytest.raises(RuntimeError, match=expected):
+            catalog_nullity_classes(6, 5)
 
 
 class TestCatalogs:
