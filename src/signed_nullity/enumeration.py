@@ -4,18 +4,19 @@ switching classes.
 The bicyclic classes are constructed here, one 2-core shape at a time, with
 no canonizer: :func:`hung_classes` hangs rooted trees on the core and keeps
 one assignment per orbit of the core's automorphisms.  The bicyclic sweeps
-of :mod:`signed_nullity.verification` read them from it.  The connected
-classes and the catalogs' rank-pruned bicyclic classes are grown there by
-canonical extension instead.  All streams are in a fixed deterministic
-order.  No order is capped here: the caps of the sweeps and the catalogs
-live in the sweep table of :mod:`signed_nullity.verification`.
+of :mod:`signed_nullity.verification` read them from it, and read each
+class's switching classes off its core with :func:`hung_switching_classes`.
+The connected classes and the catalogs' rank-pruned bicyclic classes are
+grown there by canonical extension instead.  All streams are in a fixed
+deterministic order.  No order is capped here: the caps of the sweeps and
+the catalogs live in the sweep table of :mod:`signed_nullity.verification`.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import SignedGraph, _spanning_forest
 from .recognizers import shape_order
@@ -279,6 +280,25 @@ def hung_classes(
                 yield SignedGraph._trusted(n, (*edges, *core_edges)), automorphisms
 
 
+def hung_switching_classes(shape: BaseShape) -> Callable[[SignedGraph], Iterator[SignedGraph]]:
+    """A function that gives one signed graph per switching class of each
+    graph :func:`hung_classes` yields for ``shape``, the all-positive one first.
+
+    :func:`hung_classes` puts the core's edges last, in :func:`base_graph`'s
+    order, and every other edge is a tree edge on no cycle.  So a spanning
+    tree of the core, with the hung trees, spans the graph, and the core
+    edges outside it sit at the same positions, counted from the end of the
+    edge tuple, in every graph of the shape: they are found once, here, and
+    the 2^c sign patterns on them meet every switching class once, as in
+    :func:`signature_representatives`.
+    """
+    core = base_graph(shape)
+    _, _, non_tree = _spanning_forest(core)
+    size = len(core.edges)
+    free_positions = [i - size for i, edge in enumerate(core.edges) if edge in non_tree]
+    return lambda g: _sign_patterns(g, free_positions)
+
+
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
     """One signed graph per switching class of g's underlying graph.
 
@@ -290,11 +310,14 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
     if parent.count(-1) > 1:
         raise ValueError("switching-class enumeration needs a connected graph")
     free = {(u, v) for u, v, _ in non_tree}
-    fixed = [(u, v) for u, v, _ in g.edges]
-    free_positions = [i for i, pair in enumerate(fixed) if pair in free]
-    base = [(u, v, 1) for u, v in fixed]
+    yield from _sign_patterns(g, [i for i, (u, v, _) in enumerate(g.edges) if (u, v) in free])
+
+
+def _sign_patterns(g: SignedGraph, free_positions: list[int]) -> Iterator[SignedGraph]:
+    """g with every sign pattern on the edges at ``free_positions`` and every
+    other edge positive, the all-positive pattern first."""
+    edges = [(u, v, 1) for u, v, _ in g.edges]
     for pattern in product((1, -1), repeat=len(free_positions)):
-        edges = base[:]
         for where, sign in zip(free_positions, pattern):
             u, v, _ = edges[where]
             edges[where] = (u, v, sign)

@@ -1,8 +1,9 @@
 """Text formats: the edge-list graph file and DOT export.
 
 A graph file starts with a header line ``n m`` (order and edge count)
-followed by ``m`` edge lines ``u v s`` where ``0 <= u < v < n`` and the sign
-token ``s`` is ``+`` or ``-``.  Numbers are ASCII decimal digits with an
+followed by ``m`` edge lines ``u v s`` where each endpoint is in ``0..n-1``,
+in either order, and the sign token ``s`` is ``+`` or ``-``; serializing
+writes each edge as ``u < v``, the edges sorted.  Numbers are ASCII decimal digits with an
 optional leading minus: no ``+``, no ``_`` and no other digits.  A ``#``
 starts a comment that runs to the end of its line; blank lines are ignored.
 Parsing then serializing is the identity on normalized files.

@@ -14,13 +14,16 @@ calls no canonizer.  The connected sweeps, and the catalogs, which prune
 by rank as they grow, reading each child's ranks off its parent's, take
 canonical graphs from :func:`_classes_by_order`, which grows each order
 from the one below: from K1, or from a 2-core shape's base graph by
-leaves.  The checks then take each class once per switching class.
+leaves.  The checks then take each class once per switching class: the
+bicyclic sweeps read them off the class's 2-core
+(:func:`hung_switching_classes`), the others from a spanning forest of
+each class (:func:`signature_representatives`).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -30,6 +33,7 @@ from .enumeration import (
     base_graph,
     bicyclic_base_shapes,
     hung_classes,
+    hung_switching_classes,
     prufer_graph,
     prufer_pairs,
     signature_representatives,
@@ -195,12 +199,13 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
 
 
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
-# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes 20-21 s
-# at n <= 12 (theorem3.1 2.6-3.5 s, corollary2.9 3.6-4.0 s), and the largest
-# catalog, n = 12 and k = 12 (6,627 entries), takes 4.3-5.0 s (6.3-6.6 s
-# in alternating runs when each grown graph was ranked on its own).  The
-# classes themselves are constructed to order 14 in 8 s: the checks set the
-# cap.
+# workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes
+# 10.0-10.6 s at n <= 12 (theorem3.1 1.6 s, corollary2.9 2.0-2.1 s; 14.1-14.5,
+# 2.1 and 2.4-2.5 s in alternating runs when each class's switching classes
+# came from a spanning-forest search and each special path was contracted
+# in both orientations), and the largest catalog, n = 12 and k = 12 (6,627
+# entries), takes 4.0-4.6 s.  The classes themselves are constructed to
+# order 14 in 8 s: the checks set the cap.
 _BICYCLIC_MAX_N = 12
 
 
@@ -498,16 +503,14 @@ def _check_pendant_bound(max_n: int) -> Checked:
 
 def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
     k = shape_order(*shape)
+    switching_classes = hung_switching_classes(shape)
     for g, _ in hung_classes(shape, max_n):
         n = g.order
         # the construction gives the 2-core the highest labels, and signs do
         # not change it; bicyclic_base must agree, which a test checks
         base = BicyclicBase(*shape, tuple(range(n - k, n)))
-        for rep in signature_representatives(g):
-            # the representatives fix a spanning tree positive, so the one
-            # balanced pattern is the one with every non-tree edge positive
-            if rep.is_all_positive():
-                continue
+        # the first switching class is all-positive, the one balanced class
+        for rep in islice(switching_classes(g), 1, None):
             eta = nullity(rep)
             details: tuple[str, ...] = ()
             if eta > n - 3:
@@ -519,6 +522,7 @@ def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
 
 
 def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
+    switching_classes = hung_switching_classes(shape)
     for g, _ in hung_classes(shape, max_n):
         reasons = ()
         if find_special_paths(g):
@@ -527,17 +531,21 @@ def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
             reasons += ("pendant vertex present but nullity exceeds n-4",)
         if not reasons:
             continue
-        for rep in signature_representatives(g):
+        for rep in switching_classes(g):
             yield rep, reasons if nullity(rep) > g.order - 4 else ()
 
 
 def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
+    switching_classes = hung_switching_classes(shape)
     for g, _ in hung_classes(shape, max_n):
-        # every representative has g's underlying graph, so each pendant pair
-        # and special path of g is one of rep's, and the cores need no checks
+        # every switching class has g's underlying graph, so each pendant
+        # pair and special path of g is one of rep's, and the cores need no
+        # checks.  Contracting (v3, v2, v1) gives every edge of the merged
+        # vertex the opposite sign to contracting (v1, v2, v3): a switching
+        # at that vertex, of the same rank, so one orientation is contracted.
         pendants = find_pendants(g)
-        paths = find_special_paths(g)
-        for rep in signature_representatives(g):
+        paths = [p for p in find_special_paths(g) if p.v1 < p.v3]
+        for rep in switching_classes(g):
             eta = nullity(rep)
             details = tuple(
                 f"pendant deletion ({v},{u}) changed the nullity"

@@ -22,8 +22,10 @@ from signed_nullity.enumeration import (
     base_graph,
     bicyclic_base_shapes,
     hung_classes,
+    hung_switching_classes,
     rooted_trees,
 )
+from signed_nullity.graphs import cycle_sign, fundamental_cycles
 from signed_nullity.recognizers import shape_order
 from oracles import (
     automorphism_count,
@@ -234,6 +236,32 @@ class TestHungClasses:
                 assert g.edges[t:] == tuple((t + u, t + v, 1) for u, v, _ in core.edges)
                 # every tree vertex has one edge to a later label, its parent
                 assert [u for u, _, _ in g.edges[:t]] == list(range(t))
+
+
+    def test_core_switching_classes_are_one_per_switching_class_to_order_9(self):
+        assert _core_switching_classes_against_the_representatives(4, 9) == 1125
+
+
+def _core_switching_classes_against_the_representatives(min_n: int, max_n: int) -> int:
+    """The number of classes of orders min_n..max_n whose switching classes,
+    read off the core by :func:`hung_switching_classes`, are the all-positive
+    graph first, then one graph for each other pair of fundamental-cycle
+    signs, each switching-equivalent to exactly one
+    :func:`signature_representatives` graph."""
+    classes = 0
+    for shape in bicyclic_base_shapes(max_n):
+        switching_classes = hung_switching_classes(shape)
+        for g, _ in hung_classes(shape, max_n, min_n):
+            cycles = fundamental_cycles(g)
+            found = list(switching_classes(g))
+            assert found[0] == g and g.is_all_positive(), g
+            pairs = {tuple(cycle_sign(h, c) for c in cycles) for h in found}
+            assert len(pairs) == len(found) == 4, (g, found)
+            reps = list(signature_representatives(g))
+            for h in found:
+                assert sum(switching_equivalent(h, rep) is not None for rep in reps) == 1, (g, h)
+            classes += 1
+    return classes
 
 
 class TestConnectedLabeledGraphs:

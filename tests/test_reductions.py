@@ -296,6 +296,22 @@ class TestCores:
                         contractions += 1
         assert (deletions, contractions) == (2416, 2608)
 
+    def test_the_reversed_contraction_is_the_forward_one_switched_at_the_merged_vertex(self):
+        # so the lemma2.5 sweep contracts each special path once, with v1 < v3:
+        # a switching keeps the rank
+        contractions = 0
+        for n in range(4, 10):
+            for g in bicyclic_classes(n).values():
+                paths = [p for p in find_special_paths(g) if p.v1 < p.v3]
+                for rep in signature_representatives(g):
+                    for p in paths:
+                        theta = [1] * (n - 2)
+                        theta[min(p)] = -1
+                        reversed_contraction = _contract(rep, SpecialPath(p.v3, p.v2, p.v1))
+                        assert reversed_contraction == switch(_contract(rep, p), theta), (rep, p)
+                        contractions += 1
+        assert contractions == 6060
+
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_contract_switches_each_path_end_as_normalization_does(self, signs):
         # the ends' other edges carry the flips: 0-3 at v1 = 0, 2-4 at v3 = 2

@@ -518,6 +518,23 @@ class TestVerifyTheorem:
         for v in report.violations:
             assert parse_graph(v.witness).order == v.order
 
+    def test_bicyclic_sweeps_pin_their_instances_and_kernel_calls(self, monkeypatch):
+        sweeps = ("theorem3.1", "corollary2.9", "lemma2.5")
+        checked = {t: verify_theorem(t, 9).instances_checked for t in sweeps}
+        assert checked == {"theorem3.1": 3375, "corollary2.9": 4460, "lemma2.5": 4500}
+        calls = []
+        kernel = verification.nullity
+
+        def counted(g):
+            calls.append(g)
+            return kernel(g)
+
+        monkeypatch.setattr(verification, "nullity", counted)
+        assert verify_theorem("lemma2.5", 8).ok
+        # 1,312 switching classes, 2,416 pendant deletions and 1,304
+        # contractions, each special path in one orientation
+        assert len(calls) == 5032
+
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
         assert ids == sorted(ids)
