@@ -5,7 +5,9 @@ The bicyclic classes are constructed here, one 2-core shape at a time, with
 no canonizer: :func:`hung_classes` hangs rooted trees on the core and keeps
 one assignment per orbit of the core's automorphisms.  The bicyclic sweeps
 of :mod:`signed_nullity.verification` read them from it, and read each
-class's switching classes off its core with :func:`hung_switching_classes`.
+class's switching classes off its core with :func:`hung_switching_classes`,
+and which of them stay switching-equivalent once a core vertex is deleted
+with :func:`core_cut_classes`.
 The connected classes and the catalogs' rank-pruned bicyclic classes are
 grown there by canonical extension instead.  All streams are in a fixed
 deterministic order.  No order is capped here: the caps of the sweeps and
@@ -15,10 +17,11 @@ the catalogs live in the sweep table of :mod:`signed_nullity.verification`.
 from __future__ import annotations
 
 from itertools import islice, product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .graphs import SignedGraph, _spanning_forest
+from .graphs import SignedGraph, _spanning_forest, fundamental_cycles
 from .recognizers import shape_order
 
 
@@ -297,6 +300,42 @@ def hung_switching_classes(shape: BaseShape) -> Callable[[SignedGraph], Iterator
     size = len(core.edges)
     free_positions = [i - size for i, edge in enumerate(core.edges) if edge in non_tree]
     return lambda g: _sign_patterns(g, free_positions)
+
+
+def core_cut_classes(shape: BaseShape) -> tuple[tuple[int, ...], ...]:
+    """At core vertex c, in :func:`base_graph`'s labels, and index i, the
+    least index of a :func:`hung_switching_classes` pattern that gives every
+    cycle of the core without c the sign that pattern i gives it.
+
+    Every cycle of a graph of the shape lies in its core, so deleting core
+    vertex c keeps only the core's cycles that avoid c.  Two signings of
+    one graph are switching-equivalent exactly when they give every cycle
+    the same sign (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4,
+    1982): patterns with one entry at c give switching-equivalent graphs
+    once c is gone, and patterns with different entries do not.  The cycles
+    of a bicyclic core are its two fundamental cycles and, when they share
+    an edge (a theta), their edge sum.  A cycle's sign under a pattern is
+    the product of the pattern's signs on the non-tree edges it contains;
+    fundamental cycle r contains the r-th one only.
+    """
+    core = base_graph(shape)
+    fundamental = [
+        {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        for cycle in fundamental_cycles(core)
+    ]
+    cycles = [(edges, (r,)) for r, edges in enumerate(fundamental)]
+    if fundamental[0] & fundamental[1]:
+        cycles.append((fundamental[0] ^ fundamental[1], (0, 1)))
+    patterns = list(product((1, -1), repeat=len(fundamental)))
+    table = []
+    for c in range(core.order):
+        kept = [closing for edges, closing in cycles if all(c not in edge for edge in edges)]
+        least: dict[tuple[int, ...], int] = {}
+        table.append(tuple(
+            least.setdefault(tuple(prod(pattern[r] for r in closing) for closing in kept), i)
+            for i, pattern in enumerate(patterns)
+        ))
+    return tuple(table)
 
 
 def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:

@@ -9,7 +9,9 @@ starts a comment that runs to the end of its line; blank lines are ignored.
 Parsing then serializing is the identity on normalized files.
 A file may announce at most :data:`MAX_FILE_ORDER` vertices: the rank
 kernel works on a dense n x n matrix, so a larger header is refused before
-anything is built.
+anything is built.  The limit bounds that matrix's memory, not the time:
+a dense ``nullity`` at n = 400 took 22.6 s, and a file of order 2,000 with
+average degree 6 did not finish in 300 s.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ Each transformation has one private core, ``_delete_pair`` or
 ``_contract``, which trusts its arguments; the public functions check them
 once and call it.  The lemma2.5 sweep calls the cores directly, on the
 pendant pairs and special paths it found on the class graph, which every
-switching class of that graph shares.  It contracts each special path in
-one orientation only, v1 < v3: ``_contract`` of the reversed path gives
-every edge of the merged vertex the opposite sign, a switching at that
-vertex, which keeps the nullity.
+switching class of that graph shares.  It ranks each pendant deletion
+once per class of equal deletions (twin leaves on one neighbor, and core
+cuts that leave switching-equivalent graphs), and contracts each special
+path in one orientation only, v1 < v3: ``_contract`` of the reversed path
+gives every edge of the merged vertex the opposite sign, a switching at
+that vertex, which keeps the nullity.
 
 ``reduce`` records each pendant-pair deletion it makes in a replayable
 trace so reduction chains can be audited.

@@ -17,7 +17,11 @@ from the one below: from K1, or from a 2-core shape's base graph by
 leaves.  The checks then take each class once per switching class: the
 bicyclic sweeps read them off the class's 2-core
 (:func:`hung_switching_classes`), the others from a spanning forest of
-each class (:func:`signature_representatives`).
+each class (:func:`signature_representatives`).  The lemma2.5 sweep ranks
+each pendant deletion once per class of equal deletions: twin leaves on
+one neighbor give one graph up to relabeling, and deleting a core vertex
+from two switching classes that agree on the cycles avoiding it gives
+switching-equivalent graphs (:func:`core_cut_classes`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .enumeration import (
     BaseShape,
     base_graph,
     bicyclic_base_shapes,
+    core_cut_classes,
     hung_classes,
     hung_switching_classes,
     prufer_graph,
@@ -200,10 +205,9 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
 
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
 # workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes
-# 10.0-10.6 s at n <= 12 (theorem3.1 1.6 s, corollary2.9 2.0-2.1 s; 14.1-14.5,
-# 2.1 and 2.4-2.5 s in alternating runs when each class's switching classes
-# came from a spanning-forest search and each special path was contracted
-# in both orientations), and the largest catalog, n = 12 and k = 12 (6,627
+# 7.8-10.0 s at n <= 12 (10.9-13.1 s in alternating runs when every pendant
+# deletion was ranked once per switching class; theorem3.1 1.6 s,
+# corollary2.9 2.0-2.1 s), and the largest catalog, n = 12 and k = 12 (6,627
 # entries), takes 4.0-4.6 s.  The classes themselves are constructed to
 # order 14 in 8 s: the checks set the cap.
 _BICYCLIC_MAX_N = 12
@@ -535,29 +539,50 @@ def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
             yield rep, reasons if nullity(rep) > g.order - 4 else ()
 
 
+def _deletion_key(cuts: tuple[tuple[int, ...], ...], t: int, u: int, i: int) -> tuple[int, int]:
+    """The key of deleting a pendant at u, in a graph whose core starts at
+    label t, from switching class i: equal keys give deletions of one rank.
+
+    Twin leaves on u give deletions equal up to swapping the twins, so the
+    pendant itself is left out.  Deleting a core vertex keeps only the
+    cycles that avoid it, and :func:`core_cut_classes` names the least
+    class that gives them the same signs; a tree vertex keeps both cycles.
+    """
+    return u, i if u < t else cuts[u - t][i]
+
+
 def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
+    k = shape_order(*shape)
     switching_classes = hung_switching_classes(shape)
+    cuts = core_cut_classes(shape)
     for g, _ in hung_classes(shape, max_n):
         # every switching class has g's underlying graph, so each pendant
         # pair and special path of g is one of rep's, and the cores need no
-        # checks.  Contracting (v3, v2, v1) gives every edge of the merged
-        # vertex the opposite sign to contracting (v1, v2, v3): a switching
-        # at that vertex, of the same rank, so one orientation is contracted.
+        # checks.  Each pendant deletion is ranked once per key
+        # (_deletion_key), the first time a switching class meets it, and
+        # every (switching class, pendant pair) is compared with that rank.
+        # Contracting (v3, v2, v1) gives every edge of the merged vertex the
+        # opposite sign to contracting (v1, v2, v3): a switching at that
+        # vertex, of the same rank, so one orientation is contracted.
+        t = g.order - k
         pendants = find_pendants(g)
         paths = [p for p in find_special_paths(g) if p.v1 < p.v3]
-        for rep in switching_classes(g):
+        deleted: dict[tuple[int, int], int] = {}
+        for i, rep in enumerate(switching_classes(g)):
             eta = nullity(rep)
-            details = tuple(
-                f"pendant deletion ({v},{u}) changed the nullity"
-                for v, u in pendants
-                if nullity(_delete_pair(rep, v, u)) != eta
-            )
-            details += tuple(
+            details = []
+            for v, u in pendants:
+                key = _deletion_key(cuts, t, u, i)
+                if key not in deleted:
+                    deleted[key] = nullity(_delete_pair(rep, v, u))
+                if deleted[key] != eta:
+                    details.append(f"pendant deletion ({v},{u}) changed the nullity")
+            details += (
                 f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
                 for p in paths
                 if nullity(_contract(rep, p)) != eta
             )
-            yield rep, details
+            yield rep, tuple(details)
 
 
 # ---------------------------------------------------------------------------

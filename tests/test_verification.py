@@ -7,7 +7,7 @@ import os
 import re
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from signed_nullity import (
     RankClassVerdict,
     SignedGraph,
     adjacency_matrix,
+    build_graph,
     documents,
     is_connected,
     matching_number,
@@ -27,21 +28,25 @@ from signed_nullity import (
     rank,
     recognize_rank2,
     recognize_rank3,
+    switching_equivalent,
 )
 from signed_nullity import verification
 from signed_nullity.canonical import _canonize, canonical_form
 from signed_nullity.enumeration import (
     base_graph,
     bicyclic_base_shapes,
+    core_cut_classes,
     hung_classes,
+    hung_switching_classes,
     prufer_graph,
     prufer_pairs,
     prufer_sequences,
     signature_representatives,
 )
-from signed_nullity.graphs import cycle_sign, fundamental_cycles
+from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
 from signed_nullity.rank import _eliminate
-from signed_nullity.recognizers import bicyclic_base
+from signed_nullity.recognizers import bicyclic_base, shape_order
+from signed_nullity.reductions import _delete_pair, find_pendants
 from signed_nullity.verification import (
     CatalogEntry,
     NullityCatalog,
@@ -52,6 +57,7 @@ from signed_nullity.verification import (
     _catalog_keep,
     _classes_by_order,
     _connected_classes,
+    _deletion_key,
     _extensions,
     _grown,
     _null_supports,
@@ -531,9 +537,10 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(verification, "nullity", counted)
         assert verify_theorem("lemma2.5", 8).ok
-        # 1,312 switching classes, 2,416 pendant deletions and 1,304
+        # a work count, not a bound: 1,312 switching classes, 1,083 pendant
+        # deletions (one per key of the 2,416 deleted pairs) and 1,304
         # contractions, each special path in one orientation
-        assert len(calls) == 5032
+        assert len(calls) == 3699
 
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
@@ -739,6 +746,60 @@ class TestBicyclicClasses:
         for theorem, count in expected.items():
             report = verify_theorem(theorem, 8)
             assert report.ok and report.instances_checked == count, theorem
+
+
+def _shared_deletions_against_switching(min_n: int, max_n: int) -> dict[str, int]:
+    """The comparisons made over every hung class of orders min_n..max_n.
+
+    For every pendant pair (v, u) and every two switching classes i < j, the
+    two deletions of the pair are switching-equivalent exactly when the
+    lemma2.5 sweep gives them one key (``"tree"`` at a tree vertex u), and,
+    at a core vertex u, exactly when :func:`core_cut_classes` gives i and j
+    one entry (``"core"``); no key is shared by two neighbors.  For every
+    two twin leaves on one neighbor, each switching class's two deletions
+    are equal once the twins are swapped (``"twins"``).
+    """
+    counts = {"core": 0, "tree": 0, "twins": 0}
+    for shape in bicyclic_base_shapes(max_n):
+        k = shape_order(*shape)
+        switching_classes = hung_switching_classes(shape)
+        cuts = core_cut_classes(shape)
+        for g, _ in hung_classes(shape, max_n, min_n):
+            t = g.order - k
+            reps = list(switching_classes(g))
+            pendants = find_pendants(g)
+            keys = {u: [_deletion_key(cuts, t, u, i) for i in range(len(reps))] for _, u in pendants}
+            owners = {key: u for u, row in keys.items() for key in row}
+            assert all(owners[key] == u for u, row in keys.items() for key in row), g
+            for v, u in pendants:
+                deleted = [_delete_pair(rep, v, u) for rep in reps]
+                for i, j in combinations(range(len(reps)), 2):
+                    equivalent = switching_equivalent(deleted[i], deleted[j]) is not None
+                    assert (keys[u][i] == keys[u][j]) == equivalent, (g, v, u, i, j)
+                    if u >= t:
+                        assert (cuts[u - t][i] == cuts[u - t][j]) == equivalent, (g, v, u, i, j)
+                    counts["core" if u >= t else "tree"] += 1
+            for (v, u), (w, x) in combinations(pendants, 2):
+                if u != x:
+                    continue
+                # v and w trade places: w's label in g - v - u is v's in g - w - u
+                before, after = compaction_map(g.order, (v, u)), compaction_map(g.order, (w, u))
+                image = {before[a]: after[v if a == w else a] for a in range(g.order) if before[a] >= 0}
+                for rep in reps:
+                    d = _delete_pair(rep, v, u)
+                    swapped = build_graph(d.order, [(image[a], image[b], s) for a, b, s in d.edges])
+                    assert swapped == _delete_pair(rep, w, u), (rep, v, w, u)
+                counts["twins"] += 1
+    return counts
+
+
+class TestSharedDeletions:
+    def test_equal_keys_are_exactly_the_switching_equivalent_deletions_to_order_10(self):
+        # the lemma holds on every graph, so a key that shares one rank
+        # between two different deletions passes the sweep; this test
+        # compares the keys with the deletions themselves
+        counts = _shared_deletions_against_switching(4, 10)
+        assert counts == {"core": 43458, "tree": 20904, "twins": 3198}
 
 
 class TestConnectedClasses:
