@@ -22,13 +22,18 @@ each pendant deletion once per class of equal deletions: twin leaves on
 one neighbor give one graph up to relabeling, and deleting a core vertex
 from two switching classes that agree on the cycles avoiding it gives
 switching-equivalent graphs (:func:`core_cut_classes`).
+
+This module holds sweeps and no elimination: every exact elimination is
+in :mod:`rank`.  The tree sweep reads each tree's rank off the null
+space of a smaller tree's biadjacency block, and the catalog build each
+leaf child's ranks off its parent's matrix, both through the one
+null-space reader there (:func:`rank._null_supports`).
 """
 
 from __future__ import annotations
 
 import time
 from itertools import islice, product
-from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .canonical import _canonize
@@ -52,7 +57,7 @@ from .graphs import (
     fundamental_cycles,
 )
 from .graphio import serialize_graph
-from .rank import cycle_nullity_formula, nullity
+from .rank import _bordered_ranks, _null_supports, cycle_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -295,89 +300,6 @@ def _tree_block(side: list[int], pairs: list[tuple[int, int]]) -> list[list[int]
     return block
 
 
-def _null_supports(m: list[list[int]]) -> tuple[int, set[int], set[int], set[int]]:
-    """The rank of an integer matrix, which it leaves unchanged, the
-    supports of its left and right null spaces: the rows i where some y
-    with y m = 0 has y[i] != 0, and the columns j where some v with m v = 0
-    has v[j] != 0; and, for a symmetric m, the columns c outside the right
-    support where the solution y of m y = e_c has y[c] != 0 (a set that
-    means nothing for other m).
-
-    Gauss-Jordan elimination brings a copy of m to reduced form, dividing
-    each updated row by the gcd of its entries; its pivots count the rank.
-    Each row carries the unit row it started as, so the rows that reduce to
-    zero end as a basis of the left null space.  The right null space has a
-    basis with one vector per free (pivot-less) column f: 1 at f, nonzero
-    at each pivot column whose row is nonzero at f, 0 elsewhere.  So its
-    support is the free columns and the pivot columns whose rows reach one.
-    The row space is the orthogonal complement of the right null space, so
-    appending the unit row e_j to m raises its rank exactly when j is in
-    the right support; so does the unit column e_i when i is in the left.
-
-    Each row is t m for the unit-row combination t it carries.  When m is
-    symmetric, both supports are one; take c outside it.  Then c is a pivot
-    column, e_c lies in the column space, and m y = e_c fixes y[c], since
-    every null vector is 0 at c.  The row of pivot c, with pivot d, is 0 at
-    the free columns, so it reads d y[c] = t e_c: y[c] != 0 exactly when
-    the row's own carried entry at c is.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    work = []
-    for i, row in enumerate(m):
-        row = list(row) + [0] * rows
-        row[cols + i] = 1
-        work.append(row)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        for i in range(r, rows):
-            if work[i][c]:
-                break
-        else:
-            continue
-        pivot_row = work[i]
-        work[i] = work[r]
-        work[r] = pivot_row
-        p = pivot_row[c]
-        for i in range(rows):
-            row = work[i]
-            f = row[c]
-            if f and i != r:
-                row = [x * p - f * y for x, y in zip(row, pivot_row)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    free = set(range(cols)).difference(pivots)
-    right = set(free)
-    solved = set()
-    for c, row in zip(pivots, work):
-        if any(row[f] for f in free):
-            right.add(c)
-        elif c < rows and row[cols + c]:
-            solved.add(c)
-    left = {i for row in work[r:] for i in range(rows) if row[cols + i]}
-    return r, left, right, solved
-
-
-def _bordered_ranks(m: list[list[int]]) -> list[int]:
-    """Entry u is the rank of the symmetric integer matrix m bordered by the
-    unit row and column e_u with a 0 corner: the matrix of m's graph plus a
-    leaf hung at u.
-
-    With rank rho, it is rho + 2 when e_u is outside m's column space, that
-    is, when u is in the null space's support; otherwise e_u = m y, the
-    Schur complement of m in the bordered matrix is the 1x1 block -y[u],
-    and the rank is rho + 1 when y[u] != 0 and rho when it is 0.  One pass
-    of :func:`_null_supports` gives rho and both tests for every u.
-    """
-    rho, _, support, solved = _null_supports(m)
-    return [rho + 2 if u in support else rho + (u in solved) for u in range(len(m))]
-
-
 def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     """Block ranks of the trees made by joining one new leaf to a tree that
     spans every vertex but that leaf, given as :func:`prufer_pairs` yields
@@ -387,8 +309,9 @@ def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     the smaller tree's block B.  Hung from s on side 1, m is the row e_s;
     hung from s on side 0, m moves to side 1 as the column e_s.  Either way
     the rank of B grows by one exactly when s is in the support of B's
-    right, or left, null space.  One pass of :func:`_null_supports` gives
-    the rank and both supports.  Entry m means nothing.
+    right, or left, null space.  One pass of :func:`rank._null_supports`,
+    Bareiss carried on to reduced form, gives the rank and both supports.
+    Entry m means nothing.
     """
     side = _tree_sides(n, pairs)
     base, *supports, _ = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
@@ -906,9 +829,9 @@ def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph,
 
     A leaf edge lies on no cycle, so it is positive up to switching, and
     the child's switching classes are g's, each bordered by the unit row
-    and column e_u.  One :func:`_bordered_ranks` pass per switching class
-    of g gives the rank of each of them, for every u, before any child is
-    built; the passes stop once every join has passed.
+    and column e_u.  One :func:`rank._bordered_ranks` pass per switching
+    class of g gives the rank of each of them, for every u, before any
+    child is built; the passes stop once every join has passed.
     """
 
     def keep(g: SignedGraph, joins: list[Join]) -> list[Join]:

@@ -38,9 +38,8 @@ from signed_nullity import (
     switch,
     switching_equivalent,
 )
-from signed_nullity.rank import _eliminate
+from signed_nullity.rank import _bordered_ranks, _eliminate, _null_supports
 from signed_nullity.reductions import is_special_path
-from signed_nullity.verification import _bordered_ranks, _null_supports
 from oracles import IndexOnly
 
 
@@ -180,8 +179,8 @@ def test_bipartite_rank_is_twice_the_biadjacency_rank(pair):
 
 
 @st.composite
-def integer_matrices(draw, max_size=8):
-    """An integer matrix with entries in -3..3 and up to 8 rows and columns,
+def integer_matrices(draw, max_size=10):
+    """An integer matrix with entries in -3..3 and up to 10 rows and columns,
     some rows and columns copied, negated or zeroed so that it drops rank."""
     rows = draw(st.integers(1, max_size))
     cols = draw(st.integers(1, max_size))
@@ -203,7 +202,9 @@ def integer_matrices(draw, max_size=8):
 @given(integer_matrices())
 def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
     # rank [m; e_j] = rank m + [e_j outside the row space, the null space's complement]
+    copy = [row[:] for row in m]
     base, left, right, _ = _null_supports(m)
+    assert m == copy
     assert base == _eliminate([row[:] for row in m]), m
     for matrix, support in ((m, right), ([list(col) for col in zip(*m)], left)):
         cols = len(matrix[0])
@@ -240,9 +241,11 @@ def symmetric_matrices(draw, max_size=10):
 def test_bordered_ranks_are_the_ranks_of_the_bordered_matrices(m):
     # bordering by the unit row and column e_u, with a 0 corner, hangs a leaf at u
     n = len(m)
+    copy = [row[:] for row in m]
     _, left, right, solved = _null_supports(m)
     assert left == right and not solved & right, m  # y[u] is fixed only off the support
     ranks = _bordered_ranks(m)
+    assert m == copy  # m is bordered below, so neither may change it
     assert len(ranks) == n
     for u in range(n):
         unit = [int(v == u) for v in range(n)]

@@ -20,6 +20,7 @@ from signed_nullity import (
     reduce,
 )
 from oracles import (
+    IndexOnly,
     brute_matching_number,
     cycle_graph,
     minor_rank,
@@ -254,6 +255,20 @@ class TestCycleNullityFormula:
     def test_short_length_rejected(self):
         with pytest.raises(ValueError):
             cycle_nullity_formula(2, balanced=True)
+
+    @pytest.mark.parametrize(
+        "length,balanced",
+        [(4, "no"), (4, 1), (4, None), (6.0, False), ("6", False), (True, True), (Fraction(4), True)],
+    )
+    def test_refuses_a_non_integer_length_or_a_non_bool_balanced(self, length, balanced):
+        # each used to give an answer: "no" read as balanced, 6.0 as 6
+        with pytest.raises(ValueError):
+            cycle_nullity_formula(length, balanced)
+
+    def test_reads_the_length_as_an_index(self):
+        # as a numpy integer is read: through __index__
+        assert cycle_nullity_formula(IndexOnly(4), True) == 2
+        assert cycle_nullity_formula(IndexOnly(6), False) == 2
 
     @pytest.mark.parametrize("length", range(3, 13))
     def test_agrees_with_kernel_both_classes(self, length):

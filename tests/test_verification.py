@@ -44,7 +44,7 @@ from signed_nullity.enumeration import (
     signature_representatives,
 )
 from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
-from signed_nullity.rank import _eliminate
+from signed_nullity.rank import _bordered_ranks, _eliminate, _null_supports
 from signed_nullity.recognizers import bicyclic_base, shape_order
 from signed_nullity.reductions import _delete_pair, find_pendants
 from signed_nullity.verification import (
@@ -52,7 +52,6 @@ from signed_nullity.verification import (
     NullityCatalog,
     TheoremReport,
     UsageError,
-    _bordered_ranks,
     _catalog_chunk,
     _catalog_keep,
     _classes_by_order,
@@ -60,7 +59,6 @@ from signed_nullity.verification import (
     _deletion_key,
     _extensions,
     _grown,
-    _null_supports,
     _rank_rule,
     available_theorems,
     bicyclic_classes,
@@ -246,6 +244,52 @@ _BROKEN_SWEEPS = [
 ]
 
 
+def _tree_routes_against_the_oracles(max_n: int) -> dict[str, int]:
+    """Check both routes of the tree sweep on every labeled tree of order
+    1..``max_n`` against the full-matrix kernel and ``matching_number``.
+
+    Each tree's sides are a proper two-colouring, its block is sides(0) x
+    sides(1) with n-1 ones and half the adjacency rank, and the leaf-order
+    matching is the matching number (and, at n <= 6, the brute-force one).
+    For n >= 3 and the code (s,) + sigma, with m < m2 the two least vertices
+    missing from sigma: for s != m the pairs are (m, s) followed by those of
+    the tree sigma spans without m, the first (m2, x); for s = m they are
+    (m2, m), (m, x) and the rest, the tree of s = m2 with m and m2 swapped;
+    and the rank read off sigma's tree (:func:`_leaf_ranks`) is half the
+    adjacency rank.  Returns the number of trees and of trees checked per
+    suffix."""
+    counts = {"trees": 0, "per suffix": 0}
+    for n in range(1, max_n + 1):
+        for seq in prufer_sequences(n):
+            pairs = prufer_pairs(n, seq)
+            g = prufer_graph(n, seq)
+            full = rank(adjacency_matrix(g))
+            side = verification._tree_sides(n, pairs)
+            assert all(side[u] != side[v] for u, v in pairs), (n, seq)
+            block = verification._tree_block(side, pairs)
+            assert (len(block), len(block[0])) == (side.count(0), side.count(1)), (n, seq)
+            assert sum(map(sum, block)) == n - 1, (n, seq)
+            assert 2 * _eliminate(block) == full, (n, seq)
+            matched = verification._leaf_matching(n, pairs)
+            assert matched == matching_number(g), (n, seq)
+            if n <= 6:
+                assert matched == brute_matching_number(g), (n, seq)
+            counts["trees"] += 1
+            if n < 3:
+                continue
+            s, sigma = seq[0], seq[1:]
+            m, m2 = sorted(set(range(n)).difference(sigma))[:2]
+            rest = prufer_pairs(n, (n - 1,) + sigma)[1:]
+            assert rest[0][0] == m2, (n, seq)
+            if s == m:
+                assert pairs == [(m2, m), (m, rest[0][1])] + rest[1:], (n, seq)
+            else:
+                assert pairs == [(m, s)] + rest, (n, seq)
+            assert 2 * verification._leaf_ranks(n, rest)[m2 if s == m else s] == full, (n, seq)
+            counts["per suffix"] += 1
+    return counts
+
+
 class TestVerifyTheorem:
     def test_unknown_id_rejected(self):
         with pytest.raises(UsageError, match="unknown theorem id"):
@@ -348,55 +392,9 @@ class TestVerifyTheorem:
             documents.verification_document(pooled)
         )
 
-    def test_codes_with_one_suffix_are_its_tree_plus_a_leaf_ranked_off_its_null_space(self):
-        # for s != m, the least vertex missing from sigma, (s,) + sigma decodes
-        # to (m, s) and then the pairs of the tree sigma spans without m, the
-        # first (m2, x); (m,) + sigma decodes to (m2, m), (m, x) and the rest,
-        # the tree of s = m2 with m and m2 swapped; the full-matrix kernel is
-        # the oracle for the ranks read off the tree sigma spans
-        trees = 0
-        for n in range(3, 8):
-            for sigma in product(range(n), repeat=n - 3):
-                m, m2 = sorted(set(range(n)).difference(sigma))[:2]
-                rest = prufer_pairs(n, (n - 1,) + sigma)[1:]
-                assert rest[0][0] == m2, (n, sigma)
-                x = rest[0][1]
-                ranks = verification._leaf_ranks(n, rest)
-                for s in range(n):
-                    pairs = prufer_pairs(n, (s,) + sigma)
-                    if s == m:
-                        assert pairs == [(m2, m), (m, x)] + rest[1:], (n, sigma)
-                    else:
-                        assert pairs == [(m, s)] + rest, (n, s, sigma)
-                    full = rank(adjacency_matrix(prufer_graph(n, (s,) + sigma)))
-                    assert 2 * ranks[m2 if s == m else s] == full, (n, s, sigma)
-                    trees += 1
-        assert trees == sum(n ** (n - 2) for n in range(3, 8)) == 18247
-
-    def test_leaf_order_matching_is_the_matching_number(self):
-        for n in range(1, 8):
-            for seq in prufer_sequences(n):
-                g = prufer_graph(n, seq)
-                found = verification._leaf_matching(n, prufer_pairs(n, seq))
-                assert found == matching_number(g), (n, seq)
-                if n <= 6:
-                    assert found == brute_matching_number(g), (n, seq)
-
-    def test_tree_block_has_half_the_rank_of_the_adjacency_matrix(self):
-        # the full-matrix kernel is the oracle for the block route
-        trees = 0
-        for n in range(1, 8):
-            for seq in prufer_sequences(n):
-                pairs = prufer_pairs(n, seq)
-                side = verification._tree_sides(n, pairs)
-                assert all(side[u] != side[v] for u, v in pairs), (n, seq)
-                block = verification._tree_block(side, pairs)
-                assert (len(block), len(block[0])) == (side.count(0), side.count(1))
-                assert sum(map(sum, block)) == n - 1, (n, seq)
-                full = rank(adjacency_matrix(prufer_graph(n, seq)))
-                assert 2 * _eliminate(block) == full, (n, seq)
-                trees += 1
-        assert trees == 18249
+    def test_tree_routes_agree_with_the_oracles_to_order_7(self):
+        counts = _tree_routes_against_the_oracles(7)
+        assert counts == {"trees": 18249, "per suffix": 18247}, counts
 
     def test_parallel_results_identical(self):
         from signed_nullity import documents
@@ -1018,12 +1016,12 @@ class TestRankPrunedCatalogs:
 
         def counted(m):
             sizes.append(len(m))
-            return _null_supports(m)
+            return _bordered_ranks(m)
 
         def no_rank(g):
             raise AssertionError("the build ran the rank kernel")
 
-        monkeypatch.setattr(verification, "_null_supports", counted)
+        monkeypatch.setattr(verification, "_bordered_ranks", counted)
         monkeypatch.setattr(verification, "nullity", no_rank)
         for balanced in (False, True):
             keep = _catalog_keep(n, n, balanced)
