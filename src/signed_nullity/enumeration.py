@@ -28,8 +28,8 @@ from .recognizers import shape_order
 def prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Every Pruefer sequence of the labeled trees on n vertices, in
     lexicographic order; K1's is the empty sequence."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need an int n >= 1, got {n!r}")
     if n == 1:
         return iter([()])
     return product(range(n), repeat=n - 2)

@@ -346,11 +346,11 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[tuple[int
 
 def induced_subgraph(g: SignedGraph, keep: Iterable[int]) -> SignedGraph:
     """Induced subgraph on ``keep``, relabeled order-preservingly to dense ids."""
-    kept = sorted(set(keep))
+    kept = set(keep)
     for v in kept:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} out of range")
-    relabel = {v: i for i, v in enumerate(kept)}
+        if type(v) is not int or not 0 <= v < g.order:
+            raise ValueError(f"vertex {v!r} out of range (ids are ints)")
+    relabel = {v: i for i, v in enumerate(sorted(kept))}
     edges = tuple(
         (relabel[u], relabel[v], s)
         for u, v, s in g.edges

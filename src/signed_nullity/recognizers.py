@@ -104,8 +104,8 @@ def low_rank_neighborhood_check(g: SignedGraph, x: int) -> bool:
     neighbors = g._sorted_neighbors
     if not all(neighbors):
         raise ValueError("graph has an isolated vertex")
-    if not 0 <= x < g.order:
-        raise ValueError(f"vertex {x} out of range")
+    if type(x) is not int or not 0 <= x < g.order:
+        raise ValueError(f"vertex {x!r} out of range (ids are ints)")
     y = neighbors[x]
     y_set = set(y)
     return all(neighbors[v] == y for v in range(g.order) if v not in y_set)
@@ -144,8 +144,9 @@ class BicyclicBase(_BicyclicBaseFields):
     def __new__(cls, kind: str, p: int, q: int, l: int, base_vertices: tuple[int, ...]) -> "BicyclicBase":
         if kind not in ("infinity", "theta"):
             raise ValueError(f"unknown base kind {kind!r}")
-        if not shape_order(kind, p, q, l):
-            raise ValueError(f"invalid {kind} parameters {(p, q, l)}")
+        # Python ints only, so that a document renders 2 for each, not 2.0 or true
+        if not (type(p) is int and type(q) is int and type(l) is int and shape_order(kind, p, q, l)):
+            raise ValueError(f"invalid {kind} parameters {(p, q, l)} (ints that name a shape)")
         return super().__new__(cls, kind, p, q, l, base_vertices)
 
     @classmethod

@@ -57,8 +57,8 @@ def find_pendants(g: SignedGraph) -> list[tuple[int, int]]:
 
 def delete_pendant_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
     """Delete pendant v and its neighbor u; the nullity does not change."""
-    if not (0 <= v < g.order and g._sorted_neighbors[v] == (u,)):
-        raise ValueError(f"({v},{u}) is not a pendant pair")
+    if not (type(v) is int and type(u) is int and 0 <= v < g.order and g._sorted_neighbors[v] == (u,)):
+        raise ValueError(f"({v!r},{u!r}) is not a pendant pair (ids are ints)")
     return _delete_pair(g, v, u)
 
 
@@ -75,7 +75,13 @@ def _delete_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
 
 
 def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
-    v1, v2, v3 = p.v1, p.v2, p.v3
+    if not (type(p.v1) is int and type(p.v2) is int and type(p.v3) is int):
+        raise ValueError(f"special path ids must be ints, got {tuple(p)!r}")
+    return _is_special(g, p.v1, p.v2, p.v3)
+
+
+def _is_special(g: SignedGraph, v1: int, v2: int, v3: int) -> bool:
+    """The test of :func:`is_special_path`, on ids that are ints."""
     n = g.order
     if len({v1, v2, v3}) != 3 or not (0 <= v1 < n and 0 <= v2 < n and 0 <= v3 < n):
         return False
@@ -97,7 +103,7 @@ def find_special_paths(g: SignedGraph) -> list[SpecialPath]:
     for v2, nbrs in enumerate(g._sorted_neighbors):
         if len(nbrs) == 2:
             a, b = nbrs
-            if is_special_path(g, SpecialPath(a, v2, b)):
+            if _is_special(g, a, v2, b):
                 found += [SpecialPath(a, v2, b), SpecialPath(b, v2, a)]
     found.sort()
     return found
@@ -138,8 +144,8 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     _require_normalized(g, p)
     # only ids in range are neighbors of v1, and the ends of a special path
     # share no neighbor but v2, so the edge vv3 is never there yet
-    if v == p.v2 or v not in g._sorted_neighbors[p.v1]:
-        raise ValueError(f"vertex {v} is not an eligible neighbor of {p.v1}")
+    if type(v) is not int or v == p.v2 or v not in g._sorted_neighbors[p.v1]:
+        raise ValueError(f"vertex {v!r} is not an eligible neighbor of {p.v1} (ids are ints)")
     s = g._edge_sign(v, p.v1)
     edges = [e for e in g.edges if {e[0], e[1]} != {v, p.v1}]
     edges.append((min(v, p.v3), max(v, p.v3), s))

@@ -58,6 +58,11 @@ class TestLabeledTrees:
         with pytest.raises(ValueError):
             list(labeled_trees(0))
 
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_non_int_order_rejected(self, n):
+        with pytest.raises(ValueError, match="int"):
+            list(labeled_trees(n))
+
 
 class TestBicyclicUnderlying:
     def test_n4_single_class(self):

@@ -264,6 +264,12 @@ class TestHelpers:
         with pytest.raises(ValueError, match="vertex 5 out of range"):
             induced_subgraph(g, [0, 5])
 
+    @pytest.mark.parametrize("v", [2.0, True, "2"])
+    def test_induced_subgraph_refuses_a_non_int_id(self, v):
+        g = build_graph(5, [(0, 2, -1), (2, 4, 1), (1, 3, 1)])
+        with pytest.raises(ValueError, match=f"vertex {v!r} out of range"):
+            induced_subgraph(g, [0, v])
+
     def test_connectivity(self):
         assert is_connected(cycle_graph(4))
         assert not is_connected(disjoint_union(path_graph(2), path_graph(2)))

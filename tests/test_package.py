@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import signed_nullity
-from signed_nullity import documents
+from signed_nullity import bicyclic_base, documents, nullity, recognize_rank3
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SUBMODULES = (
     "graphs",
@@ -104,3 +109,32 @@ def test_submodules_resolve():
     for name in SUBMODULES:
         if name != "rank":  # the name belongs to the function
             assert getattr(signed_nullity, name) is sys.modules[f"signed_nullity.{name}"]
+
+
+def _readme_library_example() -> tuple:
+    """Run the README's Library example, then read off its graph ``g`` what
+    the example's comments say: the nullity, the rank-3 verdict and the
+    base shape."""
+    text = (ROOT / "README.md").read_text()
+    code = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    g = namespace["g"]
+    base = bicyclic_base(g)
+    return nullity(g), recognize_rank3(g).matches, (base.kind, base.p, base.q, base.l)
+
+
+def test_the_readme_library_example_gives_its_commented_results():
+    assert _readme_library_example() == (1, True, ("theta", 2, 2, 1))
+
+
+def test_every_ci_check_is_a_call_of_a_named_helper_under_tests():
+    # CI runs the helpers that tier-1 runs at smaller orders, one line a
+    # step; a renamed helper fails here, not only in CI
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert not re.findall(r"(?<!<)<<(?!<).*", workflow)  # a here-string, <<<, is not a heredoc
+    imports = re.findall(r"from (test_\w+|oracles) import (\w+(?:, \w+)*)", workflow)
+    assert len(imports) >= 12, imports
+    for module, names in imports:
+        for name in names.split(", "):
+            assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

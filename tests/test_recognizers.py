@@ -24,8 +24,8 @@ from signed_nullity import (
     switch,
     unbalanced_bicyclic_verdict,
 )
-from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, hung_classes
-from signed_nullity.recognizers import _two_core
+from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes
+from signed_nullity.recognizers import _two_core, shape_order
 from oracles import complement_parts, cycle_graph, path_graph, two_core
 
 
@@ -206,9 +206,9 @@ class TestLowRankNeighborhoodCheck:
         with pytest.raises(ValueError, match="isolated"):
             low_rank_neighborhood_check(g, 0)
 
-    @pytest.mark.parametrize("x", [-1, 3])
+    @pytest.mark.parametrize("x", [-1, 3, 1.0, True, "1"])
     def test_vertex_out_of_range_rejected(self, x):
-        with pytest.raises(ValueError, match=f"vertex {x} out of range"):
+        with pytest.raises(ValueError, match=f"vertex {x!r} out of range"):
             low_rank_neighborhood_check(cycle_graph(3), x)
 
 
@@ -262,7 +262,9 @@ class TestBicyclicBase:
     @pytest.mark.parametrize(
         "kind,p,q,l",
         [("infinity", 2, 3, 1), ("infinity", 4, 3, 1), ("infinity", 3, 3, 0),
-         ("theta", 1, 1, 1), ("theta", 2, 3, 1), ("theta", 3, 2, 0), ("star", 3, 3, 1)],
+         ("theta", 1, 1, 1), ("theta", 2, 3, 1), ("theta", 3, 2, 0), ("star", 3, 3, 1),
+         # a document would render these as 3.0 or true
+         ("infinity", 3, 3.0, 1), ("infinity", 3, 3, True), ("theta", 3.0, 2, 1), ("theta", 2, 2, True)],
     )
     def test_invalid_parameters_rejected(self, kind, p, q, l):
         with pytest.raises(ValueError, match="invalid|unknown"):
@@ -271,20 +273,7 @@ class TestBicyclicBase:
             BicyclicBase("theta", 2, 2, 1, ())._replace(kind=kind, p=p, q=q, l=l)
 
     def test_every_class_to_order_9_round_trips_its_shape(self):
-        # the construction is the second route: it hangs trees on the core
-        # of a known shape and gives the core the highest labels
-        rng = random.Random(20120)
-        for shape in bicyclic_base_shapes(9):
-            k = base_graph(shape).order
-            for g, _ in hung_classes(shape, 9):
-                core = range(g.order - k, g.order)
-                assert two_core(g) == tuple(core)
-                perm = list(range(g.order))
-                rng.shuffle(perm)
-                h = build_graph(g.order, [(perm[u], perm[v], rng.choice((1, -1))) for u, v, _ in g.edges])
-                base = bicyclic_base(h)
-                assert (base.kind, base.p, base.q, base.l) == shape, (shape, h)
-                assert base.base_vertices == tuple(sorted(perm[v] for v in core))
+        assert _bicyclic_base_round_trips(4, 9, seed=20120) == {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797}
 
     def test_two_core_is_the_strip_on_random_connected_graphs(self):
         # the strip deletes every vertex of degree at most 1 until none is
@@ -316,6 +305,33 @@ class TestBicyclicBase:
         stripped = g.order - len(base.base_vertices)
         base_edges = len(base.base_vertices) + 1
         assert base_edges + stripped == len(g.edges)
+
+
+def _bicyclic_base_round_trips(min_n: int, max_n: int, seed: int) -> dict[int, int]:
+    """Check ``bicyclic_base`` on every constructed bicyclic class of order
+    min_n..max_n.  The construction is the second route: it hangs trees on
+    the core of a known shape and gives the core the top labels, so on its
+    own labels the base names the shape and those labels, which the
+    ``two_core`` oracle finds too.  Relabeled and re-signed at random from
+    ``seed``, the graph keeps its shape and the core's new labels.  Returns
+    the number of classes of each order."""
+    rng = random.Random(seed)
+    counts: dict[int, int] = {}
+    for shape in bicyclic_base_shapes(max_n):
+        k = shape_order(*shape)
+        for g, _ in hung_classes(shape, max_n, min_n):
+            core = tuple(range(g.order - k, g.order))
+            base = bicyclic_base(g)
+            assert (base.kind, base.p, base.q, base.l) == shape, (shape, g)
+            assert base.base_vertices == two_core(g) == core, (shape, g)
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            h = build_graph(g.order, [(perm[u], perm[v], rng.choice((1, -1))) for u, v, _ in g.edges])
+            base = bicyclic_base(h)
+            assert (base.kind, base.p, base.q, base.l) == shape, (shape, h)
+            assert base.base_vertices == tuple(sorted(perm[v] for v in core)), (shape, h)
+            counts[g.order] = counts.get(g.order, 0) + 1
+    return counts
 
 
 class TestUnbalancedBicyclicVerdict:

@@ -161,6 +161,29 @@ class TestNormalizeSpecialPath:
             rewire_special_path(g, p, 2)
 
 
+# P5's pendant pairs are (0, 1) and (4, 3); on C5 with its first edge
+# negative, (0, 1, 2) is a normalized special path and 4 an eligible neighbor
+# of 0.  A float id or a bool is refused, as SignedGraph refuses it, and not
+# read as the int it equals.
+NON_INT_IDS = {
+    "delete, float neighbor": lambda: delete_pendant_pair(path_graph(5), 4, 3.0),
+    "delete, float pendant": lambda: delete_pendant_pair(path_graph(5), 4.0, 3),
+    "delete, bool neighbor": lambda: delete_pendant_pair(path_graph(5), 0, True),
+    "is_special, float": lambda: is_special_path(cycle_graph(5, 1), SpecialPath(0, 1.0, 2)),
+    "is_special, bool": lambda: is_special_path(cycle_graph(5, 1), SpecialPath(True, 2, 3)),
+    "normalize, float": lambda: normalize_special_path(cycle_graph(5, 1), SpecialPath(0.0, 1, 2)),
+    "contract, float": lambda: contract_special_path(cycle_graph(5, 1), SpecialPath(0, 1, 2.0)),
+    "rewire, float vertex": lambda: rewire_special_path(cycle_graph(5, 1), SpecialPath(0, 1, 2), 4.0),
+    "rewire, float path": lambda: rewire_special_path(cycle_graph(5, 1), SpecialPath(0, 1, 2.0), 4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_INT_IDS))
+def test_non_int_ids_refused(call):
+    with pytest.raises(ValueError, match="ints"):
+        NON_INT_IDS[call]()
+
+
 class TestRewireSpecialPath:
     def test_p5_middle_triple(self):
         g = build_graph(5, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1)])
@@ -276,25 +299,34 @@ class TestContractSpecialPath:
             assert set(vars(normalized)) == {"order", "edges", "_sorted_neighbors"}
 
 
+def _cores_against_the_public_functions(max_n: int) -> tuple[int, int]:
+    """Check ``_delete_pair`` against ``delete_pendant_pair`` and
+    ``induced_subgraph``, and ``_contract`` against ``normalize_special_path``
+    then ``contract_special_path``, on every pendant pair and special path
+    of every switching class of every bicyclic class of order 4..max_n.
+    Returns the numbers of deletions and contractions."""
+    deletions = contractions = 0
+    for n in range(4, max_n + 1):
+        for g in bicyclic_classes(n).values():
+            pendants, paths = find_pendants(g), find_special_paths(g)
+            for rep in signature_representatives(g):
+                for v, u in pendants:
+                    kept = induced_subgraph(rep, set(range(n)) - {v, u})
+                    assert _delete_pair(rep, v, u) == delete_pendant_pair(rep, v, u) == kept, (rep, v, u)
+                    deletions += 1
+                for p in paths:
+                    normalized, _ = normalize_special_path(rep, p)
+                    assert _contract(rep, p) == contract_special_path(normalized, p), (rep, p)
+                    contractions += 1
+    return deletions, contractions
+
+
 class TestCores:
     """The lemma2.5 sweep runs ``_delete_pair`` and ``_contract`` unchecked,
     on the pendant pairs and special paths it finds on the class graph."""
 
     def test_equal_the_public_functions_on_every_bicyclic_switching_class_to_order_8(self):
-        deletions = contractions = 0
-        for n in range(4, 9):
-            for g in bicyclic_classes(n).values():
-                pendants, paths = find_pendants(g), find_special_paths(g)
-                for rep in signature_representatives(g):
-                    for v, u in pendants:
-                        kept = induced_subgraph(rep, set(range(n)) - {v, u})
-                        assert _delete_pair(rep, v, u) == delete_pendant_pair(rep, v, u) == kept
-                        deletions += 1
-                    for p in paths:
-                        normalized, _ = normalize_special_path(rep, p)
-                        assert _contract(rep, p) == contract_special_path(normalized, p)
-                        contractions += 1
-        assert (deletions, contractions) == (2416, 2608)
+        assert _cores_against_the_public_functions(8) == (2416, 2608)
 
     def test_the_reversed_contraction_is_the_forward_one_switched_at_the_merged_vertex(self):
         # so the lemma2.5 sweep contracts each special path once, with v1 < v3:

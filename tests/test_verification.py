@@ -6,10 +6,12 @@ import multiprocessing
 import os
 import re
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 from pathlib import Path
+from typing import Iterator
 
 import warnings
 
@@ -242,6 +244,30 @@ _BROKEN_SWEEPS = [
         [r"contraction of special path \(\d+,\d+,\d+\) changed the nullity"],
     ),
 ]
+
+
+@contextmanager
+def _counted_calls(name: str) -> Iterator[list[int]]:
+    """Count the calls of the one-argument function ``verification.<name>``
+    while the block runs, in the one entry of the yielded list."""
+    count = [0]
+    function = getattr(verification, name)
+
+    def counted(arg):
+        count[0] += 1
+        return function(arg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, name, counted)
+        yield count
+
+
+def _lemma25_kernel_calls(max_n: int) -> int:
+    """The rank kernel calls of the lemma2.5 sweep to order max_n, which
+    must pass."""
+    with _counted_calls("nullity") as calls:
+        assert verify_theorem("lemma2.5", max_n).ok
+    return calls[0]
 
 
 def _tree_routes_against_the_oracles(max_n: int) -> dict[str, int]:
@@ -522,23 +548,14 @@ class TestVerifyTheorem:
         for v in report.violations:
             assert parse_graph(v.witness).order == v.order
 
-    def test_bicyclic_sweeps_pin_their_instances_and_kernel_calls(self, monkeypatch):
+    def test_bicyclic_sweeps_pin_their_instances_and_kernel_calls(self):
         sweeps = ("theorem3.1", "corollary2.9", "lemma2.5")
         checked = {t: verify_theorem(t, 9).instances_checked for t in sweeps}
         assert checked == {"theorem3.1": 3375, "corollary2.9": 4460, "lemma2.5": 4500}
-        calls = []
-        kernel = verification.nullity
-
-        def counted(g):
-            calls.append(g)
-            return kernel(g)
-
-        monkeypatch.setattr(verification, "nullity", counted)
-        assert verify_theorem("lemma2.5", 8).ok
         # a work count, not a bound: 1,312 switching classes, 1,083 pendant
         # deletions (one per key of the 2,416 deleted pairs) and 1,304
         # contractions, each special path in one orientation
-        assert len(calls) == 3699
+        assert _lemma25_kernel_calls(8) == 3699
 
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
@@ -800,18 +817,27 @@ class TestSharedDeletions:
         assert counts == {"core": 43458, "tree": 20904, "twins": 3198}
 
 
+def _connected_build(max_n: int) -> dict[str, list[int] | int]:
+    """The number of classes of each order 1..max_n in the sweep stream of
+    the connected class build, which grows them from K1 in one build, and
+    the canonizer calls it makes."""
+    levels = [0] * max_n
+    with _counted_calls("_canonize") as calls:
+        for g in _connected_classes(max_n):
+            levels[g.order - 1] += 1
+    return {"levels": levels, "canonizer calls": calls[0]}
+
+
 class TestConnectedClasses:
     def test_class_counts(self):
         # OEIS A001349, from one build through every order
-        levels = _classes_by_order(SignedGraph(1, ()), 7)
-        assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853]
+        assert _connected_build(7)["levels"] == [1, 1, 2, 6, 21, 112, 853]
 
-    def test_canonizer_calls_at_order_7(self, canonize_calls):
+    def test_canonizer_calls_at_order_7(self):
         # a new vertex with two or more neighbors joins every old leaf, or
         # its class comes from a leaf deletion; canonizing every such join
         # made 7,424 calls
-        assert sum(g.order == 7 for g in _connected_classes(7)) == 853
-        assert len(canonize_calls) == 5513
+        assert _connected_build(7) == {"levels": [1, 1, 2, 6, 21, 112, 853], "canonizer calls": 5513}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_the_labeled_oracle(self, n):
@@ -878,6 +904,21 @@ class TestExtensions:
             assert grown == expected, g
 
 
+def _bicyclic_classes_against_wright(min_n: int, max_n: int) -> dict[int, int]:
+    """The number of constructed bicyclic classes of each order
+    min_n..max_n.  |Aut| comes with each class, with no search, and the
+    sums of n!/|Aut| over each order must be Wright's counts of connected
+    labeled graphs with n+1 edges, so no class is missing."""
+    classes: dict[int, int] = {}
+    labeled: dict[int, int] = {}
+    for shape in bicyclic_base_shapes(max_n):
+        for g, automorphisms in hung_classes(shape, max_n, min_n):
+            classes[g.order] = classes.get(g.order, 0) + 1
+            labeled[g.order] = labeled.get(g.order, 0) + factorial(g.order) // automorphisms
+    assert labeled == {n: connected_labeled_count(n, n + 1) for n in range(min_n, max_n + 1)}, labeled
+    return classes
+
+
 class TestCountingCertificate:
     """n!/|Aut(G)| labelings per class: the sums over a stream's classes of
     each order must give the labeled counts, so no class is missing."""
@@ -900,14 +941,9 @@ class TestCountingCertificate:
         assert sum(switching.values()) == 440482  # the instances of the old labeled sweeps
 
     def test_bicyclic_construction(self):
-        # |Aut| comes with each constructed class, with no search; the sums
-        # must be Wright's counts of connected labeled graphs with n+1 edges
-        labeled: dict[int, int] = {}
-        for shape in bicyclic_base_shapes(12):
-            for g, automorphisms in hung_classes(shape, 12):
-                labeled[g.order] = labeled.get(g.order, 0) + factorial(g.order) // automorphisms
-        assert labeled == {n: connected_labeled_count(n, n + 1) for n in range(4, 13)}
-        assert [labeled[n] for n in (4, 5, 12)] == [6, 205, 5720327205120]
+        classes = _bicyclic_classes_against_wright(4, 12)
+        assert classes == {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908}
+        assert [connected_labeled_count(n, n + 1) for n in (4, 5, 12)] == [6, 205, 5720327205120]
 
     def test_bicyclic_automorphism_counts(self):
         for shape in bicyclic_base_shapes(7):
@@ -943,6 +979,22 @@ def _unpruned_catalogs(n: int) -> dict[tuple[int, bool], NullityCatalog]:
         (k, balanced): NullityCatalog(n, k, n - k, balanced, tuple(entries))
         for (k, balanced), entries in hits.items()
     }
+
+
+def _pruned_catalogs_against_the_unpruned(min_n: int, max_n: int) -> int:
+    """Check every rank-pruned catalog of order min_n..max_n, k = 3..n and
+    both balanced_only settings, against :func:`_unpruned_catalogs`, as a
+    value and byte for byte as a document.  Returns the number compared."""
+    compared = 0
+    for n in range(min_n, max_n + 1):
+        for (k, balanced), expected in _unpruned_catalogs(n).items():
+            catalog = catalog_nullity_classes(n, k, balanced_only=balanced)
+            assert documents.dumps(documents.catalog_document(catalog)) == documents.dumps(
+                documents.catalog_document(expected)
+            ), (n, k, balanced)
+            assert catalog == expected, (n, k, balanced)
+            compared += 1
+    return compared
 
 
 def _bordered_ranks_against_the_kernel(max_n: int) -> dict[str, int]:
@@ -990,12 +1042,7 @@ class TestRankPrunedCatalogs:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_equals_the_unpruned_oracle(self, n):
-        for (k, balanced), expected in _unpruned_catalogs(n).items():
-            catalog = catalog_nullity_classes(n, k, balanced_only=balanced)
-            assert documents.dumps(documents.catalog_document(catalog)) == documents.dumps(
-                documents.catalog_document(expected)
-            ), (n, k, balanced)
-            assert catalog == expected
+        assert _pruned_catalogs_against_the_unpruned(n, n) == 2 * (n - 2)  # k = 3..n, both settings
 
     def test_canonizer_calls_at_order_9(self, canonize_calls):
         # bicyclic_classes(9) takes 797 calls (pinned above) and the leaf
