@@ -191,12 +191,20 @@ def _tree_layout(tree: RootedTree) -> tuple[tuple[int, ...], int]:
 def _automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
     """Every automorphism of g's underlying graph, as the tuple of images.
 
-    A backtracking search places vertices 0, 1, ... in turn, each on an
-    unused vertex of its degree whose adjacency to the images placed so
-    far matches; meant for the small cores of the bicyclic shapes, where
-    a vertex after the first of its chain has a placed neighbor.
+    A backtracking search places vertices 0, 1, ... in turn.  A vertex
+    with an earlier neighbor takes its candidates from the neighbors of
+    that neighbor's image, the least one's; any other takes every vertex.
+    A candidate must be unused, of the vertex's degree, and adjacent to the
+    image of each of its earlier neighbors.  Only edges are tested, not
+    non-edges: a bijection that maps every edge to an edge maps the edge
+    set onto itself, as it has no more edges to map to, and so maps
+    non-edges to non-edges.  Meant for the small cores of the bicyclic
+    shapes, where a vertex after the first of its chain has an earlier
+    neighbor.
     """
     nbrs = [set(ns) for ns in g._sorted_neighbors]
+    earlier = [[u for u in ns if u < v] for v, ns in enumerate(g._sorted_neighbors)]
+    everyone = range(g.order)
     image = [-1] * g.order
     used = [False] * g.order
     found = []
@@ -205,9 +213,10 @@ def _automorphisms(g: SignedGraph) -> list[tuple[int, ...]]:
         if v == g.order:
             found.append(tuple(image))
             return
-        for w in range(g.order):
+        back = earlier[v]
+        for w in nbrs[image[back[0]]] if back else everyone:
             if not used[w] and len(nbrs[w]) == len(nbrs[v]) and all(
-                (u in nbrs[v]) == (image[u] in nbrs[w]) for u in range(v)
+                image[u] in nbrs[w] for u in back
             ):
                 image[v], used[w] = w, True
                 place(v + 1)

@@ -16,7 +16,14 @@ once per class of equal deletions (twin leaves on one neighbor, and core
 cuts that leave switching-equivalent graphs), and contracts each special
 path in one orientation only, v1 < v3: ``_contract`` of the reversed path
 gives every edge of the merged vertex the opposite sign, a switching at
-that vertex, which keeps the nullity.
+that vertex, which keeps the nullity.  It also ranks one contraction per
+thread (a maximal path of degree-2 vertices) and switching class: at any
+centre of one thread, a contraction shortens the path through the thread
+by two edges and flips the sign of every cycle through it, so all of them
+give one graph up to relabeling and switching (Zaslavsky, 1982).
+
+The public functions take a special path as a :class:`SpecialPath` or as
+any three int ids, and refuse anything else with ValueError.
 
 ``reduce`` records each pendant-pair deletion it makes in a replayable
 trace so reduction chains can be audited.
@@ -74,10 +81,21 @@ def _delete_pair(g: SignedGraph, v: int, u: int) -> SignedGraph:
     return SignedGraph._trusted(g.order - 2, edges)
 
 
+def _as_path(p: object) -> SpecialPath:
+    """p as a :class:`SpecialPath`, if it unpacks to three int ids, so a
+    plain tuple reads as one; ValueError otherwise."""
+    try:
+        v1, v2, v3 = p
+    except (TypeError, ValueError):
+        raise ValueError(f"a special path is three int ids, got {p!r}") from None
+    if not (type(v1) is int and type(v2) is int and type(v3) is int):
+        raise ValueError(f"special path ids must be ints, got {(v1, v2, v3)!r}")
+    return SpecialPath(v1, v2, v3)
+
+
 def is_special_path(g: SignedGraph, p: SpecialPath) -> bool:
-    if not (type(p.v1) is int and type(p.v2) is int and type(p.v3) is int):
-        raise ValueError(f"special path ids must be ints, got {tuple(p)!r}")
-    return _is_special(g, p.v1, p.v2, p.v3)
+    """Whether p, a :class:`SpecialPath` or any three int ids, is a special path of g."""
+    return _is_special(g, *_as_path(p))
 
 
 def _is_special(g: SignedGraph, v1: int, v2: int, v3: int) -> bool:
@@ -115,24 +133,31 @@ def normalize_special_path(g: SignedGraph, p: SpecialPath) -> tuple[SignedGraph,
     Since v1v3 is not an edge, flipping v1 only affects the first path edge
     and flipping v3 only the second, so every sign pattern is reachable.
     """
-    if not is_special_path(g, p):
-        raise ValueError(f"{p} is not a special path")
+    p = _require_special(g, p)
     theta = [1] * g.order
-    theta[p.v1], theta[p.v3] = _normalizing_flips(g, p)
+    theta[p.v1], theta[p.v3] = _normalizing_flips(g, *p)
     return switch(g, theta), tuple(theta)
 
 
-def _normalizing_flips(g: SignedGraph, p: SpecialPath) -> tuple[int, int]:
+def _normalizing_flips(g: SignedGraph, v1: int, v2: int, v3: int) -> tuple[int, int]:
     """The switching signs at v1 and at v3 that give a special path the signs (-1, +1)."""
-    return -g._edge_sign(p.v1, p.v2), g._edge_sign(p.v2, p.v3)
+    return -g._edge_sign(v1, v2), g._edge_sign(v2, v3)
 
 
-def _require_normalized(g: SignedGraph, p: SpecialPath) -> None:
-    if not is_special_path(g, p):
+def _require_special(g: SignedGraph, p: object) -> SpecialPath:
+    """p as a :class:`SpecialPath` of g; ValueError if it is not one."""
+    p = _as_path(p)
+    if not _is_special(g, *p):
         raise ValueError(f"{p} is not a special path")
+    return p
+
+
+def _require_normalized(g: SignedGraph, p: object) -> SpecialPath:
+    p = _require_special(g, p)
     # the path's ids are in range and its edges exist, so no accessor is needed
     if g._edge_sign(p.v1, p.v2) != -1 or g._edge_sign(p.v2, p.v3) != 1:
         raise ValueError("special path is not normalized to signs (-1, +1)")
+    return p
 
 
 def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
@@ -141,7 +166,7 @@ def rewire_special_path(g: SignedGraph, p: SpecialPath, v: int) -> SignedGraph:
     Requires the normalized sign pattern on the path and v a neighbor of v1
     other than v2.
     """
-    _require_normalized(g, p)
+    p = _require_normalized(g, p)
     # only ids in range are neighbors of v1, and the ends of a special path
     # share no neighbor but v2, so the edge vv3 is never there yet
     if type(v) is not int or v == p.v2 or v not in g._sorted_neighbors[p.v1]:
@@ -161,8 +186,7 @@ def contract_special_path(g: SignedGraph, p: SpecialPath) -> SignedGraph:
     the three freed ids, and the remaining vertices are compacted
     order-preservingly.
     """
-    _require_normalized(g, p)
-    return _contract(g, p)
+    return _contract(g, _require_normalized(g, p))
 
 
 def _contract(g: SignedGraph, p: SpecialPath) -> SignedGraph:
@@ -174,7 +198,7 @@ def _contract(g: SignedGraph, p: SpecialPath) -> SignedGraph:
     """
     v1, v2, v3 = p
     merged, lo, hi = sorted(p)
-    t1, t3 = _normalizing_flips(g, p)
+    t1, t3 = _normalizing_flips(g, v1, v2, v3)
     edges = []
     for a, b, s in g.edges:
         if a == v2 or b == v2:  # the two path edges, the only edges of v2

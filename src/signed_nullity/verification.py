@@ -21,7 +21,11 @@ each class (:func:`signature_representatives`).  The lemma2.5 sweep ranks
 each pendant deletion once per class of equal deletions: twin leaves on
 one neighbor give one graph up to relabeling, and deleting a core vertex
 from two switching classes that agree on the cycles avoiding it gives
-switching-equivalent graphs (:func:`core_cut_classes`).
+switching-equivalent graphs (:func:`core_cut_classes`).  It ranks one
+special-path contraction per thread, a maximal path of degree-2 vertices,
+and switching class: contracting at any centre of one thread shortens the
+path through it by two edges and flips the sign of the cycles through it,
+so every such contraction gives one graph up to relabeling and switching.
 
 This module holds sweeps and no elimination: every exact elimination is
 in :mod:`rank`.  The tree sweep reads each tree's rank off the null
@@ -210,11 +214,11 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
 
 # The largest order of the bicyclic sweeps, catalogs and classes.  On 2
 # workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes
-# 7.8-10.0 s at n <= 12 (10.9-13.1 s in alternating runs when every pendant
-# deletion was ranked once per switching class; theorem3.1 1.6 s,
-# corollary2.9 2.0-2.1 s), and the largest catalog, n = 12 and k = 12 (6,627
-# entries), takes 4.0-4.6 s.  The classes themselves are constructed to
-# order 14 in 8 s: the checks set the cap.
+# 8.6-10.7 s at n <= 12 (10.3-13.7 s in alternating runs when every special
+# path was contracted on its own; theorem3.1 1.6 s, corollary2.9 2.0-2.1 s),
+# and the largest catalog, n = 12 and k = 12 (6,627 entries), takes
+# 4.0-4.6 s.  The classes themselves are constructed to order 14 in 8 s:
+# the checks set the cap.
 _BICYCLIC_MAX_N = 12
 
 
@@ -474,6 +478,37 @@ def _deletion_key(cuts: tuple[tuple[int, ...], ...], t: int, u: int, i: int) -> 
     return u, i if u < t else cuts[u - t][i]
 
 
+def _threads(g: SignedGraph) -> list[int]:
+    """The least vertex of each degree-2 vertex's thread, a maximal path
+    of degree-2 vertices, read off the neighbor table; -1 at every other
+    vertex."""
+    neighbors = g._sorted_neighbors
+    thread = [-1] * g.order
+    for v, nbrs in enumerate(neighbors):
+        if len(nbrs) == 2 and thread[v] < 0:
+            thread[v] = v
+            stack = [v]
+            while stack:
+                for w in neighbors[stack.pop()]:
+                    if len(neighbors[w]) == 2 and thread[w] < 0:
+                        thread[w] = v
+                        stack.append(w)
+    return thread
+
+
+def _contraction_key(threads: list[int], v2: int, i: int) -> tuple[int, int]:
+    """The key of contracting a special path with centre v2 in switching
+    class i: equal keys give contractions of one rank.
+
+    Contracting at any centre of one thread shortens the path through the
+    thread by two edges and leaves the rest of the graph as it was, so
+    every such contraction gives one graph up to relabeling.  Each gives
+    every cycle through the thread the opposite sign and keeps the others,
+    so they are switching-equivalent too (Zaslavsky, 1982).
+    """
+    return threads[v2], i
+
+
 def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
     k = shape_order(*shape)
     switching_classes = hung_switching_classes(shape)
@@ -482,15 +517,20 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
         # every switching class has g's underlying graph, so each pendant
         # pair and special path of g is one of rep's, and the cores need no
         # checks.  Each pendant deletion is ranked once per key
-        # (_deletion_key), the first time a switching class meets it, and
-        # every (switching class, pendant pair) is compared with that rank.
-        # Contracting (v3, v2, v1) gives every edge of the merged vertex the
-        # opposite sign to contracting (v1, v2, v3): a switching at that
-        # vertex, of the same rank, so one orientation is contracted.
+        # (_deletion_key), and each contraction once per key
+        # (_contraction_key, one per thread), the first time a switching
+        # class meets it; every (switching class, pendant pair or special
+        # path) is compared with that rank.  Contractions share ranks with
+        # contractions only.  Contracting (v3, v2, v1) gives every edge of
+        # the merged vertex the opposite sign to contracting (v1, v2, v3):
+        # a switching at that vertex, of the same rank, so one orientation
+        # is contracted.
         t = g.order - k
         pendants = find_pendants(g)
         paths = [p for p in find_special_paths(g) if p.v1 < p.v3]
+        threads = _threads(g) if paths else []
         deleted: dict[tuple[int, int], int] = {}
+        contracted: dict[tuple[int, int], int] = {}
         for i, rep in enumerate(switching_classes(g)):
             eta = nullity(rep)
             details = []
@@ -500,11 +540,14 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
                     deleted[key] = nullity(_delete_pair(rep, v, u))
                 if deleted[key] != eta:
                     details.append(f"pendant deletion ({v},{u}) changed the nullity")
-            details += (
-                f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
-                for p in paths
-                if nullity(_contract(rep, p)) != eta
-            )
+            for p in paths:
+                key = _contraction_key(threads, p.v2, i)
+                if key not in contracted:
+                    contracted[key] = nullity(_contract(rep, p))
+                if contracted[key] != eta:
+                    details.append(
+                        f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
+                    )
             yield rep, tuple(details)
 
 

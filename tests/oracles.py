@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: rank comes from
 Laplace-expansion minors (or sympy's rational elimination for larger
 matrices), matchings from subset enumeration, isomorphism, automorphisms
-and canonical forms from raw permutation search, multipartite parts from
+and canonical forms from raw permutation search (automorphisms among the
+permutations that keep degrees), multipartite parts from
 complement components, connected components from a plain traversal of the
 edge list.  ``IndexOnly`` stands in for a numpy integer as a test input.
 """
@@ -81,13 +82,33 @@ def are_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return False
 
 
+def _degree_preserving_permutations(g: SignedGraph):
+    """Every vertex permutation that keeps each vertex's degree, read off
+    ``g.edges``: the product of the permutations of each degree class.  An
+    automorphism keeps degrees, so these are the only candidates."""
+    degree = [0] * g.order
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    classes: dict[int, list[int]] = {}
+    for v, d in enumerate(degree):
+        classes.setdefault(d, []).append(v)
+    blocks = list(classes.values())
+    perm = list(range(g.order))
+    for arrangement in product(*(permutations(block) for block in blocks)):
+        for block, images in zip(blocks, arrangement):
+            for v, w in zip(block, images):
+                perm[v] = w
+        yield perm
+
+
 def automorphism_count(g: SignedGraph, fixed: tuple[int, ...] = ()) -> int:
     """Number of vertex permutations that map the underlying edge set onto
     itself and fix each vertex of ``fixed``."""
     edges = {frozenset((u, v)) for u, v, _ in g.edges}
     return sum(
         all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges)
-        for perm in permutations(range(g.order))
+        for perm in _degree_preserving_permutations(g)
         if all(perm[v] == v for v in fixed)
     )
 
@@ -141,7 +162,7 @@ def automorphism_orbits(g: SignedGraph) -> list[tuple[int, ...]]:
     set onto itself, each ascending, in order of least member."""
     edges = {frozenset((u, v)) for u, v, _ in g.edges}
     orbit_of = [{v} for v in range(g.order)]
-    for perm in permutations(range(g.order)):
+    for perm in _degree_preserving_permutations(g):
         if all(frozenset((perm[u], perm[v])) in edges for u, v, _ in g.edges):
             for v in range(g.order):
                 orbit_of[v].add(perm[v])

@@ -184,6 +184,29 @@ def test_non_int_ids_refused(call):
         NON_INT_IDS[call]()
 
 
+# each public special-path function on C5 with its first edge negative, as above
+SPECIAL_PATH_CALLS = {
+    "is_special_path": lambda p: is_special_path(cycle_graph(5, 1), p),
+    "normalize_special_path": lambda p: normalize_special_path(cycle_graph(5, 1), p),
+    "contract_special_path": lambda p: contract_special_path(cycle_graph(5, 1), p),
+    "rewire_special_path": lambda p: rewire_special_path(cycle_graph(5, 1), p, 4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SPECIAL_PATH_CALLS))
+class TestPathsAsPlainIds:
+    def test_three_int_ids_read_as_a_special_path(self, call):
+        run = SPECIAL_PATH_CALLS[call]
+        assert run((0, 1, 2)) == run([0, 1, 2]) == run(SpecialPath(0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "path", [(0, 1), (0, 1, 2, 3), (), 3, None, "012", (0, 1.0, 2), (0, 1, True)], ids=repr
+    )
+    def test_anything_else_is_refused(self, call, path):
+        with pytest.raises(ValueError, match="special path"):
+            SPECIAL_PATH_CALLS[call](path)
+
+
 class TestRewireSpecialPath:
     def test_p5_middle_triple(self):
         g = build_graph(5, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1)])

@@ -48,7 +48,7 @@ from signed_nullity.enumeration import (
 from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
 from signed_nullity.rank import _bordered_ranks, _eliminate, _null_supports
 from signed_nullity.recognizers import bicyclic_base, shape_order
-from signed_nullity.reductions import _delete_pair, find_pendants
+from signed_nullity.reductions import _contract, _delete_pair, find_pendants, find_special_paths
 from signed_nullity.verification import (
     CatalogEntry,
     NullityCatalog,
@@ -58,10 +58,12 @@ from signed_nullity.verification import (
     _catalog_keep,
     _classes_by_order,
     _connected_classes,
+    _contraction_key,
     _deletion_key,
     _extensions,
     _grown,
     _rank_rule,
+    _threads,
     available_theorems,
     bicyclic_classes,
     catalog_nullity_classes,
@@ -553,9 +555,10 @@ class TestVerifyTheorem:
         checked = {t: verify_theorem(t, 9).instances_checked for t in sweeps}
         assert checked == {"theorem3.1": 3375, "corollary2.9": 4460, "lemma2.5": 4500}
         # a work count, not a bound: 1,312 switching classes, 1,083 pendant
-        # deletions (one per key of the 2,416 deleted pairs) and 1,304
-        # contractions, each special path in one orientation
-        assert _lemma25_kernel_calls(8) == 3699
+        # deletions (one per key of the 2,416 deleted pairs) and 788
+        # contractions (one per thread and switching class of the 1,304
+        # special paths, each in one orientation)
+        assert _lemma25_kernel_calls(8) == 3183
 
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
@@ -815,6 +818,111 @@ class TestSharedDeletions:
         # compares the keys with the deletions themselves
         counts = _shared_deletions_against_switching(4, 10)
         assert counts == {"core": 43458, "tree": 20904, "twins": 3198}
+
+
+def _thread_walk(g: SignedGraph, v2: int) -> list[int]:
+    """The path through the thread of degree-2 vertex v2, read off
+    ``g.neighbors``: the thread's vertices in order, between its two ends,
+    which are one vertex when the thread closes a cycle."""
+
+    def onward(previous: int, v: int) -> list[int]:
+        walked = [v]
+        while len(g.neighbors(v)) == 2:
+            a, b = g.neighbors(v)
+            previous, v = v, b if a == previous else a
+            walked.append(v)
+        return walked
+
+    a, b = g.neighbors(v2)
+    return [*reversed(onward(v2, a)), v2, *onward(v2, b)]
+
+
+def _contracted_label(p, x: int) -> int:
+    """The label that ``_contract`` gives vertex x when it contracts p."""
+    merged, lo, hi = sorted(p)
+    return merged if x in p else x - (x > lo) - (x > hi)
+
+
+def _thread_relabeling(n: int, walk: list[int], p, q) -> list[int]:
+    """At each label of the contraction of p, the label of the same vertex
+    in the contraction of q, p and q two special paths whose centres lie on
+    ``walk``: the shortened walk position by position, the rest as before."""
+
+    def shortened(path) -> list[int]:
+        c = walk.index(path.v2)  # the ends around it merge with it into walk[c - 1]'s place
+        return [_contracted_label(path, x) for x in walk[:c] + walk[c + 2 :]]
+
+    image = {_contracted_label(p, x): _contracted_label(q, x) for x in range(n) if x not in walk}
+    image.update(zip(shortened(p), shortened(q)))
+    assert sorted(image) == sorted(image.values()) == list(range(n - 2)), (walk, p, q)
+    return [image[a] for a in range(n - 2)]
+
+
+def _shared_contractions_against_switching(min_n: int, max_n: int) -> dict[str, int]:
+    """The comparisons made over every hung class of orders min_n..max_n.
+
+    For every two special paths of one thread (v1 < v3, as the lemma2.5
+    sweep contracts them) and every switching class, the two contractions
+    are switching-equivalent once relabeled along the thread, and the sweep
+    gives them one key (``"thread"``).  Paths with one key lie on one
+    thread, so no two threads share a key.  For every special path and
+    every two switching classes i < j, the two contractions are
+    switching-equivalent exactly when the sweep gives them one key
+    (``"classes"``).
+    """
+    counts = {"thread": 0, "classes": 0}
+    for shape in bicyclic_base_shapes(max_n):
+        switching_classes = hung_switching_classes(shape)
+        for g, _ in hung_classes(shape, max_n, min_n):
+            paths = [p for p in find_special_paths(g) if p.v1 < p.v3]
+            if not paths:
+                continue
+            reps = list(switching_classes(g))
+            threads = _threads(g)
+            keys = {p: [_contraction_key(threads, p.v2, i) for i in range(len(reps))] for p in paths}
+            walks = {p: _thread_walk(g, p.v2) for p in paths}
+            owners: dict = {}
+            for p, row in keys.items():
+                for key in row:
+                    owner = owners.setdefault(key, p)
+                    assert owner.v2 in walks[p][1:-1], (g, owner, p)  # a key names one thread
+            contracted = {p: [_contract(rep, p) for rep in reps] for p in paths}
+            for p, q in combinations(paths, 2):
+                if q.v2 not in walks[p][1:-1]:
+                    continue
+                image = _thread_relabeling(g.order, walks[p], p, q)
+                for i, rep in enumerate(reps):
+                    moved = build_graph(
+                        g.order - 2, [(image[a], image[b], s) for a, b, s in contracted[p][i].edges]
+                    )
+                    assert switching_equivalent(moved, contracted[q][i]) is not None, (rep, p, q)
+                    assert keys[p][i] == keys[q][i], (rep, p, q)
+                    counts["thread"] += 1
+            for p in paths:
+                for i, j in combinations(range(len(reps)), 2):
+                    equivalent = switching_equivalent(contracted[p][i], contracted[p][j]) is not None
+                    assert (keys[p][i] == keys[p][j]) == equivalent, (g, p, i, j)
+                    counts["classes"] += 1
+    return counts
+
+
+class TestSharedContractions:
+    def test_equal_keys_are_switching_equivalent_contractions_along_one_thread_to_order_10(self):
+        # the lemma holds on every graph, so a key that shares one rank
+        # between two threads passes the sweep; this test compares the keys
+        # with the contractions themselves
+        counts = _shared_contractions_against_switching(4, 10)
+        assert counts == {"thread": 14376, "classes": 38592}
+
+    def test_the_thread_table_names_each_maximal_path_of_degree_2_vertices(self):
+        # theta(3,3,4) with a pendant on a vertex of the 4-chain: hubs 0 and
+        # 1, chains 0-2-3-1, 0-4-5-1 and 0-6-7-8-1, and 9 hung on 7
+        g = build_graph(
+            10,
+            [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1), (4, 5, 1), (5, 1, 1)]
+            + [(0, 6, 1), (6, 7, 1), (7, 8, 1), (8, 1, 1), (7, 9, 1)],
+        )
+        assert _threads(g) == [-1, -1, 2, 2, 4, 4, 6, -1, 8, -1]
 
 
 def _connected_build(max_n: int) -> dict[str, list[int] | int]:
