@@ -3,7 +3,10 @@
 Everything here runs on exact Python integers; there is no floating point
 anywhere, so rank and nullity never depend on a tolerance.  Every exact
 elimination of the package is here: the rank kernel, and the null-space
-reader that the tree sweep and the catalog build read ranks off.
+reader that the tree sweep and the catalog build read ranks off.  One more
+elimination, over GF(2), gives no rank at all but a lower bound on the
+rank of every signing of a graph at once, which the catalog build prunes
+by before it ranks any (:func:`_mod2_rank_support`).
 """
 
 from __future__ import annotations
@@ -183,6 +186,42 @@ def _bordered_ranks(m: list[list[int]]) -> list[int]:
     """
     rho, _, support, solved = _null_supports(m)
     return [rho + 2 if u in support else rho + (u in solved) for u in range(len(m))]
+
+
+def _mod2_rank_support(g: SignedGraph) -> tuple[int, set[int]]:
+    """A lower bound on the rank of every signing of g, its adjacency rank
+    over GF(2), and the vertices u where a leaf hung at u raises it.
+
+    Every minor of an integer matrix, read mod 2, is the same minor of the
+    matrix mod 2, so the rank mod 2 never exceeds the rank over the
+    rationals; and since -1 = 1 mod 2, it is one number for every signing
+    of g.  Gauss-Jordan runs on the rows as int bitmasks, each reduced by
+    the pivots so far and, if nonzero, made a pivot at its lowest bit,
+    which is then cleared from the other pivot rows.  So every pivot row is
+    0 at the other pivots, and the null space is spanned by one vector per
+    free (pivot-less) column f: 1 at f and at each pivot whose row is 1 at
+    f.  Its support is every vertex but the pivots u whose row is e_u.
+
+    The matrix mod 2 is symmetric with a zero diagonal, so x A x = 0 for
+    every x, and its rank is even.  The same holds for A bordered by the
+    unit row and column e_u with a 0 corner, g plus a leaf at u, so the
+    leaf raises the rank by 0 or 2.  It raises it by 2 exactly when u is in
+    the null space's support: otherwise e_u, orthogonal to the null space,
+    is A y for some y, and the Schur complement, y A y = 0, adds nothing.
+    """
+    pivots: dict[int, int] = {}  # pivot bit -> its reduced row
+    for nbrs in g._sorted_neighbors:
+        row = sum(1 << w for w in nbrs)
+        for bit, reduced in pivots.items():
+            if row & bit:
+                row ^= reduced
+        if row:
+            bit = row & -row
+            for other, reduced in pivots.items():
+                if reduced & bit:
+                    pivots[other] = reduced ^ row
+            pivots[bit] = row
+    return len(pivots), {u for u in range(g.order) if pivots.get(1 << u) != 1 << u}
 
 
 def nullity(g: SignedGraph) -> int:

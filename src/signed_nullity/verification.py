@@ -61,7 +61,7 @@ from .graphs import (
     fundamental_cycles,
 )
 from .graphio import serialize_graph
-from .rank import _bordered_ranks, _null_supports, cycle_nullity_formula, nullity
+from .rank import _bordered_ranks, _mod2_rank_support, _null_supports, cycle_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -856,6 +856,11 @@ def _rank_rule(n: int, k: int, order: int) -> Optional[Callable[[int], bool]]:
     switching class of each of them, and a principal submatrix has at most
     the rank of the whole matrix: if H has a switching class of rank k,
     each class on its way has one of rank at most k.
+
+    Both forms fail every rank above k.  So a class whose rank mod 2
+    (:func:`rank._mod2_rank_support`), a lower bound on the rank of each of
+    its switching classes, exceeds k fails on every one of them, and the
+    build drops it unranked.
     """
     if order == n:
         return lambda rank: rank == k
@@ -870,17 +875,31 @@ def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph,
     whose child has a switching class (the balanced one when
     ``balanced_only``) that passes :func:`_rank_rule`.
 
+    First, one elimination mod 2 (:func:`rank._mod2_rank_support`) bounds
+    every child's rank from below, whatever its signs: by g's rank mod 2,
+    plus 2 when a leaf at u raises it.  When that plus 2 exceeds k, the
+    joins at those u fail on every switching class and are dropped.  It runs
+    only when a child's bound can exceed k: the rank mod 2 is even and at
+    most the order, so at most 2 * ((g.order + 1) // 2) for a child.
+
     A leaf edge lies on no cycle, so it is positive up to switching, and
     the child's switching classes are g's, each bordered by the unit row
     and column e_u.  One :func:`rank._bordered_ranks` pass per switching
     class of g gives the rank of each of them, for every u, before any
-    child is built; the passes stop once every join has passed.
+    child is built; the passes stop once every join left has passed, and
+    none runs when no join is left.
     """
 
     def keep(g: SignedGraph, joins: list[Join]) -> list[Join]:
         rule = _rank_rule(n, k, g.order + 1)
         if rule is None:
             return joins
+        if 2 * ((g.order + 1) // 2) > k:
+            rank2, raised = _mod2_rank_support(g)
+            if rank2 + 2 > k:
+                joins = [join for join in joins if join[0] not in raised]
+                if not joins:
+                    return []
         failing = set(joins)
         for rep in _switching_classes(g, balanced_only):
             ranks = _bordered_ranks(adjacency_matrix(rep))
@@ -895,8 +914,10 @@ def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph,
 def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]:
     """The entries for the classes of order n whose 2-core is ``shape``.
 
-    The shape's base graph, the root, is ranked by the kernel and dropped
-    at once if it fails :func:`_rank_rule`.  The build then reads each
+    The shape's base graph, the root, is dropped at once if its rank mod 2
+    (:func:`rank._mod2_rank_support`), a lower bound on the rank of every
+    switching class, exceeds k; otherwise it is ranked by the kernel and
+    dropped if it fails :func:`_rank_rule`.  The build then reads each
     child's ranks off its parent's switching classes (:func:`_catalog_keep`):
     at most one exact elimination per switching class of a parent, none per
     child.  So every class left at order n has, by those ranks, a switching
@@ -919,7 +940,10 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     shape, n, k, balanced_only = task
     root = base_graph(shape)
     rule = _rank_rule(n, k, root.order)
-    if rule and not any(rule(root.order - nullity(rep)) for rep in _switching_classes(root, balanced_only)):
+    if rule and (
+        _mod2_rank_support(root)[0] > k
+        or not any(rule(root.order - nullity(rep)) for rep in _switching_classes(root, balanced_only))
+    ):
         return []
     *_, level = _classes_by_order(root, n, _catalog_keep(n, k, balanced_only))
     entries = []

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own algorithms: rank comes from
 Laplace-expansion minors (or sympy's rational elimination for larger
-matrices), matchings from subset enumeration, isomorphism, automorphisms
-and canonical forms from raw permutation search (automorphisms among the
-permutations that keep degrees), multipartite parts from
-complement components, connected components from a plain traversal of the
-edge list.  ``IndexOnly`` stands in for a numpy integer as a test input.
+matrices), rank mod 2 from row reduction on lists of 0s and 1s, matchings
+from subset enumeration, isomorphism, automorphisms and canonical forms
+from raw permutation search (automorphisms among the permutations that
+keep degrees), multipartite parts from complement components, connected
+components from a plain traversal of the edge list.  ``IndexOnly`` stands
+in for a numpy integer as a test input.
 """
 
 from __future__ import annotations
@@ -54,6 +55,22 @@ def sympy_rank(m: list[list[int]]) -> int:
     if not m:
         return 0
     return Matrix(m).rank()
+
+
+def rank_mod2(m: list[list[int]]) -> int:
+    """Rank over GF(2) by row echelon reduction on lists of 0s and 1s."""
+    rows = [[x % 2 for x in row] for row in m]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def brute_matching_number(g: SignedGraph) -> int:

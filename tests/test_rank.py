@@ -25,9 +25,11 @@ from oracles import (
     cycle_graph,
     minor_rank,
     path_graph,
+    rank_mod2,
     star_graph,
     sympy_rank,
 )
+from signed_nullity.rank import _mod2_rank_support
 
 
 @st.composite
@@ -184,6 +186,41 @@ class TestRankKernel:
             rng.shuffle(perm)
             permuted = [[m[perm[i]][perm[j]] for j in range(6)] for i in range(6)]
             assert rank(permuted) == base
+
+
+@st.composite
+def signed_graphs(draw):
+    """A signed graph of order 0..10 with each pair joined at a drawn
+    density, 0 among them, so that edgeless graphs of every order occur."""
+    n = draw(st.integers(0, 10))
+    density = draw(st.sampled_from((0.0, 0.2, 0.4, 0.7)))
+    edges = [
+        (u, v, draw(st.sampled_from((1, -1))))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if density and draw(st.floats(0, 1)) < density
+    ]
+    return build_graph(n, edges)
+
+
+def _with_leaf(m: list[list[int]], u: int) -> list[list[int]]:
+    """The adjacency matrix m with a new vertex joined to u alone."""
+    unit = [int(v == u) for v in range(len(m))]
+    return [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
+
+
+class TestMod2RankSupport:
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs())
+    def test_a_lower_bound_of_even_parity_raised_by_2_exactly_at_the_support(self, g):
+        m = adjacency_matrix(g)
+        rank2, raised = _mod2_rank_support(g)
+        assert rank2 == rank_mod2(m)
+        positive = build_graph(g.order, [(u, v, 1) for u, v, _ in g.edges])
+        assert rank2 <= rank(m) and rank2 <= rank(adjacency_matrix(positive))
+        assert rank2 % 2 == 0
+        for u in range(g.order):
+            assert rank_mod2(_with_leaf(m, u)) == rank2 + 2 * (u in raised), u
 
 
 class TestNullity:

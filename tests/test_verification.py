@@ -46,7 +46,7 @@ from signed_nullity.enumeration import (
     signature_representatives,
 )
 from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
-from signed_nullity.rank import _bordered_ranks, _eliminate, _null_supports
+from signed_nullity.rank import _bordered_ranks, _eliminate, _mod2_rank_support, _null_supports
 from signed_nullity.recognizers import bicyclic_base, shape_order
 from signed_nullity.reductions import _contract, _delete_pair, find_pendants, find_special_paths
 from signed_nullity.verification import (
@@ -1143,6 +1143,69 @@ class TestBorderedRanks:
                 assert sorted(r[u] for r in ranks) == expected, (g, u)
 
 
+def _mod2_pruning_against_the_kernel(min_n: int, max_n: int) -> dict[str, int]:
+    """Check the catalog build's mod-2 gate against the exact rank rule in
+    every catalog of orders min_n..max_n (k = 3..n, both balanced_only
+    settings), at every root and every leaf join the build meets.
+
+    A root whose rank mod 2 exceeds k must fail the rule on every switching
+    class by the kernel; a join at a vertex where a leaf lifts the rank mod
+    2 past k, on every bordered rank of :func:`_bordered_ranks`.  The hook
+    must keep exactly the joins that pass the rule by those ranks.  Returns
+    how many roots and joins the mod-2 gate dropped, and how many of the
+    ones it let through the exact route then dropped."""
+    counts = {"roots mod 2": 0, "roots kernel": 0, "joins mod 2": 0, "joins bordered": 0}
+
+    def switching_classes(g: SignedGraph, balanced: bool) -> list[SignedGraph]:
+        return [rep for rep in signature_representatives(g) if rep.is_all_positive() or not balanced]
+
+    for n in range(min_n, max_n + 1):
+        for k in range(3, n + 1):
+            for balanced in (False, True):
+                keep = _catalog_keep(n, k, balanced)
+
+                def checked(g: SignedGraph, joins: list) -> list:
+                    kept = keep(g, joins)
+                    rule = _rank_rule(n, k, g.order + 1)
+                    if rule is None:
+                        assert kept == joins, (g, n, k, balanced)
+                        return kept
+                    ranks = [_bordered_ranks(adjacency_matrix(rep)) for rep in switching_classes(g, balanced)]
+                    passing = [join for join in joins if any(rule(r[join[0]]) for r in ranks)]
+                    assert kept == passing, (g, n, k, balanced)
+                    rank2, raised = _mod2_rank_support(g)
+                    gated = [join for join in joins if rank2 + 2 > k and join[0] in raised]
+                    assert not set(gated) & set(passing), (g, n, k, balanced)
+                    counts["joins mod 2"] += len(gated)
+                    counts["joins bordered"] += len(joins) - len(passing) - len(gated)
+                    return kept
+
+                for shape in bicyclic_base_shapes(n):
+                    root = base_graph(shape)
+                    rule = _rank_rule(n, k, root.order)
+                    if rule is not None:
+                        reps = switching_classes(root, balanced)
+                        passes = any(rule(root.order - nullity(rep)) for rep in reps)
+                        if _mod2_rank_support(root)[0] > k:
+                            assert not passes, (shape, n, k, balanced)
+                            counts["roots mod 2"] += 1
+                            continue
+                        if not passes:
+                            counts["roots kernel"] += 1
+                            continue
+                    for _ in _classes_by_order(root, n, checked):
+                        pass
+    return counts
+
+
+class TestMod2Pruning:
+    def test_every_root_and_leaf_join_of_the_catalogs_to_order_8(self):
+        # both routes drop some roots and joins, so a gate that drops a
+        # passing one, or an exact route that is never reached, fails here
+        counts = _mod2_pruning_against_the_kernel(4, 8)
+        assert counts == {"roots mod 2": 238, "roots kernel": 79, "joins mod 2": 601, "joins bordered": 791}, counts
+
+
 class TestRankPrunedCatalogs:
     """The catalog build keeps a class of order n only when a switching
     class has rank k, and one below n only when one has rank at most k; no
@@ -1229,9 +1292,17 @@ class TestRankPrunedCatalogs:
             ranks = [g.order - nullity(rep) for rep in signature_representatives(g)]
             assert rule is None or any(map(rule, ranks)), g
 
-    def test_high_rank_root_is_dropped_at_once(self, canonize_calls):
-        # the bowtie's switching classes have ranks 4 and 5; the bare (2,2,2)
-        # theta, K2,3, has rank 2 when balanced and a leaf adds 2 to it
+    def test_high_rank_root_is_dropped_at_once(self, canonize_calls, monkeypatch):
+        # the bowtie's switching classes have ranks 4 and 5, and its rank mod
+        # 2 is 4; the bare (2,2,2) theta, K2,3, has rank 2 when balanced and
+        # mod 2, and a leaf anywhere adds 2 to both; so the ranks mod 2 drop
+        # them, and no switching class is ranked
+        def no_rank(*args):
+            raise AssertionError("the build ranked a switching class")
+
+        monkeypatch.setattr(verification, "nullity", no_rank)
+        monkeypatch.setattr(verification, "_bordered_ranks", no_rank)
+        assert _mod2_rank_support(base_graph(("infinity", 3, 3, 1)))[0] == 4
         assert _catalog_chunk((("infinity", 3, 3, 1), 8, 3, False)) == []
         assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
