@@ -24,7 +24,6 @@ _EXPORTS = {
         "adjacency_matrix",
         "build_graph",
         "cycle_sign",
-        "disjoint_union",
         "fundamental_cycles",
         "induced_subgraph",
         "is_balanced",
@@ -61,7 +60,7 @@ _EXPORTS = {
         "unbalanced_bicyclic_verdict",
     ),
     "canonical": ("canonical_code", "canonical_form"),
-    "enumeration": ("labeled_trees", "signature_representatives"),
+    "enumeration": ("signature_representatives",),
     "graphio": ("GraphFormatError", "parse_graph", "serialize_graph", "to_dot"),
     "verification": (
         "NullityCatalog",

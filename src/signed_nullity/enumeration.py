@@ -25,16 +25,6 @@ from .graphs import SignedGraph, _spanning_forest, fundamental_cycles
 from .recognizers import shape_order
 
 
-def prufer_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Every Pruefer sequence of the labeled trees on n vertices, in
-    lexicographic order; K1's is the empty sequence."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"need an int n >= 1, got {n!r}")
-    if n == 1:
-        return iter([()])
-    return product(range(n), repeat=n - 2)
-
-
 def prufer_pairs(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
     """The edges of the labeled tree with Pruefer sequence ``seq`` (length
     n-2 over 0..n-1), as (leaf, neighbor) pairs in the order the leaves are
@@ -73,16 +63,6 @@ def prufer_graph(n: int, seq: tuple[int, ...]) -> SignedGraph:
     """The all-positive labeled tree with Pruefer sequence ``seq``."""
     edges = sorted((min(u, v), max(u, v), 1) for u, v in prufer_pairs(n, seq))
     return SignedGraph._trusted(n, tuple(edges))
-
-
-def labeled_trees(n: int) -> Iterator[SignedGraph]:
-    """All n^(n-2) labeled trees on n vertices, all-positive.
-
-    Signs on forests are immaterial (every signature of a forest is
-    switching-equivalent to all-positive), so one signature suffices.
-    """
-    for seq in prufer_sequences(n):
-        yield prufer_graph(n, seq)
 
 
 BaseShape = tuple[str, int, int, int]  # (kind, p, q, l)
@@ -305,9 +285,8 @@ def hung_switching_classes(shape: BaseShape) -> Callable[[SignedGraph], Iterator
     :func:`signature_representatives`.
     """
     core = base_graph(shape)
-    _, _, non_tree = _spanning_forest(core)
     size = len(core.edges)
-    free_positions = [i - size for i, edge in enumerate(core.edges) if edge in non_tree]
+    free_positions = [i - size for i in _spanning_forest(core)[2]]
     return lambda g: _sign_patterns(g, free_positions)
 
 
@@ -357,8 +336,7 @@ def signature_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
     parent, _, non_tree = _spanning_forest(g)
     if parent.count(-1) > 1:
         raise ValueError("switching-class enumeration needs a connected graph")
-    free = {(u, v) for u, v, _ in non_tree}
-    yield from _sign_patterns(g, [i for i, (u, v, _) in enumerate(g.edges) if (u, v) in free])
+    yield from _sign_patterns(g, non_tree)
 
 
 def _sign_patterns(g: SignedGraph, free_positions: list[int]) -> Iterator[SignedGraph]:

@@ -243,19 +243,21 @@ class BalanceWitness(NamedTuple):
     negative_cycle: Optional[Cycle] = None
 
 
-def _spanning_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+def _spanning_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int]]:
     """BFS spanning forest rooted at the lowest id of each component.
 
-    Returns (parent, depth, non_tree_edges).  parent[root] == -1.  The
-    traversal (lowest unvisited root, neighbors in ascending order) is fixed
-    so every derived object -- switching witnesses, fundamental cycles,
-    signature representatives -- is reproducible.
+    Returns (parent, depth, non_tree): parent[root] == -1, and non_tree
+    holds the positions in ``g.edges`` of the edges outside the forest, in
+    ascending order.  In a simple graph the edge uv is a tree edge exactly
+    when one end is the other's parent.  The traversal (lowest unvisited
+    root, neighbors in ascending order) is fixed so every derived object --
+    switching witnesses, fundamental cycles, signature representatives --
+    is reproducible.
     """
     n = g.order
     neighbors = g._sorted_neighbors
     parent = [-2] * n  # -2 = unvisited, -1 = root
     depth = [0] * n
-    tree_pairs: set[tuple[int, int]] = set()
     for root in range(n):
         if parent[root] != -2:
             continue
@@ -268,10 +270,9 @@ def _spanning_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[i
                     if parent[v] == -2:
                         parent[v] = u
                         depth[v] = depth[u] + 1
-                        tree_pairs.add((min(u, v), max(u, v)))
                         nxt.append(v)
             queue = sorted(nxt)
-    non_tree = [(u, v, s) for u, v, s in g.edges if (u, v) not in tree_pairs]
+    non_tree = [i for i, (u, v, _) in enumerate(g.edges) if parent[v] != u and parent[u] != v]
     return parent, depth, non_tree
 
 
@@ -301,7 +302,7 @@ def fundamental_cycles(g: SignedGraph) -> list[Cycle]:
     closing edge's position in the canonical edge list.
     """
     parent, depth, non_tree = _spanning_forest(g)
-    return [_tree_path_cycle(parent, depth, u, v) for u, v, _ in non_tree]
+    return [_tree_path_cycle(parent, depth, u, v) for u, v, _ in (g.edges[i] for i in non_tree)]
 
 
 def _forest_switching(g: SignedGraph, parent: list[int], depth: list[int]) -> list[int]:
@@ -323,7 +324,7 @@ def is_balanced(g: SignedGraph) -> BalanceWitness:
     """
     parent, depth, non_tree = _spanning_forest(g)
     theta = _forest_switching(g, parent, depth)
-    for u, v, s in non_tree:
+    for u, v, s in (g.edges[i] for i in non_tree):
         if theta[u] * s * theta[v] == -1:
             return BalanceWitness(balanced=False, negative_cycle=_tree_path_cycle(parent, depth, u, v))
     return BalanceWitness(balanced=True, switching=tuple(theta))
@@ -376,8 +377,3 @@ def compaction_map(order: int, removed: Iterable[int]) -> tuple[int, ...]:
 def is_connected(g: SignedGraph) -> bool:
     return _spanning_forest(g)[0].count(-1) <= 1
 
-
-def disjoint_union(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
-    shift = g1.order
-    edges = g1.edges + tuple((u + shift, v + shift, s) for u, v, s in g2.edges)
-    return SignedGraph._trusted(g1.order + g2.order, edges)

@@ -577,10 +577,12 @@ def _tree_tasks(max_n: int) -> list[tuple]:
     return tasks
 
 
-# The largest order of the connected sweeps.  At n = 9 they would check at
-# least 1,613,484,762 instances (the labeled switching classes, the sum of
-# 2^(m-8) over the labeled connected graphs, divided by 9!), over 11 h at
-# 26 us each, in one chunk.
+# The largest order of the connected sweeps.  At n = 9 they would check
+# 4,688,912,651 instances, the sum of 2^(m-8) switching classes over the
+# 261,080 classes this build makes at that order (counted by summing over
+# one build to 9, which took 4 min).  At the 21.6 us per instance that
+# theorem2.3 costs at order 8 (2 vCPUs, Python 3.11.7), that is about 28 h
+# serially, in one chunk.
 _CONNECTED_MAX_N = 8
 
 

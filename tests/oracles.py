@@ -6,8 +6,9 @@ matrices), rank mod 2 from row reduction on lists of 0s and 1s, matchings
 from subset enumeration, isomorphism, automorphisms and canonical forms
 from raw permutation search (automorphisms among the permutations that
 keep degrees), multipartite parts from complement components, connected
-components from a plain traversal of the edge list.  ``IndexOnly`` stands
-in for a numpy integer as a test input.
+components from a plain traversal of the edge list.  ``disjoint_union``
+builds disconnected inputs through the checked constructor, and
+``IndexOnly`` stands in for a numpy integer as a test input.
 """
 
 from __future__ import annotations
@@ -302,6 +303,12 @@ def complement_parts(g: SignedGraph, support: list[int]) -> list[tuple[int, ...]
             if (part_of[u] != part_of[w]) != g.has_edge(u, w):
                 return None
     return [tuple(p) for p in parts]
+
+
+def disjoint_union(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
+    """g1 and g2 side by side, g2's vertices numbered after g1's."""
+    shifted = tuple((u + g1.order, v + g1.order, s) for u, v, s in g2.edges)
+    return SignedGraph(g1.order + g2.order, g1.edges + shifted)
 
 
 def two_core(g: SignedGraph) -> tuple[int, ...]:

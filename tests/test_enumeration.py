@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from signed_nullity import (
@@ -12,7 +14,6 @@ from signed_nullity import (
     canonical_code,
     is_balanced,
     is_connected,
-    labeled_trees,
     signature_representatives,
     switching_equivalent,
 )
@@ -23,6 +24,7 @@ from signed_nullity.enumeration import (
     bicyclic_base_shapes,
     hung_classes,
     hung_switching_classes,
+    prufer_graph,
     rooted_trees,
 )
 from signed_nullity.graphs import cycle_sign, fundamental_cycles
@@ -41,27 +43,19 @@ class TestLabeledTrees:
         "n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125), (6, 1296), (7, 16807)]
     )
     def test_cayley_counts(self, n, count):
-        # n^(n-2) pairwise distinct trees: every labeled tree is decoded once
-        trees = [g.edges for g in labeled_trees(n)]
+        # n^(n-2) pairwise distinct trees: every Pruefer code is decoded to its own tree
+        trees = [prufer_graph(n, seq).edges for seq in product(range(n), repeat=max(n - 2, 0))]
         assert len(trees) == len(set(trees)) == count
 
     def test_all_distinct_and_acyclic(self):
         seen = set()
-        for g in labeled_trees(5):
+        for seq in product(range(5), repeat=3):
+            g = prufer_graph(5, seq)
             assert g.order == 5 and len(g.edges) == 4
             assert is_connected(g)
             assert g.is_all_positive()
             seen.add(g.edges)
         assert len(seen) == 125
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            list(labeled_trees(0))
-
-    @pytest.mark.parametrize("n", [True, 3.0, "3"])
-    def test_non_int_order_rejected(self, n):
-        with pytest.raises(ValueError, match="int"):
-            list(labeled_trees(n))
 
 
 class TestBicyclicUnderlying:

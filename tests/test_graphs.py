@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
 
@@ -15,14 +16,12 @@ from signed_nullity import (
     contract_special_path,
     cycle_sign,
     delete_pendant_pair,
-    disjoint_union,
     find_pendants,
     find_special_paths,
     fundamental_cycles,
     induced_subgraph,
     is_balanced,
     is_connected,
-    labeled_trees,
     normalize_special_path,
     parse_graph,
     recognize_rank3,
@@ -32,9 +31,10 @@ from signed_nullity import (
     switch,
     switching_equivalent,
 )
-from signed_nullity.enumeration import base_graph, bicyclic_base_shapes
+from signed_nullity.enumeration import base_graph, bicyclic_base_shapes, prufer_graph
+from signed_nullity.graphs import _spanning_forest
 from signed_nullity.verification import _connected_classes, _extensions, _grown, bicyclic_classes
-from oracles import IndexOnly, connected_labeled_graphs, cycle_graph, path_graph
+from oracles import IndexOnly, connected_labeled_graphs, cycle_graph, disjoint_union, path_graph
 
 
 class TestBuildGraph:
@@ -201,6 +201,16 @@ class TestIsBalanced:
 
 
 class TestFundamentalCycles:
+    def test_spanning_forest_gives_the_positions_of_its_non_tree_edges(self):
+        # uv is a tree edge exactly when one end is the other's parent; on
+        # the path 0-2-1 the child 1 has a lower id than its parent 2
+        graphs = [build_graph(3, [(0, 2, 1), (1, 2, 1)]), disjoint_union(cycle_graph(4), cycle_graph(3))]
+        for g in graphs + connected_labeled_graphs(5):
+            parent, _, non_tree = _spanning_forest(g)
+            tree = {(min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0}
+            assert non_tree == [i for i, (u, v, _) in enumerate(g.edges) if (u, v) not in tree]
+            assert len(non_tree) == len(g.edges) - g.order + parent.count(-1)
+
     def test_tree_has_none(self):
         assert fundamental_cycles(path_graph(5)) == []
 
@@ -286,7 +296,7 @@ class TestHelpers:
 def _generated_graphs():
     """Graphs from every generator that builds its output unchecked."""
     for n in (1, 2, 5):
-        yield from labeled_trees(n)
+        yield from (prufer_graph(n, seq) for seq in product(range(n), repeat=max(n - 2, 0)))
     for g in _connected_classes(5):
         yield g
         yield from (_grown(g, join) for join in _extensions(g, tuple(g.vertices()), leaves_only=False))
@@ -298,12 +308,11 @@ def _generated_graphs():
             yield from signature_representatives(g)
 
 
-def _transformed(g, other):
+def _transformed(g):
     """Outputs of every transformation that builds its result unchecked."""
     yield g.underlying()
     yield switch(g, tuple(-1 if v % 3 == 1 else 1 for v in range(g.order)))
     yield induced_subgraph(g, range(0, g.order, 2))
-    yield disjoint_union(g, other)
     for v, u in find_pendants(g):
         yield delete_pendant_pair(g, v, u)
     for p in find_special_paths(g):
@@ -472,8 +481,7 @@ class TestUncheckedConstruction:
 
     def test_transformations(self):
         graphs = list(_generated_graphs())
-        pairs = zip(graphs, graphs[1:] + graphs[:1])
-        outputs = (h for g, other in pairs for h in _transformed(g, other))
+        outputs = (h for g in graphs for h in _transformed(g))
         assert self._assert_valid(outputs) > 5 * len(graphs)
 
     def test_behaves_like_a_checked_graph(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from signed_nullity import (
     adjacency_matrix,
     build_graph,
     cycle_nullity_formula,
-    disjoint_union,
     forest_nullity_formula,
     matching_number,
     nullity,
@@ -22,14 +22,19 @@ from signed_nullity import (
 from oracles import (
     IndexOnly,
     brute_matching_number,
+    complement_parts,
+    connected_components,
     cycle_graph,
+    disjoint_union,
     minor_rank,
     path_graph,
     rank_mod2,
     star_graph,
     sympy_rank,
 )
+from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes
 from signed_nullity.rank import _mod2_rank_support
+from signed_nullity.verification import _connected_classes
 
 
 @st.composite
@@ -209,7 +214,75 @@ def _with_leaf(m: list[list[int]], u: int) -> list[list[int]]:
     return [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
 
 
+def _low_by_the_lemma(g) -> bool:
+    """Whether the connected graph g is K1 or complete bi- or tripartite.
+
+    Those are exactly the connected graphs of rank at most 2 over GF(2).
+    A symmetric matrix with a zero diagonal and rank 2 over GF(2) is
+    xy' + yx' for two vectors x and y, so it joins two vertices exactly
+    when their labels (x_v, y_v) are distinct and both nonzero; a vertex
+    labeled (0, 0) is isolated, and a connected graph has none unless it
+    is K1 (rank 0)."""
+    parts = complement_parts(g, list(g.vertices()))
+    return g.order == 1 or parts is not None and len(parts) in (2, 3)
+
+
+def _mod2_lemma_on_connected_classes(max_n: int) -> dict[int, int]:
+    """Check on every connected class of orders 1..max_n that its rank mod 2
+    is at most 2 exactly when :func:`_low_by_the_lemma` says so, and return
+    the number of such classes of each order."""
+    low: Counter[int] = Counter()
+    for g in _connected_classes(max_n):
+        rank2 = _mod2_rank_support(g)[0]
+        assert (rank2 <= 2) == _low_by_the_lemma(g), g
+        low[g.order] += rank2 <= 2
+    return dict(low)
+
+
+@st.composite
+def connected_near_multipartite(draw):
+    """A connected signed graph of order 1..40: the complete multipartite
+    graph on 1 to 5 drawn parts with up to 3 drawn pairs toggled, and its
+    components then joined in a chain, so that complete bi- and tripartite
+    graphs and graphs an edge or two away from them all occur."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if labels[u] != labels[v]}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        if a != b:
+            pairs ^= {(min(a, b), max(a, b))}
+    components = connected_components(build_graph(n, [(u, v, 1) for u, v in pairs]))
+    pairs |= {(c[0], d[0]) for c, d in zip(components, components[1:])}
+    rng = draw(st.randoms(use_true_random=False))
+    return build_graph(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+
+
 class TestMod2RankSupport:
+    def test_connected_classes_of_rank_at_most_2_to_order_7(self):
+        low = _mod2_lemma_on_connected_classes(7)
+        assert low == {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 6, 7: 7}
+        # floor(n/2) complete bipartite graphs and p3(n) complete tripartite ones
+        for n in range(3, 8):
+            p3 = sum(1 for a in range(1, n) for b in range(a, n) if n - a - b >= b)
+            assert low[n] == n // 2 + p3
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_near_multipartite())
+    def test_rank_at_most_2_exactly_on_the_complete_bi_and_tripartite_graphs(self, g):
+        rank2 = _mod2_rank_support(g)[0]
+        assert rank2 == rank_mod2(adjacency_matrix(g))
+        assert (rank2 <= 2) == _low_by_the_lemma(g)
+
+    def test_bicyclic_classes_of_rank_at_most_2_are_k112_and_k23(self):
+        low = [
+            (g.order, shape, sorted(map(len, complement_parts(g, list(g.vertices())))))
+            for shape in bicyclic_base_shapes(12)
+            for g, _ in hung_classes(shape, 12)
+            if _mod2_rank_support(g)[0] <= 2
+        ]
+        assert sorted(low) == [(4, ("theta", 2, 2, 1), [1, 1, 2]), (5, ("theta", 2, 2, 2), [2, 3])]
+
     @settings(max_examples=200, deadline=None)
     @given(signed_graphs())
     def test_a_lower_bound_of_even_parity_raised_by_2_exactly_at_the_support(self, g):

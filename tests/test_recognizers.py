@@ -14,7 +14,6 @@ from signed_nullity import (
     adjacency_matrix,
     bicyclic_base,
     build_graph,
-    disjoint_union,
     is_balanced,
     low_rank_neighborhood_check,
     nullity,
@@ -26,7 +25,7 @@ from signed_nullity import (
 )
 from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes
 from signed_nullity.recognizers import _two_core, shape_order
-from oracles import complement_parts, cycle_graph, path_graph, two_core
+from oracles import complement_parts, cycle_graph, disjoint_union, path_graph, two_core
 
 
 def complete_bipartite(a: int, b: int):
