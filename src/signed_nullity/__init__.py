@@ -55,6 +55,9 @@ _EXPORTS = {
         "UnbalancedBicyclicVerdict",
         "bicyclic_base",
         "low_rank_neighborhood_check",
+        "may_be_extremal_bicyclic",
+        "may_match_rank2",
+        "may_match_rank3",
         "recognize_rank2",
         "recognize_rank3",
         "unbalanced_bicyclic_verdict",

@@ -6,7 +6,9 @@ elimination of the package is here: the rank kernel, and the null-space
 reader that the tree sweep and the catalog build read ranks off.  One more
 elimination, over GF(2), gives no rank at all but a lower bound on the
 rank of every signing of a graph at once, which the catalog build prunes
-by before it ranks any (:func:`_mod2_rank_support`).
+by before it ranks any, and by which the sweeps of the statements that
+fail only at rank 3 or less settle a class unranked
+(:func:`_mod2_rank_support`).
 """
 
 from __future__ import annotations
@@ -192,15 +194,20 @@ def _mod2_rank_support(g: SignedGraph) -> tuple[int, set[int]]:
     """A lower bound on the rank of every signing of g, its adjacency rank
     over GF(2), and the vertices u where a leaf hung at u raises it.
 
+    The catalog build drops a class or a leaf join whose bound exceeds the
+    catalog's rank, and the sweeps settle a class whose bound is 4 or more
+    without ranking its switching classes (``verification._settled``).
+
     Every minor of an integer matrix, read mod 2, is the same minor of the
     matrix mod 2, so the rank mod 2 never exceeds the rank over the
     rationals; and since -1 = 1 mod 2, it is one number for every signing
     of g.  Gauss-Jordan runs on the rows as int bitmasks, each reduced by
-    the pivots so far and, if nonzero, made a pivot at its lowest bit,
-    which is then cleared from the other pivot rows.  So every pivot row is
-    0 at the other pivots, and the null space is spanned by one vector per
-    free (pivot-less) column f: 1 at f and at each pivot whose row is 1 at
-    f.  Its support is every vertex but the pivots u whose row is e_u.
+    the pivot rows at the pivot bits it holds and, if nonzero, made a pivot
+    at its lowest bit, which is then cleared from the other pivot rows.  So
+    every pivot row is 0 at the other pivots, a reduction adds no pivot bit
+    to a row, and the null space is spanned by one vector per free
+    (pivot-less) column f: 1 at f and at each pivot whose row is 1 at f.
+    Its support is every vertex but the pivots u whose row is e_u.
 
     The matrix mod 2 is symmetric with a zero diagonal, so x A x = 0 for
     every x, and its rank is even.  The same holds for A bordered by the
@@ -210,17 +217,23 @@ def _mod2_rank_support(g: SignedGraph) -> tuple[int, set[int]]:
     is A y for some y, and the Schur complement, y A y = 0, adds nothing.
     """
     pivots: dict[int, int] = {}  # pivot bit -> its reduced row
+    held = 0  # the pivot bits
     for nbrs in g._sorted_neighbors:
-        row = sum(1 << w for w in nbrs)
-        for bit, reduced in pivots.items():
-            if row & bit:
-                row ^= reduced
+        row = 0
+        for w in nbrs:
+            row |= 1 << w
+        at = row & held
+        while at:
+            bit = at & -at
+            row ^= pivots[bit]
+            at ^= bit
         if row:
             bit = row & -row
             for other, reduced in pivots.items():
                 if reduced & bit:
                     pivots[other] = reduced ^ row
             pivots[bit] = row
+            held |= bit
     return len(pivots), {u for u in range(g.order) if pivots.get(1 << u) != 1 << u}
 
 

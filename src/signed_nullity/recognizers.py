@@ -7,6 +7,10 @@ multipartite graph the parts are the twin classes, the vertices with equal
 neighbor lists, so both checks read them off the cached neighbor lists.
 They are purely structural (no elimination), so they can be compared
 against the exact rank kernel as independent routes to the same answer.
+Each recognizer, the extremal-shape verdict too, starts with a step that
+reads no sign; it is public (:func:`may_match_rank2`,
+:func:`may_match_rank3`, :func:`may_be_extremal_bicyclic`), so a caller
+learns from one call whether any signing of a graph can match.
 """
 
 from __future__ import annotations
@@ -54,6 +58,22 @@ def _twin_parts(g: SignedGraph, k: int) -> tuple[Optional[str], dict[tuple[int, 
     if not twins:
         return "edgeless", twins
     return (None if len(twins) == k else "not-complete-multipartite"), twins
+
+
+def may_match_rank2(g: SignedGraph) -> bool:
+    """False when no signing of g's underlying graph matches
+    :func:`recognize_rank2`: the sign-free step it takes first, "is g
+    complete bipartite plus isolated vertices?".  True exactly when some
+    signing matches, the all-positive one."""
+    return _twin_parts(g, 2)[0] is None
+
+
+def may_match_rank3(g: SignedGraph) -> bool:
+    """False when no signing of g's underlying graph matches
+    :func:`recognize_rank3`: the sign-free step it takes first, "is g
+    complete tripartite plus isolated vertices?".  True exactly when some
+    signing matches, the all-positive one."""
+    return _twin_parts(g, 3)[0] is None
 
 
 def recognize_rank2(g: SignedGraph) -> RankClassVerdict:
@@ -228,15 +248,20 @@ class UnbalancedBicyclicVerdict(NamedTuple):
     is_extremal: bool  # bare theta(2,2,1) core with both triangles negative
 
 
+def may_be_extremal_bicyclic(g: SignedGraph, base: BicyclicBase) -> bool:
+    """False when no signing of g, with 2-core ``base``, is extremal
+    (:func:`is_extremal_bicyclic`): the sign-free step it takes first, "is
+    g a bare theta(2,2,1)?".  True exactly when some signing is."""
+    return base[:4] == ("theta", 2, 2, 1) and len(base.base_vertices) == g.order
+
+
 def is_extremal_bicyclic(g: SignedGraph, base: BicyclicBase) -> bool:
     """True iff g, with 2-core ``base``, is the equality shape of the n-3 bound.
 
     That is a bare theta(2,2,1) (so order 4, no attached trees) whose two
     triangles are both negative.
     """
-    if base.kind != "theta" or (base.p, base.q, base.l) != (2, 2, 1):
-        return False
-    if len(base.base_vertices) != g.order:
+    if not may_be_extremal_bicyclic(g, base):
         return False
     hubs = [v for v in base.base_vertices if g.degree(v) == 3]
     mids = [v for v in base.base_vertices if g.degree(v) == 2]

@@ -27,6 +27,16 @@ and switching class: contracting at any centre of one thread shortens the
 path through it by two edges and flips the sign of the cycles through it,
 so every such contraction gives one graph up to relabeling and switching.
 
+Five statements can fail only on a signing of rank at most 3: the two
+n-4 bounds, the n-3 bound and its equality case, and the rank-2 and
+rank-3 recognitions.  Their sweeps settle a class whose rank mod 2
+(:func:`rank._mod2_rank_support`), a lower bound on the rank of every
+signing, is at least 4, and on which the sign-free step of each
+recognizer involved says that no signing can match (:func:`_settled`):
+they check it once, for all its switching classes, and build none.  At
+orders 6 to 14 this settles every bicyclic class, and at order 8 all but
+9 connected ones.
+
 This module holds sweeps and no elimination: every exact elimination is
 in :mod:`rank`.  The tree sweep reads each tree's rank off the null
 space of a smaller tree's biadjacency block, and the catalog build each
@@ -67,6 +77,9 @@ from .recognizers import (
     bicyclic_base,
     is_extremal_bicyclic,
     low_rank_neighborhood_check,
+    may_be_extremal_bicyclic,
+    may_match_rank2,
+    may_match_rank3,
     recognize_rank2,
     recognize_rank3,
     shape_order,
@@ -212,14 +225,19 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
         yield from level.values()
 
 
-# The largest order of the bicyclic sweeps, catalogs and classes.  On 2
+# The largest order of lemma2.5, the catalogs and bicyclic_classes.  On 2
 # workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes
 # 8.6-10.7 s at n <= 12 (10.3-13.7 s in alternating runs when every special
-# path was contracted on its own; theorem3.1 1.6 s, corollary2.9 2.0-2.1 s),
-# and the largest catalog, n = 12 and k = 12 (6,627 entries), takes
-# 4.0-4.6 s.  The classes themselves are constructed to order 14 in 8 s:
-# the checks set the cap.
+# path was contracted on its own), and the largest catalog, n = 12 and
+# k = 12 (6,627 entries), takes 4.0-4.6 s.  The classes themselves are
+# constructed to order 14 in 8 s: the checks set the cap.
 _BICYCLIC_MAX_N = 12
+
+# The largest order of the two bicyclic bound sweeps, theorem3.1 and
+# corollary2.9, which settle every class from order 6 on unranked
+# (_settled), so that the class build and one mod-2 elimination per class
+# set their cost; their times at the cap are beside them in _SWEEPS.
+_BICYCLIC_BOUND_MAX_N = 14
 
 
 def _bicyclic_shapes(n: int) -> list[BaseShape]:
@@ -237,7 +255,7 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
     Each 2-core shape constructs its own classes (:func:`hung_classes`),
     and each is canonized once; no code comes from two shapes, since an
     isomorphism maps 2-core onto 2-core.  Orders below 4 and above 12, the
-    bicyclic sweeps' cap, are refused.
+    cap of lemma2.5 and the catalogs, are refused.
     """
     n = _integer("n", n)
     classes: dict[str, SignedGraph] = {}
@@ -250,10 +268,34 @@ def bicyclic_classes(n: int) -> dict[str, SignedGraph]:
 
 # ---------------------------------------------------------------------------
 # sweep checks: each yields every checked instance with its violation
-# details, the empty tuple when it passes; a check may yield None in place
-# of the graph of a passing instance, so as not to build it
+# details, the empty tuple when it passes, and its weight, the number of
+# instances it stands for.  A check may yield None in place of the graph of
+# a passing instance, so as not to build it.  A class that _settled clears
+# is yielded once, as its class graph, weighted by its switching classes.
 
-Checked = Iterator[tuple[Optional[SignedGraph], tuple[str, ...]]]
+Checked = Iterator[tuple[Optional[SignedGraph], tuple[str, ...], int]]
+
+
+def _settled(g: SignedGraph, may_match: bool = False) -> bool:
+    """True when every signing of g passes each statement that can fail
+    only at rank 3 or less, so that no switching class of g need be built.
+
+    g's rank mod 2 (:func:`rank._mod2_rank_support`) bounds the rank of
+    every signing of g from below; when it is at least 4, the kernel finds
+    rank 4 or more on each.  The recognizers a statement compares with the
+    kernel must then say "no" on each signing too, which their sign-free
+    steps (``may_match``, from :func:`may_match_rank2` and the like) decide
+    for all signings at once.  When the two disagree, the class is not
+    settled: it is checked one switching class at a time, where a fault
+    shows as a violation with its signing as the witness.
+    """
+    return not may_match and _mod2_rank_support(g)[0] >= 4
+
+
+def _switching_class_count(g: SignedGraph) -> int:
+    """The switching classes of a connected g: one per sign pattern on the
+    edges outside a spanning tree."""
+    return 1 << (len(g.edges) - g.order + 1)
 
 
 def _leaf_matching(n: int, pairs: list[tuple[int, int]]) -> int:
@@ -359,9 +401,9 @@ def _check_trees(n: int, *prefix: int) -> Checked:
         pairs = prufer_pairs(n, ())
         rank = _null_supports(_tree_block(_tree_sides(n, pairs), pairs))[0]
         if n - 2 * _leaf_matching(n, pairs) == n - 2 * rank:
-            yield None, ()
+            yield None, (), 1
         else:
-            yield prufer_graph(n, ()), (_TREE_DISAGREES,)
+            yield prufer_graph(n, ()), (_TREE_DISAGREES,), 1
         return
     for rest in product(range(n), repeat=n - 3 - len(prefix)):
         sigma = prefix + rest
@@ -380,9 +422,9 @@ def _check_trees(n: int, *prefix: int) -> Checked:
                 pairs[0], pairs[1] = (m, s), first
                 rank = ranks[s]
             if n - 2 * _leaf_matching(n, pairs) == n - 2 * rank:
-                yield None, ()
+                yield None, (), 1
             else:
-                yield prufer_graph(n, (s,) + sigma), (_TREE_DISAGREES,)
+                yield prufer_graph(n, (s,) + sigma), (_TREE_DISAGREES,), 1
 
 
 def _check_cycles(length: int) -> Checked:
@@ -391,18 +433,24 @@ def _check_cycles(length: int) -> Checked:
         g = build_graph(length, path + [(0, length - 1, 1 if balanced else -1)])
         kind = "balanced" if balanced else "unbalanced"
         ok = cycle_nullity_formula(length, balanced) == nullity(g)
-        yield g, () if ok else (f"{kind} cycle formula disagrees with rank kernel",)
+        yield g, () if ok else (f"{kind} cycle formula disagrees with rank kernel",), 1
 
 
 def _check_rank2(max_n: int) -> Checked:
     for g in _connected_classes(max_n):
+        if _settled(g, may_match_rank2(g)):
+            yield g, (), _switching_class_count(g)
+            continue
         for rep in signature_representatives(g):
             ok = recognize_rank2(rep).matches == (rep.order - nullity(rep) == 2)
-            yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",)
+            yield rep, () if ok else ("rank-2 recognizer disagrees with rank kernel",), 1
 
 
 def _check_rank3(max_n: int) -> Checked:
     for g in _connected_classes(max_n):
+        if _settled(g, may_match_rank3(g)):
+            yield g, (), _switching_class_count(g)
+            continue
         for rep in signature_representatives(g):
             r = rep.order - nullity(rep)
             details: tuple[str, ...] = ()
@@ -414,7 +462,7 @@ def _check_rank3(max_n: int) -> Checked:
                     details += (
                         f"neighborhood split check fails at vertices {bad} despite rank {r}",
                     )
-            yield rep, details
+            yield rep, details, 1
 
 
 def _is_star(g: SignedGraph) -> bool:
@@ -427,9 +475,12 @@ def _check_pendant_bound(max_n: int) -> Checked:
     for g in _connected_classes(max_n):
         if g.order < 4 or _is_star(g) or not find_pendants(g):
             continue
+        if _settled(g):
+            yield g, (), _switching_class_count(g)
+            continue
         for rep in signature_representatives(g):
             ok = nullity(rep) <= g.order - 4
-            yield rep, () if ok else ("pendant vertex present but nullity exceeds n-4",)
+            yield rep, () if ok else ("pendant vertex present but nullity exceeds n-4",), 1
 
 
 def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
@@ -440,7 +491,10 @@ def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
         # the construction gives the 2-core the highest labels, and signs do
         # not change it; bicyclic_base must agree, which a test checks
         base = BicyclicBase(*shape, tuple(range(n - k, n)))
-        # the first switching class is all-positive, the one balanced class
+        # the balanced switching class is not checked: the first, all-positive
+        if _settled(g, may_be_extremal_bicyclic(g, base)):
+            yield g, (), _switching_class_count(g) - 1
+            continue
         for rep in islice(switching_classes(g), 1, None):
             eta = nullity(rep)
             details: tuple[str, ...] = ()
@@ -449,7 +503,7 @@ def _check_bicyclic_bound(shape: BaseShape, max_n: int) -> Checked:
             extremal = is_extremal_bicyclic(rep, base)
             if extremal != (eta == n - 3):
                 details += (f"extremal-shape verdict {extremal} but nullity is {eta}",)
-            yield rep, details
+            yield rep, details, 1
 
 
 def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
@@ -462,8 +516,11 @@ def _check_special_path_bound(shape: BaseShape, max_n: int) -> Checked:
             reasons += ("pendant vertex present but nullity exceeds n-4",)
         if not reasons:
             continue
+        if _settled(g):
+            yield g, (), _switching_class_count(g)
+            continue
         for rep in switching_classes(g):
-            yield rep, reasons if nullity(rep) > g.order - 4 else ()
+            yield rep, reasons if nullity(rep) > g.order - 4 else (), 1
 
 
 def _deletion_key(cuts: tuple[tuple[int, ...], ...], t: int, u: int, i: int) -> tuple[int, int]:
@@ -548,7 +605,7 @@ def _check_reductions(shape: BaseShape, max_n: int) -> Checked:
                     details.append(
                         f"contraction of special path ({p.v1},{p.v2},{p.v3}) changed the nullity"
                     )
-            yield rep, tuple(details)
+            yield rep, tuple(details), 1
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +636,11 @@ def _tree_tasks(max_n: int) -> list[tuple]:
 
 # The largest order of the connected sweeps.  At n = 9 they would check
 # 4,688,912,651 instances, the sum of 2^(m-8) switching classes over the
-# 261,080 classes this build makes at that order (counted by summing over
-# one build to 9, which took 4 min).  At the 21.6 us per instance that
-# theorem2.3 costs at order 8 (2 vCPUs, Python 3.11.7), that is about 28 h
-# serially, in one chunk.
+# 261,080 classes this build makes at that order.  The sweeps rank only the
+# switching classes of unsettled classes (_settled): at n <= 8, 32,740 of
+# the 19,600,270 instances of theorem2.3 and theorem2.4, which each checks
+# in 8.2-8.9 s serially (2 vCPUs, Python 3.11.7), 7.7 s of it the class
+# build.  So the build sets the cap: to order 9 it took 213 s, in one chunk.
 _CONNECTED_MAX_N = 8
 
 
@@ -635,14 +693,14 @@ _SWEEPS: dict[str, Sweep] = {
     "corollary2.9": Sweep(
         "bicyclic graphs with a special path or pendant have nullity <= n-4",
         4,
-        _BICYCLIC_MAX_N,
+        _BICYCLIC_BOUND_MAX_N,  # 1,743,404 instances at n <= 14: 16.0 s serially
         _bicyclic_tasks,
         _check_special_path_bound,
     ),
     "theorem3.1": Sweep(
         "unbalanced bicyclic nullity is at most n-3, extremal exactly at the doubled-triangle shape",
         4,
-        _BICYCLIC_MAX_N,
+        _BICYCLIC_BOUND_MAX_N,  # 1,307,583 instances at n <= 14: 14.5 s serially
         _bicyclic_tasks,
         _check_bicyclic_bound,
     ),
@@ -674,8 +732,8 @@ def _sweep_chunk(task: tuple[str, tuple]) -> tuple[int, list[Violation]]:
     key, args = task
     checked = 0
     violations = []
-    for g, details in _SWEEPS[key].check(*args):
-        checked += 1
+    for g, details, weight in _SWEEPS[key].check(*args):
+        checked += weight
         for detail in details:
             violations.append(Violation(g.order, detail, serialize_graph(g)))
     return checked, violations
@@ -982,7 +1040,7 @@ def catalog_nullity_classes(
     classes with a switching class of rank at most k (of the balanced one,
     when ``balanced_only``), since rank never falls as leaves are added; so
     a catalog for small k builds a small fraction of the classes of order n.
-    Orders below 4 and above 12, the bicyclic sweeps' cap, are refused
+    Orders below 4 and above 12, the cap of lemma2.5 and the catalogs, are refused
     before any work, and so is an argument of the wrong type.
     """
     n, k, workers = _integer("n", n), _integer("k", k), _integer("workers", workers)

@@ -16,6 +16,9 @@ from signed_nullity import (
     build_graph,
     is_balanced,
     low_rank_neighborhood_check,
+    may_be_extremal_bicyclic,
+    may_match_rank2,
+    may_match_rank3,
     nullity,
     rank,
     recognize_rank2,
@@ -23,8 +26,9 @@ from signed_nullity import (
     switch,
     unbalanced_bicyclic_verdict,
 )
-from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes
-from signed_nullity.recognizers import _two_core, shape_order
+from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes, signature_representatives
+from signed_nullity.recognizers import _two_core, is_extremal_bicyclic, shape_order
+from signed_nullity.verification import _connected_classes
 from oracles import complement_parts, cycle_graph, disjoint_union, path_graph, two_core
 
 
@@ -371,6 +375,29 @@ class TestUnbalancedBicyclicVerdict:
         assert verdict.bound_holds
         assert not verdict.is_extremal
         assert nullity(g) < g.order - 3
+
+
+class TestSignFreeSteps:
+    def test_each_step_says_whether_some_switching_class_matches(self):
+        # the sweeps settle a class whose steps all say "no", so a step that
+        # says "no" where some signing matches would hide a recognizer fault
+        counts = {"rank2": 0, "rank3": 0, "bicyclic": 0, "extremal": 0}
+        for g in _connected_classes(6):
+            reps = list(signature_representatives(g))
+            rank2 = any(recognize_rank2(rep).matches for rep in reps)
+            rank3 = any(recognize_rank3(rep).matches for rep in reps)
+            assert may_match_rank2(g) == rank2, g.edges
+            assert may_match_rank3(g) == rank3, g.edges
+            counts["rank2"] += rank2
+            counts["rank3"] += rank3
+            base = bicyclic_base(g)
+            if base is not None:
+                extremal = any(is_extremal_bicyclic(rep, base) for rep in reps)
+                assert may_be_extremal_bicyclic(g, base) == extremal, g.edges
+                counts["bicyclic"] += 1
+                counts["extremal"] += extremal
+        # K(a,b) with a + b <= 6, partitions of 3..6 into three parts, A001435
+        assert counts == {"rank2": 9, "rank3": 7, "bicyclic": 1 + 5 + 19, "extremal": 1}
 
 
 def is_balanced_true(g):

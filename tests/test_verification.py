@@ -46,7 +46,7 @@ from signed_nullity.enumeration import (
 )
 from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
 from signed_nullity.rank import _bordered_ranks, _eliminate, _mod2_rank_support, _null_supports
-from signed_nullity.recognizers import bicyclic_base, shape_order
+from signed_nullity.recognizers import bicyclic_base, is_extremal_bicyclic, shape_order
 from signed_nullity.reductions import _contract, _delete_pair, find_pendants, find_special_paths
 from signed_nullity.verification import (
     CatalogEntry,
@@ -135,8 +135,8 @@ SWEEP_ORDERS = [
     ("theorem2.3", 1, 8),
     ("theorem2.4", 1, 8),
     ("corollary2.6", 1, 8),
-    ("corollary2.9", 4, 12),
-    ("theorem3.1", 4, 12),
+    ("corollary2.9", 4, 14),
+    ("theorem3.1", 4, 14),
     ("lemma2.5", 4, 12),
 ]
 
@@ -150,7 +150,9 @@ def _flipped(recognize):
 
 
 # (sweep, max_n, names in verification to replace, a regex for each text the
-# sweep must then report, and no other); together every text of every sweep
+# sweep must then report, and no other); together every text of every sweep.
+# A bound sweep settles a class of rank mod 2 at least 4 with no kernel
+# call, so a broken kernel shows there only with that bound broken too.
 _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
@@ -203,11 +205,16 @@ _BROKEN_SWEEPS = [
         {"low_rank_neighborhood_check": lambda g, x: False},
         [r"neighborhood split check fails at vertices \[\d+(, \d+)+\] despite rank [23]"],
     ),
-    ("corollary2.6", 5, {"nullity": _order}, [r"pendant vertex present but nullity exceeds n-4"]),
+    (
+        "corollary2.6",
+        5,
+        {"nullity": _order, "_mod2_rank_support": lambda g: (0, set())},
+        [r"pendant vertex present but nullity exceeds n-4"],
+    ),
     (
         "corollary2.9",
         6,
-        {"nullity": _order},
+        {"nullity": _order, "_mod2_rank_support": lambda g: (0, set())},
         [
             r"special path present but nullity exceeds n-4",
             r"pendant vertex present but nullity exceeds n-4",
@@ -269,6 +276,55 @@ def _lemma25_kernel_calls(max_n: int) -> int:
     with _counted_calls("nullity") as calls:
         assert verify_theorem("lemma2.5", max_n).ok
     return calls[0]
+
+
+def _settlement_against_the_kernel(
+    connected_max_n: int, bicyclic_min_n: int, bicyclic_max_n: int
+) -> dict[str, tuple[int, int]]:
+    """The second route to every class a sweep settles unranked
+    (``verification._settled``): each of its switching classes, one per
+    sign pattern off a spanning tree of the class graph, ranked by the
+    kernel, must have rank 4 or more, and each recognizer that the sweep
+    compares with the kernel must say "no" on it, the extremal verdict on
+    the 2-core that ``bicyclic_base`` reads off the signed graph.
+
+    The three connected sweeps run to order ``connected_max_n`` and the two
+    bicyclic ones to ``bicyclic_max_n``, each passing; their settled classes
+    of orders from ``bicyclic_min_n`` are checked.  Returns, per sweep, the
+    classes it settled and their switching classes."""
+    verdicts = {
+        "theorem2.3": lambda rep: recognize_rank2(rep).matches,
+        "theorem2.4": lambda rep: recognize_rank3(rep).matches,
+        "corollary2.6": lambda rep: False,
+        "corollary2.9": lambda rep: False,
+        "theorem3.1": lambda rep: is_extremal_bicyclic(rep, bicyclic_base(rep)),
+    }
+    settle = verification._settled
+    counts = {}
+    for theorem, verdict in verdicts.items():
+        bicyclic = theorem in ("corollary2.9", "theorem3.1")
+        settled: list[SignedGraph] = []
+
+        def recorded(g, may_match=False):
+            if settle(g, may_match):
+                settled.append(g)
+                return True
+            return False
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "_settled", recorded)
+            assert verify_theorem(theorem, bicyclic_max_n if bicyclic else connected_max_n).ok
+        classes = switching_classes = 0
+        for g in settled:
+            if bicyclic and g.order < bicyclic_min_n:
+                continue
+            classes += 1
+            for rep in signature_representatives(g):
+                switching_classes += 1
+                assert rank(adjacency_matrix(rep)) >= 4, (theorem, rep.edges)
+                assert not verdict(rep), (theorem, rep.edges)
+        counts[theorem] = (classes, switching_classes)
+    return counts
 
 
 def _tree_routes_against_the_oracles(max_n: int) -> dict[str, int]:
@@ -559,6 +615,32 @@ class TestVerifyTheorem:
         # contractions (one per thread and switching class of the 1,304
         # special paths, each in one orientation)
         assert _lemma25_kernel_calls(8) == 3183
+
+    def test_settling_sweeps_pin_their_kernel_calls(self):
+        # work counts, not bounds: the kernel ranks only the switching
+        # classes of K1 and the complete bi- and tripartite graphs, whose
+        # rank mod 2 is at most 2, and of the unbalanced K1,1,2 and K2,3
+        with _counted_calls("nullity") as calls:
+            report = verify_theorem("theorem2.4", 7)
+        assert report.ok and report.instances_checked == 197349
+        assert calls[0] == 2179
+        with _counted_calls("nullity") as calls:
+            report = verify_theorem("theorem3.1", 12)
+        assert report.ok and report.instances_checked == 124632
+        assert calls[0] == 3 + 3
+
+    def test_settled_classes_have_rank_4_and_no_recognizer_match(self):
+        # every class but those of rank mod 2 at most 2: K1 and the 16
+        # complete bi- and tripartite graphs to order 6 (274 switching
+        # classes), and the bicyclic K1,1,2 and K2,3
+        counts = _settlement_against_the_kernel(6, 4, 9)
+        assert counts == {
+            "theorem2.3": (126, 4258),
+            "theorem2.4": (126, 4258),
+            "corollary2.6": (61, 410),
+            "corollary2.9": (1115, 4460),
+            "theorem3.1": (1123, 4492),
+        }
 
     def test_listing_covers_all_ids(self):
         ids = [key for key, _ in available_theorems()]
