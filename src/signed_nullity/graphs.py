@@ -56,7 +56,9 @@ class SignedGraph:
 
     ``edges`` is the canonical edge set: each entry is ``(u, v, sign)`` with
     ``u < v`` and entries sorted, so equal graphs have identical
-    representations (and serializations).
+    representations (and serializations).  The constructor takes any
+    iterable of such triples and stores a tuple of the tuples it checked,
+    never the caller's object.
 
     ``order`` and ``edges`` live in the instance ``__dict__``, next to the
     cached neighbor table; assigning or deleting an attribute raises
@@ -68,12 +70,13 @@ class SignedGraph:
     edges: tuple[Edge, ...]
     __match_args__ = ("order", "edges")
 
-    def __init__(self, order: int, edges: tuple[Edge, ...]) -> None:
+    def __init__(self, order: int, edges: Iterable[Edge]) -> None:
         # ids and signs are Python ints (no bool, float or numpy integer), so
         # they serialize as the file format writes them
         if type(order) is not int or order < 0:
             raise ValueError(f"order must be a non-negative integer, got {order!r}")
         prev: Optional[tuple[int, int]] = None
+        checked: list[Edge] = []  # a tuple of tuples, whatever iterable came in
         for u, v, s in edges:
             if not (type(u) is int and type(v) is int and 0 <= u < order and 0 <= v < order):
                 raise ValueError(f"edge ({u!r},{v!r}) out of range for order {order} (ids are ints)")
@@ -87,7 +90,8 @@ class SignedGraph:
             if prev is not None and prev >= (u, v):
                 raise ValueError(f"duplicate edge ({u},{v})" if prev == (u, v) else "edge list not sorted")
             prev = (u, v)
-        self.__dict__.update(order=order, edges=edges)
+            checked.append((u, v, s))
+        self.__dict__.update(order=order, edges=tuple(checked))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -196,7 +200,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int, int]]) -> SignedGrap
     """
     ids = [(_integer("vertex id", u), _integer("vertex id", v), _sign(s)) for u, v, s in edges]
     normalized = sorted(((min(u, v), max(u, v), s) for u, v, s in ids), key=lambda e: e[:2])
-    return SignedGraph(_integer("order", order), tuple(normalized))
+    return SignedGraph(_integer("order", order), normalized)
 
 
 def adjacency_matrix(g: SignedGraph) -> list[list[int]]:

@@ -11,7 +11,7 @@ which makes them byte-identical regardless of the worker count.  Graphs
 with cycles come from two class builders.  The bicyclic sweeps take each
 class from :func:`hung_classes`, which constructs it from its 2-core and
 calls no canonizer.  The connected sweeps, and the catalogs, which prune
-by rank as they grow, reading each child's ranks off its parent's, take
+by rank as they grow, ranking each child off its parent's matrix, take
 canonical graphs from :func:`_classes_by_order`, which grows each order
 from the one below: from K1, or from a 2-core shape's base graph by
 leaves.  The checks then take each class once per switching class: the
@@ -30,7 +30,7 @@ so every such contraction gives one graph up to relabeling and switching.
 Five statements can fail only on a signing of rank at most 3: the two
 n-4 bounds, the n-3 bound and its equality case, and the rank-2 and
 rank-3 recognitions.  Their sweeps settle a class whose rank mod 2
-(:func:`rank._mod2_rank_support`), a lower bound on the rank of every
+(:func:`rank._mod2_pivots`), a lower bound on the rank of every
 signing, is at least 4, and on which the sign-free step of each
 recognizer involved says that no signing can match (:func:`_settled`):
 they check it once, for all its switching classes, and build none.  At
@@ -39,9 +39,11 @@ orders 6 to 14 this settles every bicyclic class, and at order 8 all but
 
 This module holds sweeps and no elimination: every exact elimination is
 in :mod:`rank`.  The tree sweep reads each tree's rank off the null
-space of a smaller tree's biadjacency block, and the catalog build each
-leaf child's ranks off its parent's matrix, both through the one
-null-space reader there (:func:`rank._null_supports`).
+space of a smaller tree's biadjacency block, through the null-space
+reader there (:func:`rank._null_supports`).  The catalog build ranks each
+leaf child of a class by one kernel call on a principal minor of the
+class's matrix, the pendant-deletion identity
+(:func:`rank._bordered_rank`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .graphs import (
     fundamental_cycles,
 )
 from .graphio import serialize_graph
-from .rank import _bordered_ranks, _mod2_rank_support, _null_supports, cycle_nullity_formula, nullity
+from .rank import _bordered_rank, _mod2_pivots, _null_supports, cycle_nullity_formula, nullity
 from .recognizers import (
     BicyclicBase,
     bicyclic_base,
@@ -229,8 +231,9 @@ def _connected_classes(max_n: int) -> Iterator[SignedGraph]:
 # workers (2 vCPUs, shared host), lemma2.5, the slowest sweep, takes
 # 8.6-10.7 s at n <= 12 (10.3-13.7 s in alternating runs when every special
 # path was contracted on its own), and the largest catalog, n = 12 and
-# k = 12 (6,627 entries), takes 4.0-4.6 s.  The classes themselves are
-# constructed to order 14 in 8 s: the checks set the cap.
+# k = 12 (6,627 entries), takes 3.4-5.2 s, and 6.0-8.2 s serially.  The
+# classes themselves are constructed to order 14 in 8 s: the checks set the
+# cap.
 _BICYCLIC_MAX_N = 12
 
 # The largest order of the two bicyclic bound sweeps, theorem3.1 and
@@ -280,7 +283,7 @@ def _settled(g: SignedGraph, may_match: bool = False) -> bool:
     """True when every signing of g passes each statement that can fail
     only at rank 3 or less, so that no switching class of g need be built.
 
-    g's rank mod 2 (:func:`rank._mod2_rank_support`) bounds the rank of
+    g's rank mod 2 (:func:`rank._mod2_pivots`) bounds the rank of
     every signing of g from below; when it is at least 4, the kernel finds
     rank 4 or more on each.  The recognizers a statement compares with the
     kernel must then say "no" on each signing too, which their sign-free
@@ -289,7 +292,7 @@ def _settled(g: SignedGraph, may_match: bool = False) -> bool:
     settled: it is checked one switching class at a time, where a fault
     shows as a violation with its signing as the witness.
     """
-    return not may_match and _mod2_rank_support(g)[0] >= 4
+    return not may_match and len(_mod2_pivots(g)) >= 4
 
 
 def _switching_class_count(g: SignedGraph) -> int:
@@ -360,7 +363,7 @@ def _leaf_ranks(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     Entry m means nothing.
     """
     side = _tree_sides(n, pairs)
-    base, *supports, _ = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
+    base, *supports = _null_supports(_tree_block(side, pairs))  # by side: rows, columns
     ranks = [base] * n
     seen = [0, 0]
     for v, s in enumerate(side):
@@ -918,7 +921,7 @@ def _rank_rule(n: int, k: int, order: int) -> Optional[Callable[[int], bool]]:
     each class on its way has one of rank at most k.
 
     Both forms fail every rank above k.  So a class whose rank mod 2
-    (:func:`rank._mod2_rank_support`), a lower bound on the rank of each of
+    (:func:`rank._mod2_pivots`), a lower bound on the rank of each of
     its switching classes, exceeds k fails on every one of them, and the
     build drops it unranked.
     """
@@ -935,19 +938,28 @@ def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph,
     whose child has a switching class (the balanced one when
     ``balanced_only``) that passes :func:`_rank_rule`.
 
-    First, one elimination mod 2 (:func:`rank._mod2_rank_support`) bounds
-    every child's rank from below, whatever its signs: by g's rank mod 2,
-    plus 2 when a leaf at u raises it.  When that plus 2 exceeds k, the
-    joins at those u fail on every switching class and are dropped.  It runs
-    only when a child's bound can exceed k: the rank mod 2 is even and at
-    most the order, so at most 2 * ((g.order + 1) // 2) for a child.
+    First, one elimination mod 2 (:func:`rank._mod2_pivots`) bounds every
+    child's rank from below, whatever its signs: by g's rank mod 2, plus 2
+    when a leaf at u raises it.  The matrix A of g mod 2 is symmetric with a
+    zero diagonal, so x A x = 0 for every x, and its rank is even; so is
+    that of A bordered by the unit row and column e_u with a 0 corner, g
+    plus a leaf at u, and the leaf raises the rank by 0 or 2.  It raises it
+    by 2 exactly when u is in the support of A's null space: otherwise e_u,
+    orthogonal to the null space, is A y for some y, and the Schur
+    complement, y A y = 0, adds nothing.  That support is every vertex but
+    the pivots u whose reduced row is e_u.  When g's rank mod 2 plus 2
+    exceeds k, only the joins at those u are kept; the others fail on every
+    switching class.  The gate runs only when a child's bound can exceed k:
+    the rank mod 2 is even and at most the order, so at most
+    2 * ((g.order + 1) // 2) for a child.
 
     A leaf edge lies on no cycle, so it is positive up to switching, and
     the child's switching classes are g's, each bordered by the unit row
-    and column e_u.  One :func:`rank._bordered_ranks` pass per switching
-    class of g gives the rank of each of them, for every u, before any
-    child is built; the passes stop once every join left has passed, and
-    none runs when no join is left.
+    and column e_u.  Deleting the leaf with its neighbor u keeps the
+    nullity (Cvetkovic and Gutman, Mat. Vesnik 9, 1972), so the child's
+    rank is that of g's matrix without row and column u, plus 2
+    (:func:`rank._bordered_rank`).  Each join left is kept once one
+    switching class of g passes by that rank, before any child is built.
     """
 
     def keep(g: SignedGraph, joins: list[Join]) -> list[Join]:
@@ -955,18 +967,13 @@ def _catalog_keep(n: int, k: int, balanced_only: bool) -> Callable[[SignedGraph,
         if rule is None:
             return joins
         if 2 * ((g.order + 1) // 2) > k:
-            rank2, raised = _mod2_rank_support(g)
-            if rank2 + 2 > k:
-                joins = [join for join in joins if join[0] not in raised]
+            pivots = _mod2_pivots(g)
+            if len(pivots) + 2 > k:
+                joins = [join for join in joins if pivots.get(1 << join[0]) == 1 << join[0]]
                 if not joins:
                     return []
-        failing = set(joins)
-        for rep in _switching_classes(g, balanced_only):
-            ranks = _bordered_ranks(adjacency_matrix(rep))
-            failing = {join for join in failing if not rule(ranks[join[0]])}
-            if not failing:
-                break
-        return [join for join in joins if join not in failing]
+        matrices = [adjacency_matrix(rep) for rep in _switching_classes(g, balanced_only)]
+        return [join for join in joins if any(rule(_bordered_rank(m, join[0])) for m in matrices)]
 
     return keep
 
@@ -975,12 +982,12 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     """The entries for the classes of order n whose 2-core is ``shape``.
 
     The shape's base graph, the root, is dropped at once if its rank mod 2
-    (:func:`rank._mod2_rank_support`), a lower bound on the rank of every
+    (:func:`rank._mod2_pivots`), a lower bound on the rank of every
     switching class, exceeds k; otherwise it is ranked by the kernel and
-    dropped if it fails :func:`_rank_rule`.  The build then reads each
-    child's ranks off its parent's switching classes (:func:`_catalog_keep`):
-    at most one exact elimination per switching class of a parent, none per
-    child.  So every class left at order n has, by those ranks, a switching
+    dropped if it fails :func:`_rank_rule`.  The build then ranks each
+    child by a principal minor of its parent's switching classes
+    (:func:`_catalog_keep`), and builds no child before it passes.  So
+    every class left at order n has, by those ranks, a switching
     class of rank exactly k, and no other class of order n is canonized.
     Each left is then read in one pass through the kernel, the second
     route: its switching classes at rank k, then its base, cycles and
@@ -1001,7 +1008,7 @@ def _catalog_chunk(task: tuple[BaseShape, int, int, bool]) -> list[CatalogEntry]
     root = base_graph(shape)
     rule = _rank_rule(n, k, root.order)
     if rule and (
-        _mod2_rank_support(root)[0] > k
+        len(_mod2_pivots(root)) > k
         or not any(rule(root.order - nullity(rep)) for rep in _switching_classes(root, balanced_only))
     ):
         return []

@@ -23,6 +23,7 @@ from signed_nullity import (
     is_balanced,
     is_connected,
     normalize_special_path,
+    nullity,
     parse_graph,
     recognize_rank3,
     rewire_special_path,
@@ -78,6 +79,26 @@ class TestBuildGraph:
             SignedGraph(-1, ())
         with pytest.raises(ValueError, match="not normalized"):
             SignedGraph(2, ((1, 0, 1),))
+
+    def test_direct_construction_stores_a_tuple_of_the_checked_edges(self):
+        # a generator would be stored used up, a list would leave the graph
+        # unhashable and open to later changes, and list-shaped edges would
+        # break the sign lookup
+        expected = SignedGraph(3, ((0, 1, 1), (1, 2, 1)))
+        source = [(0, 1, 1), (1, 2, 1)]
+        shaped = [[0, 1, 1], [1, 2, 1]]
+        built = [
+            SignedGraph(3, ((u, u + 1, 1) for u in range(2))),
+            SignedGraph(3, source),
+            SignedGraph(3, shaped),
+        ]
+        source.append((0, 2, -1))
+        shaped[0][2] = -1
+        for g in built:
+            assert g == expected and hash(g) == hash(expected), g
+            assert g.edges == ((0, 1, 1), (1, 2, 1)) and type(g.edges) is tuple
+            assert all(type(e) is tuple for e in g.edges)
+            assert nullity(g) == 1 and g.has_edge(0, 1)
 
 
 class TestAdjacencyMatrix:

@@ -37,7 +37,7 @@ from signed_nullity import (
     switch,
     switching_equivalent,
 )
-from signed_nullity.rank import _bordered_ranks, _eliminate, _null_supports
+from signed_nullity.rank import _bordered_rank, _eliminate, _null_supports
 from signed_nullity.reductions import is_special_path
 from oracles import IndexOnly, disjoint_union
 
@@ -177,11 +177,12 @@ def test_bipartite_rank_is_twice_the_biadjacency_rank(pair):
 
 
 @st.composite
-def integer_matrices(draw, max_size=10):
+def integer_matrices(draw, max_size=10, square=False):
     """An integer matrix with entries in -3..3 and up to 10 rows and columns,
-    some rows and columns copied, negated or zeroed so that it drops rank."""
+    as many of each when ``square``, some rows and columns copied, negated
+    or zeroed so that it drops rank."""
     rows = draw(st.integers(1, max_size))
-    cols = draw(st.integers(1, max_size))
+    cols = rows if square else draw(st.integers(1, max_size))
     entry = st.integers(-3, 3)
     m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
     for _ in range(draw(st.integers(0, 3))):
@@ -201,7 +202,7 @@ def integer_matrices(draw, max_size=10):
 def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
     # rank [m; e_j] = rank m + [e_j outside the row space, the null space's complement]
     copy = [row[:] for row in m]
-    base, left, right, _ = _null_supports(m)
+    base, left, right = _null_supports(m)
     assert m == copy
     assert base == _eliminate([row[:] for row in m]), m
     for matrix, support in ((m, right), ([list(col) for col in zip(*m)], left)):
@@ -213,42 +214,18 @@ def test_null_supports_mark_the_unit_rows_and_columns_that_raise_the_rank(m):
             assert grown == base + (j in support), (matrix, j, support)
 
 
-@st.composite
-def symmetric_matrices(draw, max_size=10):
-    """A symmetric matrix with entries in {0, 1, -1}, the diagonal included,
-    and up to 10 rows; some rows copied, with their columns, up to sign, so
-    that it drops rank."""
-    n = draw(st.integers(1, max_size))
-    entry = st.sampled_from((0, 0, 1, -1))
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = draw(entry)
-    for _ in range(draw(st.integers(0, 3))):
-        target, source = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if target != source:
-            factor = draw(st.sampled_from((1, -1)))
-            for j in range(n):
-                m[target][j] = m[j][target] = factor * m[source][j]
-            m[target][target] = m[source][source]
-    return m
-
-
 @settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
-def test_bordered_ranks_are_the_ranks_of_the_bordered_matrices(m):
-    # bordering by the unit row and column e_u, with a 0 corner, hangs a leaf at u
+@given(integer_matrices(square=True))
+def test_bordered_rank_is_the_rank_of_the_bordered_matrix(m):
+    # bordering by the unit row and column e_u, with a 0 corner, hangs a leaf
+    # at u; the minor identity holds for any square matrix, symmetric or not
     n = len(m)
     copy = [row[:] for row in m]
-    _, left, right, solved = _null_supports(m)
-    assert left == right and not solved & right, m  # y[u] is fixed only off the support
-    ranks = _bordered_ranks(m)
-    assert m == copy  # m is bordered below, so neither may change it
-    assert len(ranks) == n
     for u in range(n):
         unit = [int(v == u) for v in range(n)]
         bordered = [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
-        assert ranks[u] == _eliminate(bordered), (m, u)
+        assert _bordered_rank(m, u) == _eliminate(bordered), (m, u)
+        assert m == copy  # the minor is taken from a copy
 
 
 @settings(max_examples=80, deadline=None)

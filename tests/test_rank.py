@@ -33,7 +33,7 @@ from oracles import (
     sympy_rank,
 )
 from signed_nullity.enumeration import bicyclic_base_shapes, hung_classes
-from signed_nullity.rank import _mod2_rank_support
+from signed_nullity.rank import _mod2_pivots
 from signed_nullity.verification import _connected_classes
 
 
@@ -233,7 +233,7 @@ def _mod2_lemma_on_connected_classes(max_n: int) -> dict[int, int]:
     the number of such classes of each order."""
     low: Counter[int] = Counter()
     for g in _connected_classes(max_n):
-        rank2 = _mod2_rank_support(g)[0]
+        rank2 = len(_mod2_pivots(g))
         assert (rank2 <= 2) == _low_by_the_lemma(g), g
         low[g.order] += rank2 <= 2
     return dict(low)
@@ -270,7 +270,7 @@ class TestMod2RankSupport:
     @settings(max_examples=100, deadline=None)
     @given(connected_near_multipartite())
     def test_rank_at_most_2_exactly_on_the_complete_bi_and_tripartite_graphs(self, g):
-        rank2 = _mod2_rank_support(g)[0]
+        rank2 = len(_mod2_pivots(g))
         assert rank2 == rank_mod2(adjacency_matrix(g))
         assert (rank2 <= 2) == _low_by_the_lemma(g)
 
@@ -279,7 +279,7 @@ class TestMod2RankSupport:
             (g.order, shape, sorted(map(len, complement_parts(g, list(g.vertices())))))
             for shape in bicyclic_base_shapes(12)
             for g, _ in hung_classes(shape, 12)
-            if _mod2_rank_support(g)[0] <= 2
+            if len(_mod2_pivots(g)) <= 2
         ]
         assert sorted(low) == [(4, ("theta", 2, 2, 1), [1, 1, 2]), (5, ("theta", 2, 2, 2), [2, 3])]
 
@@ -287,13 +287,15 @@ class TestMod2RankSupport:
     @given(signed_graphs())
     def test_a_lower_bound_of_even_parity_raised_by_2_exactly_at_the_support(self, g):
         m = adjacency_matrix(g)
-        rank2, raised = _mod2_rank_support(g)
+        pivots = _mod2_pivots(g)
+        rank2 = len(pivots)
         assert rank2 == rank_mod2(m)
         positive = build_graph(g.order, [(u, v, 1) for u, v, _ in g.edges])
         assert rank2 <= rank(m) and rank2 <= rank(adjacency_matrix(positive))
         assert rank2 % 2 == 0
         for u in range(g.order):
-            assert rank_mod2(_with_leaf(m, u)) == rank2 + 2 * (u in raised), u
+            raised = pivots.get(1 << u) != 1 << u
+            assert rank_mod2(_with_leaf(m, u)) == rank2 + 2 * raised, u
 
 
 class TestNullity:

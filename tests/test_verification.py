@@ -45,7 +45,7 @@ from signed_nullity.enumeration import (
     signature_representatives,
 )
 from signed_nullity.graphs import compaction_map, cycle_sign, fundamental_cycles
-from signed_nullity.rank import _bordered_ranks, _eliminate, _mod2_rank_support, _null_supports
+from signed_nullity.rank import _bordered_rank, _eliminate, _mod2_pivots, _null_supports
 from signed_nullity.recognizers import bicyclic_base, is_extremal_bicyclic, shape_order
 from signed_nullity.reductions import _contract, _delete_pair, find_pendants, find_special_paths
 from signed_nullity.verification import (
@@ -157,7 +157,7 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_null_supports": lambda m: (0, set(), set(), set())},
+        {"_null_supports": lambda m: (0, set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -175,7 +175,7 @@ _BROKEN_SWEEPS = [
     (
         "lemma2.1i",
         4,
-        {"_null_supports": lambda m: (_null_supports(m)[0], set(), set(), set())},
+        {"_null_supports": lambda m: (_null_supports(m)[0], set(), set())},
         [r"tree nullity formula disagrees with rank kernel"],
     ),
     (
@@ -208,13 +208,13 @@ _BROKEN_SWEEPS = [
     (
         "corollary2.6",
         5,
-        {"nullity": _order, "_mod2_rank_support": lambda g: (0, set())},
+        {"nullity": _order, "_mod2_pivots": lambda g: {}},
         [r"pendant vertex present but nullity exceeds n-4"],
     ),
     (
         "corollary2.9",
         6,
-        {"nullity": _order, "_mod2_rank_support": lambda g: (0, set())},
+        {"nullity": _order, "_mod2_pivots": lambda g: {}},
         [
             r"special path present but nullity exceeds n-4",
             r"pendant vertex present but nullity exceeds n-4",
@@ -577,7 +577,7 @@ class TestVerifyTheorem:
 
         clean = verify_theorem("lemma2.1i", 5)
         # a broken kernel: every tree with an edge now disagrees with the formula
-        monkeypatch.setattr(verification, "_null_supports", lambda m: (0, set(), set(), set()))
+        monkeypatch.setattr(verification, "_null_supports", lambda m: (0, set(), set()))
         report = verify_theorem("lemma2.1i", 5)
         assert report.instances_checked == clean.instances_checked
         assert len(report.violations) == report.instances_checked - 1
@@ -1188,7 +1188,7 @@ def _pruned_catalogs_against_the_unpruned(min_n: int, max_n: int) -> int:
 
 
 def _bordered_ranks_against_the_kernel(max_n: int) -> dict[str, int]:
-    """Check :func:`_bordered_ranks` against ``rank`` of the bordered matrix
+    """Check :func:`_bordered_rank` against ``rank`` of the bordered matrix
     on every switching class of every class of every level of the catalog
     builder, grown from each 2-core shape's base graph to order ``max_n``,
     at every anchor u.  Returns the number of checks per branch of the rank."""
@@ -1199,30 +1199,30 @@ def _bordered_ranks_against_the_kernel(max_n: int) -> dict[str, int]:
                 for rep in signature_representatives(g):
                     m = adjacency_matrix(rep)
                     base = rank(m)
-                    ranks = _bordered_ranks(m)
                     for u in range(g.order):
                         unit = [int(v == u) for v in range(g.order)]
                         bordered = [row + [x] for row, x in zip(m, unit)] + [unit + [0]]
-                        assert ranks[u] == rank(bordered), (rep, u)
-                        counts[("rho", "rho+1", "rho+2")[ranks[u] - base]] += 1
+                        child = _bordered_rank(m, u)
+                        assert child == rank(bordered), (rep, u)
+                        counts[("rho", "rho+1", "rho+2")[child - base]] += 1
     return counts
 
 
 class TestBorderedRanks:
     def test_every_leaf_child_of_the_catalog_builder_to_order_8(self):
-        # every branch is met, so dropping one, or reading y[u] off another
-        # row, fails here
+        # a leaf raises the rank by 0, 1 or 2, and each is met, so a minor
+        # off by a row or column, or a constant other than 2, fails here
         counts = _bordered_ranks_against_the_kernel(8)
         assert counts == {"rho": 5114, "rho+1": 1904, "rho+2": 2982}, counts
 
     def test_a_leaf_child_has_the_bordered_ranks_of_its_parent(self):
         # the child's switching classes are the parent's with a positive leaf
         for g in bicyclic_classes(7).values():
-            ranks = [_bordered_ranks(adjacency_matrix(rep)) for rep in signature_representatives(g)]
+            matrices = [adjacency_matrix(rep) for rep in signature_representatives(g)]
             for u in range(g.order):
                 child = _grown(g, (u,))
                 expected = sorted(child.order - nullity(rep) for rep in signature_representatives(child))
-                assert sorted(r[u] for r in ranks) == expected, (g, u)
+                assert sorted(_bordered_rank(m, u) for m in matrices) == expected, (g, u)
 
 
 def _mod2_pruning_against_the_kernel(min_n: int, max_n: int) -> dict[str, int]:
@@ -1232,10 +1232,10 @@ def _mod2_pruning_against_the_kernel(min_n: int, max_n: int) -> dict[str, int]:
 
     A root whose rank mod 2 exceeds k must fail the rule on every switching
     class by the kernel; a join at a vertex where a leaf lifts the rank mod
-    2 past k, on every bordered rank of :func:`_bordered_ranks`.  The hook
-    must keep exactly the joins that pass the rule by those ranks.  Returns
-    how many roots and joins the mod-2 gate dropped, and how many of the
-    ones it let through the exact route then dropped."""
+    2 past k, on every switching class of the child, each ranked by the
+    kernel.  The hook must keep exactly the joins that pass the rule by
+    those ranks.  Returns how many roots and joins the mod-2 gate dropped,
+    and how many of the ones it let through the exact route then dropped."""
     counts = {"roots mod 2": 0, "roots kernel": 0, "joins mod 2": 0, "joins bordered": 0}
 
     def switching_classes(g: SignedGraph, balanced: bool) -> list[SignedGraph]:
@@ -1252,11 +1252,19 @@ def _mod2_pruning_against_the_kernel(min_n: int, max_n: int) -> dict[str, int]:
                     if rule is None:
                         assert kept == joins, (g, n, k, balanced)
                         return kept
-                    ranks = [_bordered_ranks(adjacency_matrix(rep)) for rep in switching_classes(g, balanced)]
-                    passing = [join for join in joins if any(rule(r[join[0]]) for r in ranks)]
+                    reps = switching_classes(g, balanced)
+                    passing = [
+                        join
+                        for join in joins
+                        if any(rule(g.order + 1 - nullity(_grown(rep, join))) for rep in reps)
+                    ]
                     assert kept == passing, (g, n, k, balanced)
-                    rank2, raised = _mod2_rank_support(g)
-                    gated = [join for join in joins if rank2 + 2 > k and join[0] in raised]
+                    pivots = _mod2_pivots(g)
+                    gated = [
+                        join
+                        for join in joins
+                        if len(pivots) + 2 > k and pivots.get(1 << join[0]) != 1 << join[0]
+                    ]
                     assert not set(gated) & set(passing), (g, n, k, balanced)
                     counts["joins mod 2"] += len(gated)
                     counts["joins bordered"] += len(joins) - len(passing) - len(gated)
@@ -1268,7 +1276,7 @@ def _mod2_pruning_against_the_kernel(min_n: int, max_n: int) -> dict[str, int]:
                     if rule is not None:
                         reps = switching_classes(root, balanced)
                         passes = any(rule(root.order - nullity(rep)) for rep in reps)
-                        if _mod2_rank_support(root)[0] > k:
+                        if len(_mod2_pivots(root)) > k:
                             assert not passes, (shape, n, k, balanced)
                             counts["roots mod 2"] += 1
                             continue
@@ -1314,14 +1322,14 @@ class TestRankPrunedCatalogs:
         # there with no elimination; only the parents of order n-1 are ranked
         sizes = []
 
-        def counted(m):
+        def counted(m, u):
             sizes.append(len(m))
-            return _bordered_ranks(m)
+            return _bordered_rank(m, u)
 
         def no_rank(g):
             raise AssertionError("the build ran the rank kernel")
 
-        monkeypatch.setattr(verification, "_bordered_ranks", counted)
+        monkeypatch.setattr(verification, "_bordered_rank", counted)
         monkeypatch.setattr(verification, "nullity", no_rank)
         for balanced in (False, True):
             keep = _catalog_keep(n, n, balanced)
@@ -1383,8 +1391,8 @@ class TestRankPrunedCatalogs:
             raise AssertionError("the build ranked a switching class")
 
         monkeypatch.setattr(verification, "nullity", no_rank)
-        monkeypatch.setattr(verification, "_bordered_ranks", no_rank)
-        assert _mod2_rank_support(base_graph(("infinity", 3, 3, 1)))[0] == 4
+        monkeypatch.setattr(verification, "_bordered_rank", no_rank)
+        assert len(_mod2_pivots(base_graph(("infinity", 3, 3, 1)))) == 4
         assert _catalog_chunk((("infinity", 3, 3, 1), 8, 3, False)) == []
         assert canonize_calls == []
         k23 = base_graph(("theta", 2, 2, 2))
